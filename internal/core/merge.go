@@ -41,10 +41,13 @@ type mergeScratch struct {
 	condRank []int32    // tree rank -> conditional rank, or nilNode
 	path     []int32    // re-ranked path being inserted
 
+	// pruned counts the prefix items conditionalTree dropped by the Erec
+	// check since the owning miner last collected them (miner.prune).
+	pruned int
+
 	// lc, when non-nil, is the owning miner's local trace batch: merge
-	// times a ts-merge observation per call and conditionalTree counts
-	// its Erec prunes into it. nil (the untraced default) keeps the hot
-	// path at a single pointer check.
+	// times a ts-merge observation per call into it. nil (the untraced
+	// default) keeps the hot path at a single pointer check.
 	lc *obs.Local
 }
 

@@ -33,7 +33,33 @@ func Mine(db *tsdb.DB, o Options) (*Result, error) {
 //
 // Contexts that can never fire (context.Background) add no per-task cost.
 func MineContext(ctx context.Context, db *tsdb.DB, o Options) (*Result, error) {
+	return mine(ctx, db, o, ShardSpec{Index: 0, Count: 1}, nil)
+}
+
+// mine is the one RP-growth pipeline behind MineContext, MineShardContext
+// and MineFuncContext: validate, scan (the RP-list), tree-build (the
+// RP-tree), mine the top-level ranks spec owns, and finalize. Every phase
+// runs here exactly once, under its pprof phase label (plus whatever request
+// labels ctx carries, see obs.WithMineLabels) and, when o.Trace is set,
+// inside a span of that phase — so a CPU capture attributes every entry
+// point's samples alike.
+//
+// emit is the sink: nil accumulates the patterns into the returned Result,
+// which finalize canonicalizes; otherwise every pattern streams to emit in
+// discovery order (returning false stops the run) and the Result carries
+// only the stats.
+//
+// Mining forks exactly once. A run with one worker that owns every rank
+// (Parallelism ≤ 1 and spec {0,1}) uses the paper's push-up miner (Lemma 3
+// mutates the tree as it goes); every other run uses the worker pool's
+// read-only subtree merge. Both yield the same patterns and stats; push-up
+// is kept because it measured faster and leaner where it applies (see
+// DESIGN.md §5b).
+func mine(ctx context.Context, db *tsdb.DB, o Options, spec ShardSpec, emit func(Pattern) bool) (*Result, error) {
 	if err := o.Validate(); err != nil {
+		return nil, err
+	}
+	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
@@ -41,15 +67,8 @@ func MineContext(ctx context.Context, db *tsdb.DB, o Options) (*Result, error) {
 	}
 	defer o.Trace.StartTotal().End()
 	res := &Result{}
-	// Each section runs under a phase pprof label (plus whatever request
-	// labels the caller attached via obs.WithMineLabels), so a continuous
-	// -profiling CPU capture attributes its samples to algorithm phases.
 	var list *RPList
-	obs.DoPhase(ctx, obs.PhaseScan, func(context.Context) {
-		sp := o.Trace.Start(obs.PhaseScan)
-		list = BuildRPList(db, o)
-		sp.End()
-	})
+	runPhase(ctx, o.Trace, obs.PhaseScan, func() { list = BuildRPList(db, o) })
 	if o.CollectStats {
 		res.Stats.CandidateItems = len(list.Candidates)
 	}
@@ -57,26 +76,28 @@ func MineContext(ctx context.Context, db *tsdb.DB, o Options) (*Result, error) {
 		return res, nil
 	}
 	var tree *rpTree
-	obs.DoPhase(ctx, obs.PhaseTreeBuild, func(context.Context) {
-		sp := o.Trace.Start(obs.PhaseTreeBuild)
-		tree = buildRPTree(db, list)
-		sp.End()
-	})
+	runPhase(ctx, o.Trace, obs.PhaseTreeBuild, func() { tree = buildRPTree(db, list) })
 	if o.CollectStats {
+		// Every shard builds the full initial tree, so summing shard stats
+		// overcounts TreeNodes by (Count-1) tree sizes; the reducer
+		// documents this (conditional-tree nodes, the dominant term, are
+		// counted exactly once since each shard only grows its own).
 		res.Stats.TreeNodes += tree.nodes
 	}
+	// The mine phase is timed per subtree task (obs.TaskSpan), not as one
+	// span; the label covers the pool's workers too, which inherit it.
 	cancelled := false
-	if o.Parallelism > 1 {
-		cancelled = mineParallel(ctx, tree, o, res)
-	} else {
-		obs.DoPhase(ctx, obs.PhaseMine, func(ctx context.Context) {
-			m := newMiner(o)
-			m.res, m.done = res, ctx.Done()
-			m.mineTree(tree, nil, 1)
-			m.lc.Flush(m.tr)
-			cancelled = m.cancelled
-		})
-	}
+	obs.DoPhase(ctx, obs.PhaseMine, func(ctx context.Context) {
+		if o.Parallelism > 1 || spec.Count > 1 {
+			cancelled = mineRanks(ctx, tree, o, res, spec.ranks(len(tree.order)))
+			return
+		}
+		m := newMiner(o)
+		m.res, m.fn, m.done = res, emit, ctx.Done()
+		m.mineTree(tree, nil, 1)
+		m.lc.Flush(m.tr)
+		cancelled = m.cancelled
+	})
 	if cancelled {
 		cerr := &CancelError{Err: ctx.Err()}
 		if o.CollectStats {
@@ -84,12 +105,19 @@ func MineContext(ctx context.Context, db *tsdb.DB, o Options) (*Result, error) {
 		}
 		return nil, cerr
 	}
-	obs.DoPhase(ctx, obs.PhaseFinalize, func(context.Context) {
-		sp := o.Trace.Start(obs.PhaseFinalize)
-		res.Canonicalize()
-		sp.End()
-	})
+	if emit == nil {
+		runPhase(ctx, o.Trace, obs.PhaseFinalize, res.Canonicalize)
+	}
 	return res, nil
+}
+
+// runPhase runs fn as phase p of a mining run: under the phase's pprof
+// label and, when tr is non-nil, inside one span of p.
+func runPhase(ctx context.Context, tr *obs.Trace, p obs.Phase, fn func()) {
+	obs.DoPhase(ctx, p, func(context.Context) {
+		defer tr.Start(p).End()
+		fn()
+	})
 }
 
 // miner carries the mining context of one RP-growth run: the thresholds, the
@@ -99,7 +127,7 @@ func MineContext(ctx context.Context, db *tsdb.DB, o Options) (*Result, error) {
 // own and merges their results deterministically afterwards.
 type miner struct {
 	o         Options
-	res       *Result            // accumulating sink (Mine, mineParallel)
+	res       *Result            // stats sink, and the pattern sink unless fn is set
 	fn        func(Pattern) bool // streaming sink (MineFunc); stops when false
 	stop      bool               // set once fn returned false or ctx fired
 	done      <-chan struct{}    // ctx.Done(); nil when not cancellable
@@ -134,7 +162,7 @@ func newMiner(o Options) *miner {
 // Cancellation is observed once per rank — task granularity, so the check
 // never runs inside the ts-list merge or tree-walk hot loops.
 func (m *miner) mineTree(t *rpTree, suffix []tsdb.ItemID, depth int) {
-	if m.res != nil && m.o.CollectStats && depth > m.res.Stats.MaxDepth {
+	if m.o.CollectStats && depth > m.res.Stats.MaxDepth {
 		m.res.Stats.MaxDepth = depth
 	}
 	for r := len(t.order) - 1; r >= 0 && !m.stop; r-- {
@@ -191,16 +219,11 @@ func (m *miner) mineRank(t *rpTree, r int, suffix []tsdb.ItemID, depth int, subt
 		return
 	}
 	if m.o.candidateErec(ts) < m.o.MinRec {
-		if m.res != nil && m.o.CollectStats {
-			m.res.Stats.PatternsPruned++
-		}
-		if m.tr != nil {
-			m.lc.Observe(obs.PhasePrune, 0, 1)
-		}
+		m.prune(1)
 		m.ms.putBuf(ts)
 		return
 	}
-	if m.res != nil && m.o.CollectStats {
+	if m.o.CollectStats {
 		m.res.Stats.PatternsExamined++
 	}
 	rec, ipi := Recurrence(ts, m.o.Per, m.o.MinPS)
@@ -220,13 +243,27 @@ func (m *miner) mineRank(t *rpTree, r int, suffix []tsdb.ItemID, depth int, subt
 	}
 	mark := m.arena.mark()
 	cond := t.conditionalTree(&m.arena, &m.ms, m.o, r, subtree)
+	m.prune(m.ms.pruned)
+	m.ms.pruned = 0
 	if cond != nil {
-		if m.res != nil && m.o.CollectStats {
+		if m.o.CollectStats {
 			m.res.Stats.TreeNodes += cond.nodes
 		}
 		m.mineTree(cond, beta, depth+1)
 	}
 	m.arena.reset(mark)
+}
+
+// prune records n candidates cut by the Erec bound — a suffix extension in
+// mineRank or a prefix item dropped from a conditional tree — in the stats
+// and the trace alike, so PatternsPruned equals the erec-prune count.
+func (m *miner) prune(n int) {
+	if m.o.CollectStats {
+		m.res.Stats.PatternsPruned += n
+	}
+	if m.tr != nil {
+		m.lc.Observe(obs.PhasePrune, 0, int64(n))
+	}
 }
 
 // emit delivers one recurring pattern to the miner's sink.
@@ -249,16 +286,6 @@ func (m *miner) emit(beta []tsdb.ItemID, support, rec int, ipi []Interval) {
 	m.res.Patterns = append(m.res.Patterns, p)
 }
 
-// mineParallel mines the top-level suffix items with a fixed pool of
-// Parallelism workers; it is mineRanks over every rank of the tree.
-func mineParallel(ctx context.Context, t *rpTree, o Options, res *Result) (cancelled bool) {
-	ranks := make([]int, len(t.order))
-	for i := range ranks {
-		ranks[i] = i
-	}
-	return mineRanks(ctx, t, o, res, ranks)
-}
-
 // mineRanks mines the given top-level ranks of t with a fixed pool of
 // Parallelism workers (minimum one) pulling rank indexes from a shared
 // atomic queue, so a heavy suffix item no longer serializes the tail of the
@@ -272,8 +299,8 @@ func mineParallel(ctx context.Context, t *rpTree, o Options, res *Result) (cance
 // rank subset (core.MineShardContext) produce exactly the patterns the full
 // mine attributes to those ranks.
 //
-// ranks must be sorted ascending and duplicate-free; the parallel mode
-// passes every rank, the shard mode the ranks its ShardSpec owns.
+// ranks must be sorted ascending and duplicate-free: the ranks the run's
+// ShardSpec owns (every rank for {0,1}).
 //
 // Workers observe ctx between subtree tasks (and, via mineTree, between the
 // ranks within one task); once it fires they stop claiming ranks and the
@@ -293,13 +320,12 @@ func mineRanks(ctx context.Context, t *rpTree, o Options, res *Result, ranks []i
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
+		// Workers inherit the goroutine's pprof labels (phase=mine plus the
+		// request's), so a CPU capture taken mid-run attributes worker
+		// samples to the request that spawned them.
 		go func() {
 			defer wg.Done()
-			// The worker runs under phase=mine pprof labels; request-scoped
-			// labels (request_id, dataset_fp) are inherited from ctx, so a
-			// CPU capture taken mid-run attributes worker samples to the
-			// request that spawned them.
-			obs.DoPhase(ctx, obs.PhaseMine, func(context.Context) { mineWorker(t, o, done, ranks, partial, &next, &stopped) })
+			mineWorker(t, o, done, ranks, partial, &next, &stopped)
 		}()
 	}
 	wg.Wait()
@@ -317,8 +343,7 @@ func mineRanks(ctx context.Context, t *rpTree, o Options, res *Result, ranks []i
 
 // mineWorker is one pool worker's loop: claim rank indexes from the shared
 // queue, mine each claimed rank's subtree into its partial slot, and stop
-// once ctx fired (done) or the queue drains. Extracted from the goroutine
-// literal in mineRanks so the pprof.Do phase wrapper stays a one-liner.
+// once ctx fired (done) or the queue drains.
 func mineWorker(t *rpTree, o Options, done <-chan struct{}, ranks []int, partial []Result, next *atomic.Int64, stopped *atomic.Bool) {
 	m := newMiner(o)
 	m.done = done

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 
-	"github.com/recurpat/rp/internal/obs"
 	"github.com/recurpat/rp/internal/tsdb"
 )
 
@@ -13,9 +12,11 @@ import (
 // arrive in discovery order (suffix-item order, not the canonical order of
 // Mine); returning false from fn stops mining early.
 //
-// MineFunc is always sequential; Options.Parallelism is ignored so the
-// callback never races with itself. Long-running callers that need
-// cancellation should use MineFuncContext.
+// MineFunc is always sequential: Options.Parallelism is ignored, so the
+// callback never races with itself and the run takes the push-up miner.
+// The callback runs under the run's phase=mine pprof label (plus any
+// request labels on the context), like every other mining path. Long-running
+// callers that need cancellation should use MineFuncContext.
 func MineFunc(db *tsdb.DB, o Options, fn func(Pattern) bool) error {
 	//rpvet:allow ctxflow — MineFunc is the documented non-cancellable compat wrapper; the root it mints is the API contract
 	return MineFuncContext(context.Background(), db, o, fn)
@@ -26,28 +27,7 @@ func MineFunc(db *tsdb.DB, o Options, fn func(Pattern) bool) error {
 // ctx.Err() is returned. Patterns already delivered to fn stay delivered;
 // an early stop requested by fn returning false is not an error.
 func MineFuncContext(ctx context.Context, db *tsdb.DB, o Options, fn func(Pattern) bool) error {
-	if err := o.Validate(); err != nil {
-		return err
-	}
-	if err := ctx.Err(); err != nil {
-		return &CancelError{Err: err}
-	}
-	defer o.Trace.StartTotal().End()
-	sp := o.Trace.Start(obs.PhaseScan)
-	list := BuildRPList(db, o)
-	sp.End()
-	if len(list.Candidates) == 0 {
-		return nil
-	}
-	sp = o.Trace.Start(obs.PhaseTreeBuild)
-	tree := buildRPTree(db, list)
-	sp.End()
-	m := newMiner(o)
-	m.fn, m.done = fn, ctx.Done()
-	m.mineTree(tree, nil, 1)
-	m.lc.Flush(m.tr)
-	if m.cancelled {
-		return &CancelError{Err: ctx.Err()}
-	}
-	return nil
+	o.Parallelism = 0
+	_, err := mine(ctx, db, o, ShardSpec{Index: 0, Count: 1}, fn)
+	return err
 }

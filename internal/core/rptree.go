@@ -3,7 +3,6 @@ package core
 import (
 	"slices"
 
-	"github.com/recurpat/rp/internal/obs"
 	"github.com/recurpat/rp/internal/tsdb"
 )
 
@@ -325,6 +324,7 @@ func (ms *mergeScratch) releaseBase(subtree bool) {
 // items whose conditional Erec passes the candidate check (computed from
 // the per-item merged ts-lists — the "temporary array" of Section 4.2.3),
 // re-sorted by conditional support. nil is returned when no item survives.
+// Every item the check drops is counted in ms.pruned.
 //
 // The new tree is carved from dst (the caller's arena), so the shared
 // initial tree is never mutated — the parallel miner's workers all read t
@@ -416,8 +416,8 @@ func (t *rpTree) conditionalTree(dst *nodeArena, ms *mergeScratch, o Options, r 
 		merged = ms.merge(merged[:0])
 		if o.candidateErec(merged) >= o.MinRec {
 			keep = append(keep, condKeep{item: t.order[pr], sup: sup[pr], trank: int32(pr)})
-		} else if ms.lc != nil {
-			ms.lc.Observe(obs.PhasePrune, 0, 1)
+		} else {
+			ms.pruned++
 		}
 	}
 	ms.putBuf(merged)

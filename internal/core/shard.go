@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"github.com/recurpat/rp/internal/obs"
 	"github.com/recurpat/rp/internal/tsdb"
 )
 
@@ -46,63 +45,32 @@ func (s ShardSpec) Validate() error {
 // RP-list rank.
 func (s ShardSpec) Owns(rank int) bool { return rank%s.Count == s.Index }
 
+// ranks lists the ranks in [0, n) the shard owns, ascending.
+func (s ShardSpec) ranks(n int) []int {
+	out := make([]int, 0, (n+s.Count-1)/s.Count)
+	for r := 0; r < n; r++ {
+		if s.Owns(r) {
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
 // MineShardContext mines the slice of db's recurring patterns owned by
 // spec: exactly the patterns whose deepest-ranked item falls in the shard's
 // residue class of the RP-list rank order. Every shard runs the same two
 // database scans (RP-list, initial RP-tree) and then mines only its owned
-// subtrees through the read-only subtree path, so shards share no state
-// and may run in different processes. The result is canonically ordered;
-// concatenating the Patterns of all Count shards (in any order) and
-// canonicalizing again reproduces MineContext's output byte for byte.
+// subtrees, so shards share no state and may run in different processes.
+// The result is canonically ordered; concatenating the Patterns of all
+// Count shards (in any order) and canonicalizing again reproduces
+// MineContext's output byte for byte. Stats sum across the shards to the
+// single-box stats, except TreeNodes, which counts each shard's copy of the
+// initial tree.
 //
-// A spec of {0, 1} owns every rank and is equivalent to MineContext.
+// A proper subset (Count > 1) is mined by the worker pool's read-only
+// subtree merge at any Parallelism. A spec of {0, 1} owns every rank and is
+// exactly MineContext, push-up miner included at Parallelism ≤ 1.
 // Cancellation behaves as in MineContext: task-granular, *CancelError.
 func MineShardContext(ctx context.Context, db *tsdb.DB, o Options, spec ShardSpec) (*Result, error) {
-	if err := o.Validate(); err != nil {
-		return nil, err
-	}
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, &CancelError{Err: err}
-	}
-	defer o.Trace.StartTotal().End()
-	res := &Result{}
-	sp := o.Trace.Start(obs.PhaseScan)
-	list := BuildRPList(db, o)
-	sp.End()
-	if o.CollectStats {
-		res.Stats.CandidateItems = len(list.Candidates)
-	}
-	if len(list.Candidates) == 0 {
-		return res, nil
-	}
-	sp = o.Trace.Start(obs.PhaseTreeBuild)
-	tree := buildRPTree(db, list)
-	sp.End()
-	if o.CollectStats {
-		// Every shard builds the full initial tree, so summing shard stats
-		// overcounts TreeNodes by (Count-1) tree sizes; the reducer
-		// documents this (conditional-tree nodes, the dominant term, are
-		// counted exactly once since each shard only grows its own).
-		res.Stats.TreeNodes += tree.nodes
-	}
-	ranks := make([]int, 0, (len(tree.order)+spec.Count-1)/spec.Count)
-	for r := range tree.order {
-		if spec.Owns(r) {
-			ranks = append(ranks, r)
-		}
-	}
-	if mineRanks(ctx, tree, o, res, ranks) {
-		cerr := &CancelError{Err: ctx.Err()}
-		if o.CollectStats {
-			cerr.Stats = res.Stats
-		}
-		return nil, cerr
-	}
-	sp = o.Trace.Start(obs.PhaseFinalize)
-	res.Canonicalize()
-	sp.End()
-	return res, nil
+	return mine(ctx, db, o, spec, nil)
 }

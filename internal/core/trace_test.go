@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand/v2"
 	"testing"
 
@@ -196,5 +197,57 @@ func TestMineFuncTraced(t *testing.T) {
 	r := o.Trace.Report()
 	if r.Runs != 1 || r.CoveredNanos() <= 0 {
 		t.Fatalf("stream run not traced: runs=%d covered=%d", r.Runs, r.CoveredNanos())
+	}
+}
+
+// TestPatternsPrunedMatchesTrace pins MineStats.PatternsPruned as an exact
+// count: it includes the prefix items conditionalTree drops by the Erec
+// check, so it equals the trace's erec-prune count on every execution path,
+// and the shards of a scatter sum to the single-box stat.
+func TestPatternsPrunedMatchesTrace(t *testing.T) {
+	rng := rand.New(rand.NewPCG(17, 3))
+	db := randomDB(rng, 14, 2000, 0.28)
+	ctx := context.Background()
+	prunes := func(tr *obs.Trace) int {
+		for _, s := range tr.Report().Phases {
+			if s.Phase == obs.PhasePrune.String() {
+				return int(s.Count)
+			}
+		}
+		return 0
+	}
+	var want int
+	for _, par := range []int{0, 3} {
+		o := Options{Per: 4, MinPS: 3, MinRec: 2, Parallelism: par, CollectStats: true, Trace: obs.NewTrace()}
+		res, err := MineContext(ctx, db, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := res.Stats.PatternsPruned
+		if got == 0 || got != prunes(o.Trace) {
+			t.Fatalf("par=%d: PatternsPruned = %d, trace erec-prune count = %d; want equal and above 0", par, got, prunes(o.Trace))
+		}
+		if par == 0 {
+			want = got
+		} else if got != want {
+			t.Errorf("par=%d: PatternsPruned = %d, sequential run counted %d", par, got, want)
+		}
+	}
+	for _, count := range []int{2, 3} {
+		sum := 0
+		for idx := 0; idx < count; idx++ {
+			o := Options{Per: 4, MinPS: 3, MinRec: 2, CollectStats: true, Trace: obs.NewTrace()}
+			res, err := MineShardContext(ctx, db, o, ShardSpec{Index: idx, Count: count})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Stats.PatternsPruned != prunes(o.Trace) {
+				t.Errorf("shard %d/%d: PatternsPruned = %d, trace counted %d", idx, count, res.Stats.PatternsPruned, prunes(o.Trace))
+			}
+			sum += res.Stats.PatternsPruned
+		}
+		if sum != want {
+			t.Errorf("%d shards: PatternsPruned sums to %d, single box counted %d", count, sum, want)
+		}
 	}
 }

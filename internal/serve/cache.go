@@ -40,7 +40,7 @@ type cachedResult struct {
 	mineTime time.Duration // wall time of the run that produced it
 
 	// partial and failedShards mark a best-effort scatter that lost
-	// shards. Partial results are never actually cached (runMine skips the
+	// shards. Partial results are never actually cached (leadMine skips the
 	// put), but they flow through this type to the response writer.
 	partial      bool
 	failedShards []int

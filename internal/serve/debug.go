@@ -16,11 +16,24 @@ import (
 	"github.com/recurpat/rp/internal/obs"
 )
 
-// journalRecord retains one finished /v1/mine request in the journal; a
-// no-op when the journal is disabled. Called from handleMine's deferred
-// access logger, so every exit path — served, cached, coalesced, shed,
-// cancelled, failed — lands here exactly once.
-func (s *Server) journalRecord(rec *accessRecord, start time.Time, elapsed time.Duration) {
+// logAccess is the serve package's one access-log emitter, deferred by
+// execute (both mine endpoints) and the dataset upload: one log line and,
+// when the journal is on, one journal entry per request, whichever way it
+// ended — served, cached, coalesced, shed, cancelled or failed.
+func (s *Server) logAccess(msg string, start time.Time, rec *accessRecord) {
+	if rec.id == "" {
+		rec.id = obs.RequestID()
+	}
+	elapsed := time.Since(start)
+	s.cfg.Logger.Info(msg,
+		"id", rec.id, "db", rec.db, "fp", rec.fp, "opts", rec.opts,
+		"outcome", rec.outcome, "status", rec.status, "cached", rec.cached,
+		"patterns", rec.patterns,
+		"queueMS", float64(rec.queueWait)/1e6,
+		"mineMS", float64(rec.mineTime)/1e6,
+		"allocBytes", rec.allocBytes,
+		"cpuMS", float64(rec.cpuTime)/1e6,
+		"elapsedMS", float64(elapsed)/1e6)
 	if s.journal == nil {
 		return
 	}

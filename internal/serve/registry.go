@@ -234,14 +234,7 @@ func (s *Server) handleDatasetUpload(w http.ResponseWriter, r *http.Request) {
 	start := now()
 	s.metrics.uploads.Add(1)
 	rec := &accessRecord{id: obs.RequestID(), outcome: "uploaded", status: http.StatusCreated}
-	defer func() {
-		elapsed := time.Since(start)
-		s.cfg.Logger.Info("dataset-upload",
-			"id", rec.id, "fp", rec.fp, "name", rec.db,
-			"outcome", rec.outcome, "status", rec.status,
-			"elapsedMS", float64(elapsed)/1e6)
-		s.journalRecord(rec, start, elapsed)
-	}()
+	defer s.logAccess("dataset-upload", start, rec)
 
 	body := r.Body
 	if s.cfg.MaxUpload > 0 {
@@ -249,8 +242,8 @@ func (s *Server) handleDatasetUpload(w http.ResponseWriter, r *http.Request) {
 	}
 	tmp, err := os.CreateTemp(s.cfg.SpillDir, "rpserved-spill-*")
 	if err != nil {
-		rec.deny("spill-error", http.StatusInternalServerError)
-		s.fail(w, http.StatusInternalServerError, "creating spill file: %v", err)
+		s.refuse(w, r, rec, &requestError{"spill-error", http.StatusInternalServerError,
+			fmt.Errorf("creating spill file: %w", err)})
 		return
 	}
 	spill := tmp.Name()
@@ -263,15 +256,10 @@ func (s *Server) handleDatasetUpload(w http.ResponseWriter, r *http.Request) {
 		err = cerr
 	}
 	if err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			rec.deny("body-too-large", http.StatusRequestEntityTooLarge)
-			s.fail(w, http.StatusRequestEntityTooLarge,
-				"request body exceeds the %d-byte limit", mbe.Limit)
-			return
-		}
-		rec.deny("upload-error", http.StatusBadRequest)
-		s.fail(w, http.StatusBadRequest, "reading upload: %v", err)
+		// refuse answers an over-MaxUpload body with the same 413 as an
+		// over-MaxBody mine.
+		s.refuse(w, r, rec, &requestError{"upload-error", http.StatusBadRequest,
+			fmt.Errorf("reading upload: %w", err)})
 		return
 	}
 
@@ -288,8 +276,8 @@ func (s *Server) handleDatasetUpload(w http.ResponseWriter, r *http.Request) {
 	rec.report = trace.Report()
 	s.metrics.observeTrace(rec.report)
 	if err != nil {
-		rec.deny("bad-dataset", http.StatusBadRequest)
-		s.fail(w, http.StatusBadRequest, "parsing dataset: %v", err)
+		s.refuse(w, r, rec, &requestError{"bad-dataset", http.StatusBadRequest,
+			fmt.Errorf("parsing dataset: %w", err)})
 		return
 	}
 
@@ -304,8 +292,7 @@ func (s *Server) handleDatasetUpload(w http.ResponseWriter, r *http.Request) {
 	}
 	existing, evicted, err := s.registry.put(ds)
 	if err != nil {
-		rec.deny("dataset-too-large", http.StatusRequestEntityTooLarge)
-		s.fail(w, http.StatusRequestEntityTooLarge, "%v", err)
+		s.refuse(w, r, rec, &requestError{"dataset-too-large", http.StatusRequestEntityTooLarge, err})
 		return
 	}
 	if existing {
@@ -353,19 +340,19 @@ func (s *Server) handleDatasetDelete(w http.ResponseWriter, r *http.Request) {
 }
 
 // lookupDataset resolves a mine request's dataset reference.
-func (s *Server) lookupDataset(ref string) (*dbEntry, int, error) {
+func (s *Server) lookupDataset(ref string) (*dbEntry, error) {
 	fp, err := parseFingerprint(ref)
 	if err != nil {
-		return nil, http.StatusBadRequest, err
+		return nil, &requestError{"unknown-dataset", http.StatusBadRequest, err}
 	}
 	ds, ok := s.registry.get(fp)
 	if !ok {
-		return nil, http.StatusNotFound,
-			fmt.Errorf("serve: unknown dataset %q (expired from the registry, or never uploaded)", ref)
+		return nil, &requestError{"unknown-dataset", http.StatusNotFound,
+			fmt.Errorf("serve: unknown dataset %q (expired from the registry, or never uploaded)", ref)}
 	}
 	name := ds.name
 	if name == "" {
 		name = "dataset:" + ref[:8]
 	}
-	return &dbEntry{name: name, db: ds.db, fp: ds.fp}, 0, nil
+	return &dbEntry{name: name, db: ds.db, fp: ds.fp}, nil
 }

@@ -13,6 +13,7 @@ import (
 	"errors"
 	"expvar"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"net/http/pprof"
@@ -213,7 +214,16 @@ type dbEntry struct {
 }
 
 // Server is the mining service. Create with NewServer, mount Handler on an
-// http.Server, and call Drain before exiting.
+// http.Server, and call Drain (then Close) before exiting.
+//
+// Its two mine endpoints are thin adapters over one request pipeline,
+// execute: decode under MaxBody, target resolution, options and the
+// parallelism clamp, then runMine's drain accounting, admission, timeout,
+// pprof labels, per-run trace (and timeline) and cost capture, with one
+// error → status mapping (refuse) and one access-log and journal emitter
+// (logAccess). POST /v1/mine adds only the result cache, single-flight
+// coalescing and, with Config.Peers, the coordinator's scatter; POST
+// /v1/shard/mine adds only the rank spec and its ShardMineResponse.
 type Server struct {
 	cfg      Config
 	dbs      map[string]*dbEntry
@@ -418,8 +428,8 @@ func (s *Server) endMine() {
 // get cancelled out from under it.
 const maxMineAttempts = 3
 
-// accessRecord accumulates one /v1/mine request's access-log fields; the
-// deferred logger in handleMine emits it however the request ends.
+// accessRecord accumulates one request's access-log and journal fields;
+// the deferred logAccess emits it however the request ends.
 type accessRecord struct {
 	id        string
 	db        string
@@ -433,8 +443,8 @@ type accessRecord struct {
 	mineTime  time.Duration // the producing mine's wall time (historic on cache hits)
 
 	// allocBytes and cpuTime are the producing mine's resource cost,
-	// measured as process-counter deltas around the single-flight mining
-	// section (historic on cache hits; an upper bound when mines overlap).
+	// measured as process-counter deltas around the mining section
+	// (historic on cache hits; an upper bound when mines overlap).
 	allocBytes uint64
 	cpuTime    time.Duration
 
@@ -453,11 +463,6 @@ func (rec *accessRecord) inherit(v *cachedResult) {
 	rec.report, rec.timeline, rec.historic = v.report, v.timeline, true
 }
 
-// deny records a failed request's outcome and status in one move.
-func (rec *accessRecord) deny(outcome string, status int) {
-	rec.outcome, rec.status = outcome, status
-}
-
 // optionsDigest is the compact access-log form of the resolved options.
 // Every Options field that can change the output (or its search cost) is
 // present, so two log lines with equal digests describe the same mine.
@@ -474,187 +479,169 @@ func optionsDigest(o core.Options) string {
 		o.Per, o.MinPS, o.MinRec, o.MaxLen, o.Parallelism, order, erec)
 }
 
-func (s *Server) handleMine(w http.ResponseWriter, r *http.Request) {
-	start := now()
-	s.metrics.requests.Add(1)
-	rec := &accessRecord{id: obs.RequestID(), outcome: "ok", status: http.StatusOK}
-	defer func() {
-		elapsed := time.Since(start)
-		s.cfg.Logger.Info("mine",
-			"id", rec.id, "db", rec.db, "fp", rec.fp, "opts", rec.opts,
-			"outcome", rec.outcome, "status", rec.status, "cached", rec.cached,
-			"patterns", rec.patterns,
-			"queueMS", float64(rec.queueWait)/1e6,
-			"mineMS", float64(rec.mineTime)/1e6,
-			"allocBytes", rec.allocBytes,
-			"cpuMS", float64(rec.cpuTime)/1e6,
-			"elapsedMS", float64(elapsed)/1e6)
-		s.journalRecord(rec, start, elapsed)
-	}()
+// requestError is a request refused for a cause of its own (bad input,
+// unknown target, ...): the journal outcome, the HTTP status and the
+// client-facing cause. refuse counts it under the errors metric.
+type requestError struct {
+	outcome string
+	status  int
+	err     error
+}
 
+func (e *requestError) Error() string { return e.err.Error() }
+func (e *requestError) Unwrap() error { return e.err }
+
+// mineCall is one mine request on its way through execute: the access
+// record every exit path fills in, and what the request resolved to.
+type mineCall struct {
+	start time.Time
+	rec   *accessRecord
+	req   *api.MineRequest // the options and addressing part of the wire request
+	pin   string           // content fingerprint the target must have ("" = any)
+	ent   *dbEntry
+	o     core.Options
+	trace bool          // record the run's span timeline
+	tl    *obs.Timeline // the recorded timeline, once the run started
+}
+
+// route is what one mine endpoint plugs into execute.
+type route struct {
+	// log is the access-log message, ok the outcome of a served request.
+	log, ok string
+	// id is the request ID a coordinator propagated, if any ("" = mint one).
+	id string
+	// decode reads the endpoint's wire request into c (c.req at least).
+	decode func(body io.Reader, c *mineCall) error
+	// serve mines the resolved c through runMine and writes the response.
+	serve func(w http.ResponseWriter, c *mineCall) error
+}
+
+// execute is the request pipeline both mine endpoints share: decode under
+// the MaxBody limit, target resolution, options and the parallelism clamp,
+// then the route's serve step, whose mine runs through runMine (drain,
+// admission, timeout, labels, trace and cost capture). It owns the one
+// error → status mapping (refuse) and the deferred access-log line and
+// journal entry, so every exit path of either endpoint is reported once
+// and the same way.
+func (s *Server) execute(w http.ResponseWriter, r *http.Request, rt route) {
+	c := &mineCall{start: now(), rec: &accessRecord{id: rt.id, outcome: rt.ok, status: http.StatusOK}}
+	defer s.logAccess(rt.log, c.start, c.rec)
+	err := s.resolve(w, r, rt, c)
+	if err == nil {
+		err = rt.serve(w, c)
+	}
+	if err != nil {
+		s.refuse(w, r, c.rec, err)
+	}
+}
+
+// resolve is execute's preamble: decode, target, options.
+func (s *Server) resolve(w http.ResponseWriter, r *http.Request, rt route, c *mineCall) error {
 	body := r.Body
 	if s.cfg.MaxBody > 0 {
 		body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBody)
 	}
-	req, err := api.DecodeMineRequest(body)
+	if err := rt.decode(body, c); err != nil {
+		var re *requestError
+		if !errors.As(err, &re) {
+			err = &requestError{"bad-request", http.StatusBadRequest, fmt.Errorf("decoding request: %w", err)}
+		}
+		return err
+	}
+	if c.rec.id == "" {
+		c.rec.id = obs.RequestID()
+	}
+	ent, err := s.resolveTarget(c.req, c.pin)
 	if err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			// Distinct from plain bad requests: a too-large body usually
-			// means a client is POSTing the database instead of naming it.
-			rec.deny("body-too-large", http.StatusRequestEntityTooLarge)
-			s.fail(w, http.StatusRequestEntityTooLarge,
-				"request body exceeds the %d-byte limit", mbe.Limit)
-			return
-		}
-		rec.deny("bad-request", http.StatusBadRequest)
-		s.fail(w, http.StatusBadRequest, "decoding request: %v", err)
-		return
+		return err
 	}
-
-	// Resolve the target: a registered dataset by fingerprint, or a
-	// preloaded database by name. Either way no transaction data rides in
-	// the request — mine-by-reference is what makes repeat mining cheap.
-	var ent *dbEntry
-	switch {
-	case req.Dataset != "" && req.DB != "":
-		rec.deny("bad-request", http.StatusBadRequest)
-		s.fail(w, http.StatusBadRequest, "serve: set db or dataset, not both")
-		return
-	case req.Dataset != "":
-		var status int
-		var err error
-		ent, status, err = s.lookupDataset(req.Dataset)
-		if err != nil {
-			rec.deny("unknown-dataset", status)
-			s.fail(w, status, "%v", err)
-			return
-		}
-	default:
-		var status int
-		var err error
-		ent, status, err = s.lookupDB(req.DB)
-		if err != nil {
-			rec.deny("unknown-db", status)
-			s.fail(w, status, "%v", err)
-			return
-		}
-	}
-	rec.db, rec.fp = ent.name, fmt.Sprintf("%016x", ent.fp)
-
+	c.ent = ent
+	c.rec.db, c.rec.fp = ent.name, fmt.Sprintf("%016x", ent.fp)
 	// Threshold resolution and validation live in the api package so the
-	// shard endpoint, remote peers and this handler can never disagree.
-	o, err := req.ToCoreOptions(ent.db.Len())
-	if err != nil {
-		rec.deny("invalid-options", http.StatusBadRequest)
-		s.fail(w, http.StatusBadRequest, "%v", err)
-		return
+	// two endpoints, remote peers and clients can never disagree.
+	if c.o, err = c.req.ToCoreOptions(ent.db.Len()); err != nil {
+		return &requestError{"invalid-options", http.StatusBadRequest, err}
 	}
-	if o.Parallelism > s.cfg.MaxParallelism {
-		o.Parallelism = s.cfg.MaxParallelism
-	}
-	rec.opts = optionsDigest(o)
-	// Mine with stats unconditionally (the counters cost nothing next to
-	// the mining itself) so one cached entry serves stats and no-stats
-	// requests alike; the response includes them only on request.
-	o.CollectStats = true
+	c.o.Parallelism = min(c.o.Parallelism, s.cfg.MaxParallelism)
+	c.rec.opts = optionsDigest(c.o)
+	return nil
+}
 
-	key := cacheKey{
-		fp:     ent.fp,
-		per:    o.Per,
-		minPS:  o.MinPS,
-		minRec: o.MinRec,
-		maxLen: o.MaxLen,
-		order:  o.ItemOrder,
-		noErec: o.DisableErecPruning,
-	}
-	if v, ok := s.cache.get(key); ok {
-		s.metrics.cacheHits.Add(1)
-		rec.outcome, rec.cached = "cache-hit", true
-		rec.patterns = len(v.patterns)
-		rec.inherit(v)
-		s.writeMineResponse(w, ent, req, v, true, start)
-		return
-	}
-	s.metrics.cacheMisses.Add(1)
-
+// refuse is the one error → status mapping of the mine endpoints (and
+// the dataset upload): it records the outcome on rec, counts it, and
+// writes the JSON error response.
+func (s *Server) refuse(w http.ResponseWriter, r *http.Request, rec *accessRecord, err error) {
 	var (
-		v      *cachedResult
-		mErr   error
-		leader bool
+		mbe     *http.MaxBytesError
+		re      *requestError
+		counter = &s.metrics.errors
+		msg     = err.Error()
 	)
-	for attempt := 0; attempt < maxMineAttempts; attempt++ {
-		v, mErr, leader = s.flight.do(r.Context(), key, func() (*cachedResult, error) {
-			return s.runMine(r.Context(), ent, o, key, rec)
-		})
-		if mErr == nil {
-			break
-		}
-		// A follower whose leader was cancelled retries while its own
-		// request is still live; one of the retrying followers becomes
-		// the next leader. Shed and drain outcomes are shared as-is.
-		var cerr *core.CancelError
-		if !leader && errors.As(mErr, &cerr) && r.Context().Err() == nil {
-			continue
-		}
-		break
-	}
-
 	switch {
-	case mErr == nil:
-		if !leader {
-			rec.outcome, rec.cached = "coalesced", true
-			rec.inherit(v)
-		}
-		rec.patterns = len(v.patterns)
-		s.writeMineResponse(w, ent, req, v, !leader, start)
-	case errors.Is(mErr, errShed):
-		s.metrics.shed.Add(1)
-		rec.deny("shed", http.StatusTooManyRequests)
+	case errors.As(err, &mbe):
+		// Distinct from plain bad requests: a too-large body usually means
+		// a client is POSTing the database instead of naming it.
+		rec.outcome, rec.status = "body-too-large", http.StatusRequestEntityTooLarge
+		msg = fmt.Sprintf("request body exceeds the %d-byte limit", mbe.Limit)
+	case errors.As(err, &re):
+		rec.outcome, rec.status = re.outcome, re.status
+	case errors.Is(err, errShed):
+		rec.outcome, rec.status, counter = "shed", http.StatusTooManyRequests, &s.metrics.shed
 		w.Header().Set("Retry-After", "1")
-		s.writeError(w, http.StatusTooManyRequests, mErr.Error())
-	case errors.Is(mErr, errDraining):
-		rec.deny("draining", http.StatusServiceUnavailable)
-		s.writeError(w, http.StatusServiceUnavailable, mErr.Error())
+	case errors.Is(err, errDraining):
+		rec.outcome, rec.status, counter = "draining", http.StatusServiceUnavailable, nil
 	case r.Context().Err() != nil:
 		// The client cancelled or disconnected; it won't read this, but
 		// record the outcome for logs and metrics.
-		s.metrics.cancelled.Add(1)
-		rec.deny("cancelled", statusClientClosedRequest)
-		s.writeError(w, statusClientClosedRequest, "client cancelled request")
-	case errors.Is(mErr, context.DeadlineExceeded):
-		s.metrics.timeouts.Add(1)
-		rec.deny("timeout", http.StatusServiceUnavailable)
-		s.writeError(w, http.StatusServiceUnavailable,
-			fmt.Sprintf("mine exceeded the server-side time limit of %v", s.cfg.MineTimeout))
+		rec.outcome, rec.status, counter = "cancelled", statusClientClosedRequest, &s.metrics.cancelled
+		msg = "client cancelled request"
+	case errors.Is(err, context.DeadlineExceeded):
+		rec.outcome, rec.status, counter = "timeout", http.StatusServiceUnavailable, &s.metrics.timeouts
+		msg = fmt.Sprintf("mine exceeded the server-side time limit of %v", s.cfg.MineTimeout)
 	default:
-		rec.deny("error", http.StatusInternalServerError)
-		s.fail(w, http.StatusInternalServerError, "mining failed: %v", mErr)
+		rec.outcome, rec.status = "error", http.StatusInternalServerError
+		msg = "mining failed: " + msg
 	}
+	if counter != nil {
+		counter.Add(1)
+	}
+	s.writeError(w, rec.status, msg)
 }
 
-// runMine is the single-flight leader path: drain accounting, admission,
-// the optional server-side deadline, the mine itself (phase-traced), and
-// cache fill. rec is the leader's access record; queue wait and mine time
-// land there as they become known.
-func (s *Server) runMine(ctx context.Context, ent *dbEntry, o core.Options, key cacheKey, rec *accessRecord) (*cachedResult, error) {
+// runMine is execute's mining step: drain accounting, admission, the
+// optional server-side deadline, request labels, the run's own trace (and
+// timeline) and the cost capture around mine. What it measures lands on
+// c.rec and in the cost metrics.
+func (s *Server) runMine(ctx context.Context, c *mineCall, mine func(context.Context, core.Options) (*core.Result, error)) (*core.Result, error) {
 	if err := s.beginMine(); err != nil {
 		return nil, err
 	}
 	defer s.endMine()
 
+	// Each run gets its own trace so the per-phase histograms see per-run
+	// attributions, not a shared running total. The trace (and the
+	// timeline, when recorded) starts before admission, so the flight
+	// record begins at arrival and the slot wait shows up as its own span —
+	// what a coordinator's clock alignment expects a peer's ElapsedNS to
+	// cover.
+	o := c.o
+	o.Trace = obs.NewTrace()
+	if c.trace && s.cfg.TimelineSpans >= 0 {
+		c.tl = obs.NewTimeline(s.cfg.TimelineSpans)
+		o.Trace.AttachTimeline(c.tl)
+	}
 	queued := now()
 	err := s.adm.acquire(ctx)
-	rec.queueWait = time.Since(queued)
+	c.rec.queueWait = time.Since(queued)
 	if err != nil {
 		return nil, err
 	}
 	defer s.adm.release()
+	c.tl.RecordSpan("queue", "", queued, c.rec.queueWait)
 
-	mctx := ctx
 	if s.cfg.MineTimeout > 0 {
 		var cancel context.CancelFunc
-		mctx, cancel = context.WithTimeout(ctx, s.cfg.MineTimeout)
+		ctx, cancel = context.WithTimeout(ctx, s.cfg.MineTimeout)
 		defer cancel()
 	}
 	// Stamp the request's ID on the mining context: in peers mode the shard
@@ -662,66 +649,148 @@ func (s *Server) runMine(ctx context.Context, ent *dbEntry, o core.Options, key 
 	// the coordinator's and the peers' journals join on one ID. The pprof
 	// labels make any continuous-profiling CPU capture taken during the run
 	// attribute its samples to this request and database.
-	mctx = obs.WithRequestID(mctx, rec.id)
-	mctx = obs.WithMineLabels(mctx, rec.id, fmt.Sprintf("%016x", ent.fp))
-
-	// Each executed mine gets its own trace so the per-phase histograms
-	// see per-run attributions, not a shared running total. With the
-	// journal on, the trace additionally retains a bounded span timeline —
-	// the run's flight record, downloadable from /debug/requests/trace.
-	o.Trace = obs.NewTrace()
-	var tl *obs.Timeline
-	if s.journal != nil && s.cfg.TimelineSpans >= 0 {
-		tl = obs.NewTimeline(s.cfg.TimelineSpans)
-		o.Trace.AttachTimeline(tl)
-	}
+	ctx = obs.WithMineLabels(obs.WithRequestID(ctx, c.rec.id), c.rec.id, c.rec.fp)
 	begin := now()
 	cost0 := prof.ReadCost()
-	var (
-		res     *core.Result
-		partial bool
-		failed  []int
-	)
-	if s.coord != nil {
-		// Peers mode: scatter the mine over the shard peers. The gathered
-		// result is byte-identical to the local mineFn path unless shards
-		// failed under a best-effort policy.
-		sres, serr := s.coord.Mine(mctx, ent.db, o)
-		if serr != nil {
-			return nil, serr
-		}
-		res, partial, failed = sres.Result, sres.Partial, sres.FailedShards
-	} else {
-		var merr error
-		res, merr = s.mineFn(mctx, ent.db, o)
-		if merr != nil {
-			return nil, merr
-		}
+	res, err := mine(ctx, o)
+	if err != nil {
+		return nil, err
 	}
-	d := time.Since(begin)
 	// Process-counter deltas around the mining section: exact while one
 	// mine runs at a time, an upper bound when mines overlap (the journal
 	// and docs say so). CPU is rusage-based, so it includes all worker
 	// goroutines' time, which is the point.
 	cost := prof.ReadCost().Sub(cost0)
-	rec.mineTime = d
+	rec := c.rec
+	rec.mineTime = time.Since(begin)
 	rec.allocBytes, rec.cpuTime = cost.AllocBytes, cost.CPU
-	report := o.Trace.Report()
-	s.metrics.observeMineTime(d)
-	s.metrics.observeTrace(report)
+	rec.report, rec.timeline = o.Trace.Report(), c.tl.Snapshot()
 	s.metrics.observeCost(cost.AllocBytes, cost.CPU)
-	rec.report, rec.timeline = report, tl.Snapshot()
+	return res, nil
+}
 
+// handleMine serves POST /v1/mine through execute. What is its own: the
+// result cache, single-flight coalescing of identical concurrent mines
+// and, in peers mode, the scatter over the shard peers.
+func (s *Server) handleMine(w http.ResponseWriter, r *http.Request) {
+	s.metrics.requests.Add(1)
+	s.execute(w, r, route{
+		log: "mine", ok: "ok",
+		decode: func(body io.Reader, c *mineCall) (err error) {
+			c.req, err = api.DecodeMineRequest(body)
+			c.trace = s.journal != nil
+			return err
+		},
+		serve: func(w http.ResponseWriter, c *mineCall) error { return s.serveMine(w, r, c) },
+	})
+}
+
+// serveMine answers a resolved /v1/mine request from the cache, from a
+// concurrent identical mine, or by leading the mine itself.
+func (s *Server) serveMine(w http.ResponseWriter, r *http.Request, c *mineCall) error {
+	// Mine with stats unconditionally (the counters cost nothing next to
+	// the mining itself) so one cached entry serves stats and no-stats
+	// requests alike; the response includes them only on request.
+	c.o.CollectStats = true
+	key := cacheKey{
+		fp:     c.ent.fp,
+		per:    c.o.Per,
+		minPS:  c.o.MinPS,
+		minRec: c.o.MinRec,
+		maxLen: c.o.MaxLen,
+		order:  c.o.ItemOrder,
+		noErec: c.o.DisableErecPruning,
+	}
+	v, cached := s.cache.get(key)
+	if cached {
+		s.metrics.cacheHits.Add(1)
+		c.rec.outcome = "cache-hit"
+	} else {
+		s.metrics.cacheMisses.Add(1)
+		var (
+			err    error
+			leader bool
+		)
+		for attempt := 0; attempt < maxMineAttempts; attempt++ {
+			v, err, leader = s.flight.do(r.Context(), key, func() (*cachedResult, error) {
+				return s.leadMine(r.Context(), c, key)
+			})
+			// A follower whose leader was cancelled retries while its own
+			// request is still live; one of the retrying followers becomes
+			// the next leader. Shed and drain outcomes are shared as-is.
+			var cerr *core.CancelError
+			if err == nil || leader || !errors.As(err, &cerr) || r.Context().Err() != nil {
+				break
+			}
+		}
+		if err != nil {
+			return err
+		}
+		if !leader {
+			cached = true
+			c.rec.outcome = "coalesced"
+		}
+	}
+	if cached {
+		c.rec.cached = true
+		c.rec.inherit(v)
+	}
+	c.rec.patterns = len(v.patterns)
+	resp := api.MineResponse{
+		V:            api.Version,
+		DB:           c.ent.name,
+		Count:        len(v.patterns),
+		Cached:       cached,
+		ElapsedMS:    float64(time.Since(c.start)) / 1e6,
+		MiningMS:     float64(v.mineTime) / 1e6,
+		Partial:      v.partial,
+		FailedShards: v.failedShards,
+		Patterns:     v.patterns,
+	}
+	if c.req.CollectStats {
+		stats := v.stats
+		resp.Stats = &stats
+	}
+	s.writeJSON(w, http.StatusOK, resp)
+	return nil
+}
+
+// leadMine is the single-flight leader's run: the mine itself (scattered
+// over the peers in peers mode), then the name-resolved result that fills
+// the cache.
+func (s *Server) leadMine(ctx context.Context, c *mineCall, key cacheKey) (*cachedResult, error) {
+	var (
+		partial bool
+		failed  []int
+	)
+	res, err := s.runMine(ctx, c, func(ctx context.Context, o core.Options) (*core.Result, error) {
+		if s.coord == nil {
+			return s.mineFn(ctx, c.ent.db, o)
+		}
+		// Peers mode: the gathered result is byte-identical to the local
+		// mineFn path unless shards failed under a best-effort policy.
+		sres, err := s.coord.Mine(ctx, c.ent.db, o)
+		if err != nil {
+			return nil, err
+		}
+		partial, failed = sres.Partial, sres.FailedShards
+		return sres.Result, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	s.metrics.observeMineTime(c.rec.mineTime)
+	s.metrics.observeTrace(c.rec.report)
 	v := &cachedResult{
-		patterns:     api.PatternsFromCore(ent.db, res.Patterns),
+		patterns:     api.PatternsFromCore(c.ent.db, res.Patterns),
 		stats:        res.Stats,
 		partial:      partial,
 		failedShards: failed,
-		mineTime:     d,
-		report:       rec.report,
-		timeline:     rec.timeline,
-		allocBytes:   cost.AllocBytes,
-		cpuTime:      cost.CPU,
+		mineTime:     c.rec.mineTime,
+		report:       c.rec.report,
+		timeline:     c.rec.timeline,
+		allocBytes:   c.rec.allocBytes,
+		cpuTime:      c.rec.cpuTime,
 	}
 	if !partial {
 		// A partial result is one outage away from being wrong twice: never
@@ -731,31 +800,12 @@ func (s *Server) runMine(ctx context.Context, ent *dbEntry, o core.Options, key 
 	return v, nil
 }
 
-func (s *Server) writeMineResponse(w http.ResponseWriter, ent *dbEntry, req *api.MineRequest, v *cachedResult, cached bool, start time.Time) {
-	resp := api.MineResponse{
-		V:            api.Version,
-		DB:           ent.name,
-		Count:        len(v.patterns),
-		Cached:       cached,
-		ElapsedMS:    float64(time.Since(start)) / 1e6,
-		MiningMS:     float64(v.mineTime) / 1e6,
-		Partial:      v.partial,
-		FailedShards: v.failedShards,
-		Patterns:     v.patterns,
-	}
-	if req.CollectStats {
-		stats := v.stats
-		resp.Stats = &stats
-	}
-	s.writeJSON(w, http.StatusOK, resp)
-}
-
-// handleShardMine executes one shard task of a scatter-gather mine: the
-// request addresses the database by content fingerprint (the coordinator
-// doesn't know or care what this peer named it), the task's rank slice is
-// mined under the same admission control and drain accounting as a full
-// mine, and nothing is cached — the coordinator owns the merged result's
-// lifecycle.
+// handleShardMine executes one shard task of a scatter-gather mine through
+// execute. What is its own: the rank spec the task mines (validated with
+// the request) and the ShardMineResponse. The coordinator usually
+// addresses the database by content fingerprint alone (it doesn't know or
+// care what this peer named it), and nothing is cached — the coordinator
+// owns the merged result's lifecycle.
 //
 // Trace context flows both ways: the task is journalled under the
 // coordinator's propagated request ID (X-Request-Id header, body fallback)
@@ -764,231 +814,132 @@ func (s *Server) writeMineResponse(w http.ResponseWriter, ent *dbEntry, req *api
 // and returns it with its per-phase report and handling time for the
 // coordinator to graft.
 func (s *Server) handleShardMine(w http.ResponseWriter, r *http.Request) {
-	start := now()
+	var (
+		req  *api.ShardMineRequest
+		spec core.ShardSpec
+	)
 	s.metrics.shardRequests.Add(1)
-	rec := &accessRecord{id: r.Header.Get("X-Request-Id"), outcome: "shard-ok", status: http.StatusOK}
-	defer func() {
-		if rec.id == "" {
-			rec.id = obs.RequestID()
-		}
-		elapsed := time.Since(start)
-		s.cfg.Logger.Info("shard-mine",
-			"id", rec.id, "db", rec.db, "fp", rec.fp, "opts", rec.opts,
-			"outcome", rec.outcome, "status", rec.status,
-			"patterns", rec.patterns,
-			"queueMS", float64(rec.queueWait)/1e6,
-			"mineMS", float64(rec.mineTime)/1e6,
-			"allocBytes", rec.allocBytes,
-			"cpuMS", float64(rec.cpuTime)/1e6,
-			"elapsedMS", float64(elapsed)/1e6)
-		s.journalRecord(rec, start, elapsed)
-	}()
-	body := r.Body
-	if s.cfg.MaxBody > 0 {
-		body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBody)
-	}
-	req, err := api.DecodeShardMineRequest(body)
-	if err != nil {
-		rec.deny("bad-request", http.StatusBadRequest)
-		s.fail(w, http.StatusBadRequest, "decoding shard request: %v", err)
-		return
-	}
-	if rec.id == "" {
-		rec.id = req.RequestID
-	}
-	spec := core.ShardSpec{Index: req.Shard, Count: req.Shards}
-	if err := spec.Validate(); err != nil {
-		rec.deny("bad-request", http.StatusBadRequest)
-		s.fail(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	ent, status, err := s.resolveShardTarget(req)
-	if err != nil {
-		rec.deny("unknown-db", status)
-		s.fail(w, status, "%v", err)
-		return
-	}
-	rec.db, rec.fp = ent.name, fmt.Sprintf("%016x", ent.fp)
-	o, err := req.ToCoreOptions(ent.db.Len())
-	if err != nil {
-		rec.deny("invalid-options", http.StatusBadRequest)
-		s.fail(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if o.Parallelism > s.cfg.MaxParallelism {
-		o.Parallelism = s.cfg.MaxParallelism
-	}
-	rec.opts = fmt.Sprintf("%s,shard=%d/%d", optionsDigest(o), req.Shard, req.Shards)
-
-	// The trace (and, when requested, the timeline) is created before
-	// admission so the peer's flight record starts at request arrival and
-	// the slot wait shows up as its own span, exactly what the coordinator's
-	// clock alignment expects ElapsedNS to cover.
-	o.Trace = obs.NewTrace()
-	var tl *obs.Timeline
-	if req.Trace && s.cfg.TimelineSpans >= 0 {
-		tl = obs.NewTimeline(s.cfg.TimelineSpans)
-		o.Trace.AttachTimeline(tl)
-	}
-
-	if err := s.beginMine(); err != nil {
-		rec.deny("draining", http.StatusServiceUnavailable)
-		s.writeError(w, http.StatusServiceUnavailable, err.Error())
-		return
-	}
-	defer s.endMine()
-	queued := now()
-	if err := s.adm.acquire(r.Context()); err != nil {
-		rec.queueWait = time.Since(queued)
-		if errors.Is(err, errShed) {
-			s.metrics.shed.Add(1)
-			rec.deny("shed", http.StatusTooManyRequests)
-			w.Header().Set("Retry-After", "1")
-			s.writeError(w, http.StatusTooManyRequests, err.Error())
-			return
-		}
-		s.metrics.cancelled.Add(1)
-		rec.deny("cancelled", statusClientClosedRequest)
-		s.writeError(w, statusClientClosedRequest, "client cancelled request")
-		return
-	}
-	defer s.adm.release()
-	rec.queueWait = time.Since(queued)
-	tl.RecordSpan("queue", "", queued, rec.queueWait)
-
-	mctx := r.Context()
-	if s.cfg.MineTimeout > 0 {
-		var cancel context.CancelFunc
-		mctx, cancel = context.WithTimeout(mctx, s.cfg.MineTimeout)
-		defer cancel()
-	}
-	// Label the shard task with the coordinator's propagated request ID, so
-	// a profile captured on this peer attributes samples to the same ID the
-	// fleet's journals join on.
-	mctx = obs.WithMineLabels(mctx, rec.id, fmt.Sprintf("%016x", ent.fp))
-	begin := now()
-	cost0 := prof.ReadCost()
-	res, err := core.MineShardContext(mctx, ent.db, o, spec)
-	if err != nil {
-		switch {
-		case r.Context().Err() != nil:
-			s.metrics.cancelled.Add(1)
-			rec.deny("cancelled", statusClientClosedRequest)
-			s.writeError(w, statusClientClosedRequest, "client cancelled request")
-		case errors.Is(err, context.DeadlineExceeded):
-			s.metrics.timeouts.Add(1)
-			rec.deny("timeout", http.StatusServiceUnavailable)
-			s.writeError(w, http.StatusServiceUnavailable,
-				fmt.Sprintf("shard mine exceeded the server-side time limit of %v", s.cfg.MineTimeout))
-		default:
-			rec.deny("error", http.StatusInternalServerError)
-			s.fail(w, http.StatusInternalServerError, "shard mining failed: %v", err)
-		}
-		return
-	}
-	s.metrics.shardMined.Add(1)
-	cost := prof.ReadCost().Sub(cost0)
-	rec.mineTime = time.Since(begin)
-	rec.allocBytes, rec.cpuTime = cost.AllocBytes, cost.CPU
-	rec.patterns = len(res.Patterns)
-	rec.report = o.Trace.Report()
-	s.metrics.observeCost(cost.AllocBytes, cost.CPU)
-	resp := api.ShardMineResponse{
-		V:           api.Version,
-		Fingerprint: fmt.Sprintf("%016x", ent.fp),
-		Shard:       req.Shard,
-		Shards:      req.Shards,
-		Count:       len(res.Patterns),
-		MiningMS:    float64(rec.mineTime) / 1e6,
-		Patterns:    api.PatternsFromCore(ent.db, res.Patterns),
-		Stats:       &res.Stats,
-		Phases:      activePhases(rec.report),
-	}
-	if tl != nil {
-		rec.timeline = tl.Snapshot()
-		resp.Timeline = &rec.timeline
-		// ElapsedNS is stamped as late as possible: it is the peer-handling
-		// width the coordinator centers inside its send→receive window.
-		resp.ElapsedNS = int64(time.Since(start))
-	}
-	s.writeJSON(w, http.StatusOK, resp)
+	s.execute(w, r, route{
+		log: "shard-mine", ok: "shard-ok",
+		id: r.Header.Get("X-Request-Id"),
+		decode: func(body io.Reader, c *mineCall) (err error) {
+			if req, err = api.DecodeShardMineRequest(body); err != nil {
+				return err
+			}
+			if c.rec.id == "" {
+				c.rec.id = req.RequestID
+			}
+			spec = core.ShardSpec{Index: req.Shard, Count: req.Shards}
+			if err := spec.Validate(); err != nil {
+				return &requestError{"bad-request", http.StatusBadRequest, err}
+			}
+			if req.Fingerprint == "" && req.DB == "" && req.Dataset == "" {
+				return &requestError{"bad-request", http.StatusBadRequest,
+					errors.New("serve: shard request must address a database (fingerprint, db or dataset)")}
+			}
+			c.req, c.pin, c.trace = &req.MineRequest, req.Fingerprint, req.Trace
+			return nil
+		},
+		serve: func(w http.ResponseWriter, c *mineCall) error {
+			c.rec.opts += fmt.Sprintf(",shard=%d/%d", req.Shard, req.Shards)
+			res, err := s.runMine(r.Context(), c, func(ctx context.Context, o core.Options) (*core.Result, error) {
+				return core.MineShardContext(ctx, c.ent.db, o, spec)
+			})
+			if err != nil {
+				return err
+			}
+			s.metrics.shardMined.Add(1)
+			c.rec.patterns = len(res.Patterns)
+			resp := api.ShardMineResponse{
+				V:           api.Version,
+				Fingerprint: c.rec.fp,
+				Shard:       req.Shard,
+				Shards:      req.Shards,
+				Count:       len(res.Patterns),
+				MiningMS:    float64(c.rec.mineTime) / 1e6,
+				Patterns:    api.PatternsFromCore(c.ent.db, res.Patterns),
+				Stats:       &res.Stats,
+				Phases:      activePhases(c.rec.report),
+			}
+			if c.tl != nil {
+				resp.Timeline = &c.rec.timeline
+				// ElapsedNS is stamped as late as possible: it is the
+				// peer-handling width the coordinator centers inside its
+				// send→receive window.
+				resp.ElapsedNS = int64(time.Since(c.start))
+			}
+			s.writeJSON(w, http.StatusOK, resp)
+			return nil
+		},
+	})
 }
 
-// resolveShardTarget resolves a shard task's database. Fingerprint is the
-// canonical address (searched across preloaded databases and the
-// registry); db/dataset naming also works, but a named database whose
-// bytes don't match a supplied fingerprint is refused — shards of one mine
-// must agree on content, not on names.
-func (s *Server) resolveShardTarget(req *api.ShardMineRequest) (*dbEntry, int, error) {
-	var ent *dbEntry
+// resolveTarget resolves a request's database: a registered dataset by
+// fingerprint, a preloaded database by name, or — for a shard task
+// addressed by pin alone — whichever of the two has that content
+// fingerprint. No transaction data rides in a request; mine-by-reference is
+// what makes repeat mining cheap. A non-empty pin refuses a database with
+// any other content: shards of one mine must agree on bytes, not names.
+func (s *Server) resolveTarget(req *api.MineRequest, pin string) (*dbEntry, error) {
+	var want uint64
+	if pin != "" {
+		fp, err := parseFingerprint(pin)
+		if err != nil {
+			return nil, &requestError{"unknown-db", http.StatusBadRequest, err}
+		}
+		want = fp
+	}
+	var (
+		ent *dbEntry
+		err error
+	)
 	switch {
 	case req.Dataset != "" && req.DB != "":
-		return nil, http.StatusBadRequest, errors.New("serve: set db or dataset, not both")
+		return nil, &requestError{"bad-request", http.StatusBadRequest, errors.New("serve: set db or dataset, not both")}
 	case req.Dataset != "":
-		var status int
-		var err error
-		if ent, status, err = s.lookupDataset(req.Dataset); err != nil {
-			return nil, status, err
-		}
-	case req.DB != "":
-		var status int
-		var err error
-		if ent, status, err = s.lookupDB(req.DB); err != nil {
-			return nil, status, err
-		}
-	case req.Fingerprint != "":
-		fp, err := parseFingerprint(req.Fingerprint)
-		if err != nil {
-			return nil, http.StatusBadRequest, err
-		}
+		ent, err = s.lookupDataset(req.Dataset)
+	case req.DB == "" && pin != "":
 		for _, name := range s.names {
-			if s.dbs[name].fp == fp {
-				ent = s.dbs[name]
-				break
+			if s.dbs[name].fp == want {
+				return s.dbs[name], nil
 			}
 		}
-		if ent == nil {
-			if ent, _, err = s.lookupDataset(req.Fingerprint); err != nil {
-				return nil, http.StatusNotFound,
-					fmt.Errorf("serve: no database with fingerprint %s", req.Fingerprint)
-			}
+		if ent, err = s.lookupDataset(pin); err != nil {
+			return nil, &requestError{"unknown-db", http.StatusNotFound,
+				fmt.Errorf("serve: no database with fingerprint %s", pin)}
 		}
 	default:
-		return nil, http.StatusBadRequest,
-			errors.New("serve: shard request must address a database (fingerprint, db or dataset)")
+		ent, err = s.lookupDB(req.DB)
 	}
-	if req.Fingerprint != "" {
-		fp, err := parseFingerprint(req.Fingerprint)
-		if err != nil {
-			return nil, http.StatusBadRequest, err
-		}
-		if ent.fp != fp {
-			return nil, http.StatusConflict, fmt.Errorf(
-				"serve: database %q has fingerprint %016x, task wants %s", ent.name, ent.fp, req.Fingerprint)
-		}
+	if err != nil {
+		return nil, err
 	}
-	return ent, 0, nil
+	if pin != "" && ent.fp != want {
+		return nil, &requestError{"unknown-db", http.StatusConflict, fmt.Errorf(
+			"serve: database %q has fingerprint %016x, task wants %s", ent.name, ent.fp, pin)}
+	}
+	return ent, nil
 }
 
 // lookupDB resolves a request's database name; an empty name is allowed
 // when exactly one database is served.
-func (s *Server) lookupDB(name string) (*dbEntry, int, error) {
+func (s *Server) lookupDB(name string) (*dbEntry, error) {
 	if name == "" {
 		if len(s.names) == 1 {
-			return s.dbs[s.names[0]], 0, nil
+			return s.dbs[s.names[0]], nil
 		}
 		if len(s.names) == 0 {
-			return nil, http.StatusBadRequest, errors.New(
-				"serve: no preloaded databases; upload one to /v1/datasets and mine it by fingerprint")
+			return nil, &requestError{"unknown-db", http.StatusBadRequest, errors.New(
+				"serve: no preloaded databases; upload one to /v1/datasets and mine it by fingerprint")}
 		}
-		return nil, http.StatusBadRequest,
-			fmt.Errorf("serve: request must name a database (serving %d)", len(s.names))
+		return nil, &requestError{"unknown-db", http.StatusBadRequest,
+			fmt.Errorf("serve: request must name a database (serving %d)", len(s.names))}
 	}
 	ent, ok := s.dbs[name]
 	if !ok {
-		return nil, http.StatusNotFound, fmt.Errorf("serve: unknown database %q", name)
+		return nil, &requestError{"unknown-db", http.StatusNotFound, fmt.Errorf("serve: unknown database %q", name)}
 	}
-	return ent, 0, nil
+	return ent, nil
 }
 
 // dbInfo describes one served database in /v1/stats.

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -205,6 +206,33 @@ func TestShardMineEndpointErrors(t *testing.T) {
 	if status, _ := postShard(t, hs.URL, fmt.Sprintf(`{"fingerprint":%q,"per":4,"minPS":3,"shard":0,"shards":2}`, fp)); status != http.StatusServiceUnavailable {
 		t.Errorf("draining: status %d, want 503", status)
 	}
+}
+
+// TestShardMineBodyLimit pins the shard endpoint's answer to an
+// over-MaxBody body to /v1/mine's: 413 naming the limit, journalled and
+// logged as body-too-large.
+func TestShardMineBodyLimit(t *testing.T) {
+	var logs syncBuffer
+	_, hs := newTestServer(t, Config{MaxBody: 64, Logger: obs.NewLogger(&logs, slog.LevelInfo)}, nil)
+
+	status, m := postShard(t, hs.URL, strings.Repeat(" ", 256)+`{"db":"shop","per":4,"minPS":3,"shard":0,"shards":2}`)
+	if status != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized shard body: status %d, body %v, want 413", status, m)
+	}
+	if msg, _ := m["error"].(string); !strings.Contains(msg, "64-byte limit") {
+		t.Errorf("error message %q does not name the limit", msg)
+	}
+	_, body := getBody(t, hs.URL+"/debug/requests?format=json")
+	var jr struct {
+		Recent []*RequestEntry `json:"recent"`
+	}
+	decodeJSON(t, body, &jr)
+	if len(jr.Recent) != 1 || jr.Recent[0].Outcome != "body-too-large" || jr.Recent[0].Status != http.StatusRequestEntityTooLarge {
+		t.Errorf("journal = %+v, want one body-too-large entry with status 413", jr.Recent)
+	}
+	waitFor(t, func() bool {
+		return strings.Contains(logs.String(), "msg=shard-mine") && strings.Contains(logs.String(), "outcome=body-too-large")
+	})
 }
 
 func TestMineRejectsFutureVersion(t *testing.T) {

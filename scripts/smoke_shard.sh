@@ -6,7 +6,9 @@
 # (modulo timing fields), with the per-peer shard counters visible in
 # /metrics, the merged fleet trace downloadable from the coordinator's
 # journal and valid per rptrace, and /v1/fleet/stats reaching every peer.
-# Needs curl; run from anywhere.
+# The real binaries' access logs must show served shard tasks on every peer
+# and the served mine on the coordinator, and a peer must refuse an
+# oversized shard-task body with 413. Needs curl; run from anywhere.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -20,22 +22,37 @@ cleanup() {
 }
 trap cleanup EXIT
 
-# start_server <logfile> <args...> — launches rpserved, records its pid,
-# and prints the address it reports.
+# start_server <logfile> <args...> — launches rpserved from this shell (not
+# a $(...) subshell, so cleanup and the shutdown step see its pid) and sets
+# addr to the address it reports.
 start_server() {
     local log=$1; shift
+    : >"$log"
     "$workdir/rpserved" "$@" -listen 127.0.0.1:0 >"$log" 2>&1 &
     local pid=$!
     pids+=("$pid")
-    local addr=""
+    addr=""
     for _ in $(seq 1 100); do
         addr=$(sed -n 's/^rpserved: listening on //p' "$log")
-        [ -n "$addr" ] && break
+        [ -n "$addr" ] && return 0
         kill -0 "$pid" 2>/dev/null || { cat "$log" >&2; return 1; }
         sleep 0.1
     done
-    [ -n "$addr" ] || { echo "server never reported its address" >&2; cat "$log" >&2; return 1; }
-    echo "$addr"
+    echo "server never reported its address" >&2
+    cat "$log" >&2
+    return 1
+}
+
+# wait_log <pattern> <logfile> — waits for an access-log line matching the
+# extended regex; handlers write the line just after the response.
+wait_log() {
+    for _ in $(seq 1 50); do
+        grep -qE "$1" "$2" && return 0
+        sleep 0.1
+    done
+    echo "$2 has no line matching '$1':" >&2
+    cat "$2" >&2
+    return 1
 }
 
 echo "== build"
@@ -55,11 +72,12 @@ diff "$workdir/direct.txt" "$workdir/sharded.txt" \
 [ -s "$workdir/direct.txt" ] || { echo "direct mine found no patterns; smoke proves nothing"; exit 1; }
 
 echo "== start two peers and a coordinator"
-p1=$(start_server "$workdir/peer1.log" -db shop="$workdir/shop.tdb")
-p2=$(start_server "$workdir/peer2.log" -db shop="$workdir/shop.tdb")
+start_server "$workdir/peer1.log" -db shop="$workdir/shop.tdb"; p1=$addr
+start_server "$workdir/peer2.log" -db shop="$workdir/shop.tdb"; p2=$addr
 echo "   peers on $p1, $p2"
-coord=$(start_server "$workdir/coord.log" -db shop="$workdir/shop.tdb" \
-    -peers "http://$p1,http://$p2" -shards 3)
+start_server "$workdir/coord.log" -db shop="$workdir/shop.tdb" \
+    -peers "http://$p1,http://$p2" -shards 3
+coord=$addr
 echo "   coordinator on $coord"
 
 echo "== scattered /v1/mine matches the single-box response"
@@ -124,6 +142,31 @@ for log in peer1 peer2; do
     peer_shards=$((peer_shards + s))
 done
 [ "$peer_shards" = "3" ] || { echo "peers saw $peer_shards shard requests, want 3"; exit 1; }
+
+echo "== access logs: served shard tasks on every peer, the served mine on the coordinator"
+wait_log 'msg=mine .*outcome=ok ' "$workdir/coord.log"
+for _ in $(seq 1 50); do
+    served=$(cat "$workdir/peer1.log" "$workdir/peer2.log" | grep -cE 'msg=shard-mine .*outcome=shard-ok ' || true)
+    [ "$served" = "3" ] && break
+    sleep 0.1
+done
+[ "$served" = "3" ] || { echo "peers logged $served served shard tasks, want 3"; exit 1; }
+# The ring may home all three scattered tasks on one peer, so every peer
+# also gets one task posted directly.
+for host in "$p1" "$p2"; do
+    curl -sf "http://$host/v1/shard/mine" \
+        -d '{"v":1,"db":"shop","per":60,"minPSPercent":2,"minRec":1,"shard":0,"shards":2}' >/dev/null \
+        || { echo "direct shard task to $host failed"; exit 1; }
+done
+for log in peer1 peer2; do
+    wait_log 'msg=shard-mine .*outcome=shard-ok ' "$workdir/$log.log"
+done
+
+echo "== a 2 MiB shard-task body is refused with 413"
+code=$(head -c $((2 << 20)) /dev/zero | tr '\0' ' ' \
+    | curl -s -o /dev/null -w '%{http_code}' --data-binary @- "http://$p1/v1/shard/mine" || true)
+[ "$code" = "413" ] || { echo "oversized shard body answered $code, want 413"; exit 1; }
+wait_log 'msg=shard-mine .*outcome=body-too-large ' "$workdir/peer1.log"
 
 echo "== repeat scattered mine is a coordinator cache hit"
 warm=$(curl -sf "http://$coord/v1/mine" -d "$req")
