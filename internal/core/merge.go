@@ -1,39 +1,38 @@
 package core
 
 import (
+	"math/bits"
 	"slices"
 
 	"github.com/recurpat/rp/internal/obs"
 )
 
-// Merge machinery for the RP-tree's timestamp lists. Every ts-list in the
-// tree is a concatenation of sorted runs (tail-node appends arrive in scan
-// order, push-ups append whole sorted runs), so producing a sorted list is a
-// k-way merge of runs, not a comparison sort of the concatenation. The old
-// implementation re-sorted concatenations with reflection-based sort.Slice
-// on every collect; the merge is O(n log k) with no reflection and, through
-// mergeScratch, no steady-state allocation. The k-way case cascades tight
-// two-way passes (pairing runs round by round through pooled buffers) rather
-// than pulling elements through a heap — the per-element constants of a
-// branch-predictable copy loop are several times smaller than a heap's
-// sift-per-element, which dominated profiles when push-ups fragment a
-// ts-list into many runs.
+// Union machinery for the RP-tree's transaction lists. Every list in the
+// tree is an unordered bag of transaction indices (tids: positions in
+// db.Trans), and the bags gathered for one sorted view are disjoint: a
+// transaction reaches a given item's nodes along exactly one tree path.
+// tsdb.DB orders its transactions strictly by timestamp, so ascending tid
+// order is ascending timestamp order, and the sorted timestamp list of a
+// union is a bitmap scan: scatter every tid into a two-level bitmap sized
+// to |TDB|, then walk the touched words in ascending order appending
+// ts[tid]. A union costs O(n + touched words), not a merge's O(n log k),
+// however finely push-ups have fragmented the lists.
 
-// mergeScratch holds the reusable buffers of one miner: the run-view list,
-// the cascade's round scratch, a free list of timestamp buffers, and the
+// mergeScratch holds the reusable buffers of one miner: the staged tid
+// bags, the union bitmap, a free list of timestamp buffers, and the
 // conditional-tree construction scratch. A zero value is ready to use. Not
 // safe for concurrent use; the parallel miner gives each worker its own.
 // conditionalTree never overlaps its own recursion (each call completes
 // before mining recurses), so one set of buffers per miner suffices.
 type mergeScratch struct {
-	runs  []run     // collected run views, reused per call
-	a, b  []run     // cascade round views, reused per call
-	spent [][]int64 // intermediate buffers recycled at the end of a merge
-	free  [][]int64 // timestamp buffer free list
+	bags [][]int32 // tid bags staged for the next merge, reused per call
+	u    tidUnion  // union bitmap, all zero between merges
+	free [][]int64 // timestamp buffer free list
 
 	// conditionalTree scratch (see rptree.go):
 	base     []basePath // base paths of the current call
 	rankBuf  []int32    // shared backing for the paths' ancestor ranks
+	tidBuf   []int32    // shared backing for subtree-mode paths' tids
 	sup      []int      // per-rank conditional support
 	cur      []int      // CSR offsets / fill cursors
 	pathIdx  []int32    // CSR payload: base-path indices per rank
@@ -50,9 +49,6 @@ type mergeScratch struct {
 	// default) keeps the hot path at a single pointer check.
 	lc *obs.Local
 }
-
-// run is a view of one sorted segment of a node's ts-list.
-type run struct{ s []int64 }
 
 // getBuf hands out an empty timestamp buffer, reusing returned capacity.
 func (ms *mergeScratch) getBuf() []int64 {
@@ -73,99 +69,87 @@ func (ms *mergeScratch) putBuf(b []int64) {
 	ms.free = append(ms.free, b[:0])
 }
 
-// appendRunViews splits a run-tracked ts-list (ts plus the run boundaries of
-// every run except the implicit last) into run views appended to dst.
-func appendRunViews(dst []run, ts []int64, runs []int32) []run {
-	if len(ts) == 0 {
-		return dst
-	}
-	prev := int32(0)
-	for _, end := range runs {
-		dst = append(dst, run{ts[prev:end]})
-		prev = end
-	}
-	return append(dst, run{ts[prev:]})
-}
-
-// merge merges the sorted runs into dst (appended) and resets ms.runs for
-// the next call. The output is the sorted multiset union of the runs —
-// byte-identical to sorting the concatenation, since element order among
-// equal values is irrelevant for int64 keys. With a trace batch attached,
-// each call records one ts-merge observation with its wall time.
-func (ms *mergeScratch) merge(dst []int64) []int64 {
+// merge appends the timestamps of the staged bags' union to dst in
+// ascending order, where ts maps each tid to its timestamp, and unstages
+// the bags. With a trace batch attached, each call records one ts-merge
+// observation with its wall time.
+func (ms *mergeScratch) merge(ts, dst []int64) []int64 {
 	if ms.lc == nil {
-		return ms.mergeRuns(dst)
+		return ms.union(ts, dst)
 	}
 	start := obs.Now()
-	dst = ms.mergeRuns(dst)
+	dst = ms.union(ts, dst)
 	ms.lc.Observe(obs.PhaseMerge, obs.Since(start), 1)
 	return dst
 }
 
-func (ms *mergeScratch) mergeRuns(dst []int64) []int64 {
-	runs := ms.runs
-	ms.runs = runs[:0]
-	switch len(runs) {
-	case 0:
-		return dst
-	case 1:
-		return append(dst, runs[0].s...)
-	case 2:
-		return merge2(dst, runs[0].s, runs[1].s)
+func (ms *mergeScratch) union(ts, dst []int64) []int64 {
+	u := &ms.u
+	u.size(len(ts))
+	n := 0
+	for _, b := range ms.bags {
+		u.add(b)
+		n += len(b)
 	}
-
-	total := 0
-	for _, r := range runs {
-		total += len(r.s)
-	}
-	dst = slices.Grow(dst, total)
-
-	// Cascade: merge adjacent pairs round by round until two runs remain,
-	// then merge those straight into dst. Rounds alternate between the two
-	// view buffers; intermediate element buffers come from (and return to)
-	// the free list, so steady state allocates nothing.
-	cur, spent, useA := runs, ms.spent[:0], true
-	for len(cur) > 2 {
-		nxt := ms.b[:0]
-		if useA {
-			nxt = ms.a[:0]
-		}
-		for i := 0; i+1 < len(cur); i += 2 {
-			buf := slices.Grow(ms.getBuf(), len(cur[i].s)+len(cur[i+1].s))
-			buf = merge2(buf, cur[i].s, cur[i+1].s)
-			spent = append(spent, buf)
-			nxt = append(nxt, run{buf})
-		}
-		if len(cur)&1 == 1 {
-			nxt = append(nxt, cur[len(cur)-1])
-		}
-		if useA {
-			ms.a = nxt
-		} else {
-			ms.b = nxt
-		}
-		cur, useA = nxt, !useA
-	}
-	dst = merge2(dst, cur[0].s, cur[1].s)
-	for _, b := range spent {
-		ms.free = append(ms.free, b[:0])
-	}
-	ms.spent = spent[:0]
-	return dst
+	ms.bags = ms.bags[:0]
+	return u.appendTo(dst, ts, n)
 }
 
-// merge2 merges two sorted runs into dst (appended).
-func merge2(dst, a, b []int64) []int64 {
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		if a[i] <= b[j] {
-			dst = append(dst, a[i])
-			i++
-		} else {
-			dst = append(dst, b[j])
-			j++
+// tidUnion is a two-level bitmap over the tids of one database: bit tid%64
+// of words[tid/64], and a summary with bit w%64 of summary[w/64] set iff
+// words[w] is non-zero. add tracks the touched summary range [lo, hi), so a
+// scan visits only the words a union touched, and leaves everything zero.
+type tidUnion struct {
+	words   []uint64
+	summary []uint64
+	lo, hi  int
+}
+
+// size makes the bitmap cover tids [0, n). A bitmap is all zero between
+// unions, so growing it just replaces it.
+func (u *tidUnion) size(n int) {
+	if nw := (n + 63) >> 6; nw > len(u.words) {
+		u.words = make([]uint64, nw)
+		u.summary = make([]uint64, (nw+63)>>6)
+		u.lo, u.hi = len(u.summary), 0
+	}
+}
+
+// add sets the bits of tids.
+func (u *tidUnion) add(tids []int32) {
+	words, summary := u.words, u.summary
+	lo, hi := u.lo, u.hi
+	for _, t := range tids {
+		w := uint32(t) >> 6
+		words[w] |= 1 << (uint32(t) & 63)
+		s := int(w >> 6)
+		summary[s] |= 1 << (w & 63)
+		lo, hi = min(lo, s), max(hi, s+1)
+	}
+	u.lo, u.hi = lo, hi
+}
+
+// appendTo appends ts[tid] for every set tid, ascending, to dst and clears
+// the bitmap. n, the staged tid count, bounds the set bits.
+func (u *tidUnion) appendTo(dst, ts []int64, n int) []int64 {
+	dst = slices.Grow(dst, n)
+	out := dst[len(dst) : len(dst)+n]
+	i := 0
+	for s := u.lo; s < u.hi; s++ {
+		sw := u.summary[s]
+		u.summary[s] = 0
+		for sw != 0 {
+			w := s<<6 | bits.TrailingZeros64(sw)
+			sw &= sw - 1
+			word := u.words[w]
+			u.words[w] = 0
+			for word != 0 {
+				out[i] = ts[w<<6|bits.TrailingZeros64(word)]
+				i++
+				word &= word - 1
+			}
 		}
 	}
-	dst = append(dst, a[i:]...)
-	return append(dst, b[j:]...)
+	u.lo, u.hi = len(u.summary), 0
+	return dst[:len(dst)+i]
 }

@@ -1,158 +1,200 @@
 package core
 
 import (
+	"math"
 	"math/rand/v2"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 )
 
-// mergeOracle is the representation the merge path replaced: concatenate
-// every run and re-sort. For int64 multisets the two are interchangeable, so
-// merge must reproduce it exactly.
-func mergeOracle(runs [][]int64) []int64 {
-	var all []int64
-	for _, r := range runs {
-		all = append(all, r...)
+// unionOracle is what a union of tid bags must produce: the sorted
+// concatenation of the bags, mapped through ts.
+func unionOracle(ts []int64, bags [][]int32) []int64 {
+	var all []int32
+	for _, b := range bags {
+		all = append(all, b...)
 	}
 	slices.Sort(all)
-	if all == nil {
-		all = []int64{}
-	}
-	return all
-}
-
-// randomRuns builds k sorted runs with lengths in [0, maxLen) and values in
-// [1, maxTS], duplicates across (and within) runs allowed.
-func randomRuns(rng *rand.Rand, k, maxLen int, maxTS int64) [][]int64 {
-	runs := make([][]int64, k)
-	for i := range runs {
-		n := rng.IntN(maxLen)
-		r := make([]int64, n)
-		for j := range r {
-			r[j] = rng.Int64N(maxTS) + 1
-		}
-		slices.Sort(r)
-		runs[i] = r
-	}
-	return runs
-}
-
-func mergeRuns(ms *mergeScratch, runs [][]int64) []int64 {
-	views := ms.runs[:0]
-	for _, r := range runs {
-		views = append(views, run{s: r})
-	}
-	ms.runs = views
-	out := ms.merge(nil)
-	if out == nil {
-		out = []int64{}
+	out := []int64{}
+	for _, tid := range all {
+		out = append(out, ts[tid])
 	}
 	return out
 }
 
-func TestMergeMatchesConcatAndSort(t *testing.T) {
+// tidMap is a strictly increasing tid -> timestamp map for n transactions,
+// with gaps so a tid/timestamp mix-up cannot go unnoticed.
+func tidMap(rng *rand.Rand, n int) []int64 {
+	ts := make([]int64, n)
+	t := int64(0)
+	for i := range ts {
+		t += 1 + rng.Int64N(5)
+		ts[i] = t
+	}
+	return ts
+}
+
+// randomBags splits a random subset of the tids [0, n) into k disjoint
+// bags, each in random order.
+func randomBags(rng *rand.Rand, n, k int, density float64) [][]int32 {
+	bags := make([][]int32, k)
+	for tid := 0; tid < n; tid++ {
+		if rng.Float64() < density {
+			i := rng.IntN(k)
+			bags[i] = append(bags[i], int32(tid))
+		}
+	}
+	for _, b := range bags {
+		rng.Shuffle(len(b), func(i, j int) { b[i], b[j] = b[j], b[i] })
+	}
+	return bags
+}
+
+// unionOf stages bags on ms and merges them into dst.
+func unionOf(ms *mergeScratch, ts []int64, bags [][]int32, dst []int64) []int64 {
+	ms.bags = append(ms.bags[:0], bags...)
+	return ms.merge(ts, dst)
+}
+
+// checkZeroBitmap fails unless the union bitmap is back to its idle state.
+func checkZeroBitmap(t *testing.T, u *tidUnion) {
+	t.Helper()
+	for i, w := range u.words {
+		if w != 0 {
+			t.Fatalf("words[%d] = %#x after a union, want 0", i, w)
+		}
+	}
+	for i, w := range u.summary {
+		if w != 0 {
+			t.Fatalf("summary[%d] = %#x after a union, want 0", i, w)
+		}
+	}
+	if u.lo < u.hi {
+		t.Fatalf("touched range [%d, %d) left open after a union", u.lo, u.hi)
+	}
+}
+
+// TestTidUnion covers tid-space sizes around the word (64) and summary
+// (4096) boundaries, with one reused scratch, so stale bits or a stale
+// touched range from one union would corrupt the next.
+func TestTidUnion(t *testing.T) {
 	var ms mergeScratch
 	rng := rand.New(rand.NewPCG(7, 11))
-	// Cover the fast paths (0, 1, 2 runs) and the k-way heap explicitly.
-	for k := 0; k <= 9; k++ {
-		for trial := 0; trial < 200; trial++ {
-			runs := randomRuns(rng, k, 12, 30)
-			want := mergeOracle(runs)
-			got := mergeRuns(&ms, runs)
+	sizes := []int{1, 63, 64, 65, 4095, 4096, 4097}
+	for _, n := range append(sizes, 65, 1, 4097, 64) {
+		ts := tidMap(rng, n)
+		for trial := 0; trial < 40; trial++ {
+			density := []float64{0, 0.02, 0.5, 1}[trial%4]
+			bags := randomBags(rng, n, 1+rng.IntN(9), density)
+			if trial%5 == 0 {
+				// The extremes of the tid space, which land in the first
+				// and last words and summary bits.
+				bags[0] = append(bags[0], 0)
+				if n > 1 {
+					bags[len(bags)-1] = append(bags[len(bags)-1], int32(n-1))
+				}
+				bags = dedupe(bags)
+			}
+			want := unionOracle(ts, bags)
+			got := unionOf(&ms, ts, bags, nil)
+			if got == nil {
+				got = []int64{}
+			}
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("k=%d trial=%d: merge = %v, want %v (runs %v)", k, trial, got, want, runs)
+				t.Fatalf("n=%d trial=%d: union = %v, want %v", n, trial, got, want)
 			}
-			if len(ms.runs) != 0 {
-				t.Fatalf("mergeScratch.runs not reset: %d entries left", len(ms.runs))
+			if len(ms.bags) != 0 {
+				t.Fatalf("n=%d: %d bags left staged after the union", n, len(ms.bags))
 			}
+			checkZeroBitmap(t, &ms.u)
 		}
 	}
 }
 
+// dedupe keeps the first occurrence of each tid across the bags, so the
+// bags stay disjoint.
+func dedupe(bags [][]int32) [][]int32 {
+	seen := map[int32]bool{}
+	for i, b := range bags {
+		kept := b[:0]
+		for _, tid := range b {
+			if !seen[tid] {
+				seen[tid] = true
+				kept = append(kept, tid)
+			}
+		}
+		bags[i] = kept
+	}
+	return bags
+}
+
 func TestMergeIntoRecycledBuffer(t *testing.T) {
-	// merge must honour dst's existing capacity and never read stale
-	// contents: fill a buffer with poison, recycle it, and compare.
+	// merge must append after dst's existing contents, honour its capacity
+	// and never read stale contents: fill a buffer with poison, recycle it,
+	// and compare.
 	var ms mergeScratch
 	rng := rand.New(rand.NewPCG(3, 9))
+	ts := tidMap(rng, 300)
 	poison := make([]int64, 0, 256)
 	for i := 0; i < cap(poison); i++ {
 		poison = append(poison, -1)
 	}
 	for trial := 0; trial < 100; trial++ {
-		runs := randomRuns(rng, 1+rng.IntN(6), 10, 25)
-		want := mergeOracle(runs)
-		got := mergeRuns(&ms, runs)
-		_ = append(poison[:0], got...) // unrelated reuse must not disturb results
+		bags := randomBags(rng, len(ts), 1+rng.IntN(6), 0.3)
+		want := append([]int64{-7}, unionOracle(ts, bags)...)
+		got := unionOf(&ms, ts, bags, append(poison[:0], -7))
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("trial %d: merge = %v, want %v", trial, got, want)
 		}
 	}
 }
 
-func TestAppendRunViewsSplitsRunList(t *testing.T) {
-	var ms mergeScratch
-	// ts = three runs: [1 4 7 | 2 5 | 9]; boundaries after indexes 3 and 5.
-	ts := []int64{1, 4, 7, 2, 5, 9}
-	bounds := []int32{3, 5}
-	views := appendRunViews(ms.runs[:0], ts, bounds)
-	if len(views) != 3 {
-		t.Fatalf("got %d views, want 3", len(views))
-	}
-	want := [][]int64{{1, 4, 7}, {2, 5}, {9}}
-	for i, v := range views {
-		if !reflect.DeepEqual(v.s, want[i]) {
-			t.Errorf("view %d = %v, want %v", i, v.s, want[i])
+func FuzzTidUnion(f *testing.F) {
+	f.Add([]byte{3, 1, 2, 3, 0, 2, 9, 9}, uint16(10), uint8(3))
+	f.Add([]byte{}, uint16(1), uint8(1))
+	f.Add([]byte{1, 1, 1, 1, 1, 1, 1}, uint16(64), uint8(5))
+	f.Add([]byte{0, 255, 17, 63, 64, 65, 200, 128}, uint16(4097), uint8(7))
+	f.Fuzz(func(t *testing.T, data []byte, size uint16, k uint8) {
+		n := int(size%5000) + 1
+		nBags := int(k%8) + 1
+		bags := make([][]int32, nBags)
+		for i := 0; i+1 < len(data); i += 2 {
+			tid := int32((int(data[i])<<8 | int(data[i+1])) % n)
+			bags[i/2%nBags] = append(bags[i/2%nBags], tid)
 		}
-	}
-	// Single-run list: one view covering everything.
-	views = appendRunViews(ms.runs[:0], ts[:3], nil)
-	if len(views) != 1 || !reflect.DeepEqual(views[0].s, []int64{1, 4, 7}) {
-		t.Errorf("single-run views = %+v", views)
-	}
-	// Empty list: no views.
-	if views = appendRunViews(ms.runs[:0], nil, nil); len(views) != 0 {
-		t.Errorf("empty list produced %d views", len(views))
-	}
-}
-
-func TestAppendRunCoalescesAscending(t *testing.T) {
-	var n rpNode
-	n.appendRun([]int64{1, 3})
-	n.appendRun([]int64{5, 8}) // ascending continuation: same run
-	if len(n.runs) != 0 {
-		t.Fatalf("ascending append split the run: bounds %v", n.runs)
-	}
-	n.appendRun([]int64{2, 9}) // 2 < 8: new run boundary
-	if len(n.runs) != 1 || n.runs[0] != 4 {
-		t.Fatalf("descending append bounds = %v, want [4]", n.runs)
-	}
-	if !reflect.DeepEqual(n.ts, []int64{1, 3, 5, 8, 2, 9}) {
-		t.Fatalf("ts = %v", n.ts)
-	}
-}
-
-func FuzzMergeRuns(f *testing.F) {
-	f.Add([]byte{3, 1, 2, 3, 0, 2, 9, 9}, uint8(3))
-	f.Add([]byte{}, uint8(1))
-	f.Add([]byte{1, 1, 1, 1, 1, 1, 1}, uint8(5))
-	f.Fuzz(func(t *testing.T, data []byte, k uint8) {
-		nRuns := int(k%8) + 1
-		runs := make([][]int64, nRuns)
-		for i, b := range data {
-			v := int64(b)
-			runs[i%nRuns] = append(runs[i%nRuns], v)
-		}
-		for i := range runs {
-			slices.Sort(runs[i])
-		}
+		bags = dedupe(bags)
+		ts := tidMap(rand.New(rand.NewPCG(uint64(n), 1)), n)
 		var ms mergeScratch
-		got := mergeRuns(&ms, runs)
-		want := mergeOracle(runs)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("merge = %v, want %v (runs %v)", got, want, runs)
+		for round := 0; round < 2; round++ {
+			got := unionOf(&ms, ts, bags, nil)
+			if got == nil {
+				got = []int64{}
+			}
+			if want := unionOracle(ts, bags); !reflect.DeepEqual(got, want) {
+				t.Fatalf("round %d: union = %v, want %v (bags %v)", round, got, want, bags)
+			}
+			checkZeroBitmap(t, &ms.u)
 		}
 	})
+}
+
+func TestCheckTidSpace(t *testing.T) {
+	for _, n := range []int64{0, 1, math.MaxInt32 - 1, math.MaxInt32} {
+		if err := checkTidSpace(n); err != nil {
+			t.Errorf("checkTidSpace(%d) = %v, want nil", n, err)
+		}
+	}
+	for _, n := range []int64{math.MaxInt32 + 1, math.MaxInt64} {
+		err := checkTidSpace(n)
+		if err == nil {
+			t.Fatalf("checkTidSpace(%d) accepted a tid space past int32", n)
+		}
+		if !strings.Contains(err.Error(), "|TDB|") {
+			t.Errorf("checkTidSpace(%d) error %q does not name |TDB|", n, err)
+		}
+	}
 }
 
 func TestMinerArenaReuse(t *testing.T) {
@@ -191,5 +233,6 @@ func TestMinerArenaReuse(t *testing.T) {
 					trial, i, renderResult(res), renderResult(fresh))
 			}
 		}
+		checkZeroBitmap(t, &m.ms.u)
 	}
 }

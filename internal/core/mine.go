@@ -2,6 +2,8 @@ package core
 
 import (
 	"context"
+	"fmt"
+	"math"
 	"slices"
 	"strconv"
 	"sync"
@@ -65,6 +67,9 @@ func mine(ctx context.Context, db *tsdb.DB, o Options, spec ShardSpec, emit func
 	if err := ctx.Err(); err != nil {
 		return nil, &CancelError{Err: err}
 	}
+	if err := checkTidSpace(int64(db.Len())); err != nil {
+		return nil, err
+	}
 	defer o.Trace.StartTotal().End()
 	res := &Result{}
 	var list *RPList
@@ -109,6 +114,15 @@ func mine(ctx context.Context, db *tsdb.DB, o Options, spec ShardSpec, emit func
 		runPhase(ctx, o.Trace, obs.PhaseFinalize, res.Canonicalize)
 	}
 	return res, nil
+}
+
+// checkTidSpace refuses a database of n transactions when its transaction
+// indices, which the RP-tree stores as int32, would overflow.
+func checkTidSpace(n int64) error {
+	if n > math.MaxInt32 {
+		return fmt.Errorf("core: |TDB| = %d transactions exceeds the RP-tree's int32 transaction-index limit of %d", n, math.MaxInt32)
+	}
+	return nil
 }
 
 // runPhase runs fn as phase p of a mining run: under the phase's pprof
@@ -197,27 +211,21 @@ func (m *miner) taskLabel(item tsdb.ItemID) string {
 }
 
 // mineRank evaluates the pattern beta = suffix + order[r] and recurses into
-// its conditional tree when the Erec bound allows supersets to recur. The
-// suffix timestamp list lives in a pooled buffer that is released before the
+// its conditional tree when the Erec bound allows supersets to recur. A
+// support too small for the bound prunes beta before its timestamp list is
+// built. The list lives in a pooled buffer that is released before the
 // recursion, and the conditional tree is carved from the miner's arena and
 // reclaimed (reset) as soon as its subtree has been mined.
 func (m *miner) mineRank(t *rpTree, r int, suffix []tsdb.ItemID, depth int, subtree bool) {
-	ts := m.ms.getBuf()
-	if subtree {
-		runs := m.ms.runs[:0]
-		for n := t.headers[r]; n != nilNode; n = t.arena.nodes[n].link {
-			runs = t.appendSubtreeRuns(runs, n)
-		}
-		m.ms.runs = runs
-		ts = m.ms.merge(ts)
-	} else {
-		ts = t.collectTS(&m.ms, r, ts)
-	}
-	support := len(ts)
+	support := t.stage(&m.ms, r, subtree)
 	if support == 0 {
-		m.ms.putBuf(ts)
 		return
 	}
+	if m.o.erecBound(support) < m.o.MinRec {
+		m.prune(1)
+		return
+	}
+	ts := m.ms.merge(t.ts, m.ms.getBuf())
 	if m.o.candidateErec(ts) < m.o.MinRec {
 		m.prune(1)
 		m.ms.putBuf(ts)

@@ -114,10 +114,22 @@ func MinPSForLen(n int, percent float64) int {
 // interval.
 func (o Options) candidateErec(ts []int64) int {
 	if o.DisableErecPruning {
-		if len(ts) >= o.MinPS {
+		return o.erecBound(len(ts))
+	}
+	return Erec(ts, o.Per, o.MinPS)
+}
+
+// erecBound bounds candidateErec for any timestamp list of n occurrences,
+// so a caller can reject a candidate from its support before building the
+// list. Erec sums floor(ps_i / MinPS) over periodic intervals whose ps_i
+// sum to n, which is at most floor(n / MinPS); with pruning disabled the
+// bound is candidateErec itself, which depends on n alone.
+func (o Options) erecBound(n int) int {
+	if o.DisableErecPruning {
+		if n >= o.MinPS {
 			return o.MinRec // always passes the candidate check
 		}
 		return 0
 	}
-	return Erec(ts, o.Per, o.MinPS)
+	return n / o.MinPS
 }

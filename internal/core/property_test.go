@@ -106,6 +106,31 @@ func TestErecUpperBoundsRecurrence(t *testing.T) {
 	}
 }
 
+func TestErecBoundSound(t *testing.T) {
+	// The support bound the miner checks before building a list never
+	// rejects a list the candidate check would accept: in both pruning
+	// modes, candidateErec(ts) <= erecBound(len(ts)).
+	f := func(seed uint64) bool {
+		local := rand.New(rand.NewPCG(seed, 29))
+		ts := randomTS(local, 80, 300)
+		for _, disable := range []bool{false, true} {
+			o := Options{
+				Per:                local.Int64N(25) + 1,
+				MinPS:              local.IntN(8) + 1,
+				MinRec:             local.IntN(4) + 1,
+				DisableErecPruning: disable,
+			}
+			if o.candidateErec(ts) > o.erecBound(len(ts)) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
+		t.Error(err)
+	}
+}
+
 func TestErecAntiMonotone(t *testing.T) {
 	// Property 2: removing timestamps (as any superset pattern does) can
 	// only lower Erec.

@@ -17,14 +17,12 @@ const nilNode int32 = -1
 // it carries no support count; instead, tail nodes (the last node of each
 // inserted candidate projection) carry the ts-list of the transactions that
 // end there. During bottom-up mining, ts-lists are pushed up to parents
-// (Lemma 3), so interior nodes accumulate timestamps too.
+// (Lemma 3), so interior nodes accumulate them too.
 //
-// A node's ts-list is a concatenation of sorted runs: boundaries of all runs
-// but the implicit last one are recorded in runs, and appendRun starts a new
-// run only when an append actually breaks the sorted order. Tail appends
-// during the database scan arrive in timestamp order, so initial trees hold
-// a single run per tail node; push-ups and conditional-tree inserts add runs
-// that collectTS later k-way merges instead of re-sorting.
+// A node's ts-list is held as an unordered bag of transaction indices (tids,
+// positions in db.Trans); the tree's ts map turns them into timestamps, and
+// every sorted view is a union of bags (see merge.go), so appends and
+// push-ups never order anything.
 type rpNode struct {
 	item        tsdb.ItemID
 	rank        int32 // position of item in the owning tree's order
@@ -32,31 +30,7 @@ type rpNode struct {
 	firstChild  int32
 	nextSibling int32
 	link        int32   // next node carrying the same item (header chain)
-	ts          []int64 // concatenated sorted runs of timestamps
-	runs        []int32 // end offsets of all runs except the last
-}
-
-// appendRun appends one sorted run to the node's ts-list, recording a run
-// boundary only when the append breaks the existing sorted order (ascending
-// appends coalesce into the current run).
-func (n *rpNode) appendRun(vals []int64) {
-	if len(vals) == 0 {
-		return
-	}
-	if len(n.ts) > 0 && vals[0] < n.ts[len(n.ts)-1] {
-		n.runs = append(n.runs, int32(len(n.ts)))
-	}
-	n.ts = append(n.ts, vals...)
-}
-
-// appendRunList appends every run of a run-tracked ts-list.
-func (n *rpNode) appendRunList(ts []int64, runs []int32) {
-	prev := int32(0)
-	for _, end := range runs {
-		n.appendRun(ts[prev:end])
-		prev = end
-	}
-	n.appendRun(ts[prev:])
+	tids        []int32 // transactions recorded here, in no particular order
 }
 
 // nodeArena is a slab of RP-tree nodes. Conditional trees are carved from a
@@ -71,12 +45,11 @@ type nodeArena struct {
 // move it, so callers must not hold *rpNode pointers across newNode calls.
 //
 // When the slab re-expands over a region truncated by reset, the slot's old
-// ts/runs capacity is salvaged (truncated, not dropped): conditional trees
-// are rebuilt in the same slab region over and over during mining, and
-// reusing the per-slot list storage removes almost all of their append
-// allocations. A ts backing belongs to exactly one slot at a time and every
-// insert copies timestamp values, so a salvaged buffer can never alias a
-// live list.
+// tid capacity is salvaged (truncated, not dropped): conditional trees are
+// rebuilt in the same slab region over and over during mining, and reusing
+// the per-slot list storage removes almost all of their append allocations.
+// A tid backing belongs to exactly one slot at a time and every insert
+// copies tid values, so a salvaged buffer can never alias a live list.
 func (a *nodeArena) newNode(item tsdb.ItemID, rank, parent int32) int32 {
 	idx := len(a.nodes)
 	if idx < cap(a.nodes) {
@@ -84,7 +57,7 @@ func (a *nodeArena) newNode(item tsdb.ItemID, rank, parent int32) int32 {
 		n := &a.nodes[idx]
 		n.item, n.rank, n.parent = item, rank, parent
 		n.firstChild, n.nextSibling, n.link = nilNode, nilNode, nilNode
-		n.ts, n.runs = n.ts[:0], n.runs[:0]
+		n.tids = n.tids[:0]
 		return int32(idx)
 	}
 	a.nodes = append(a.nodes, rpNode{
@@ -115,6 +88,7 @@ func (a *nodeArena) reset(mark int) { a.nodes = a.nodes[:mark] }
 type rpTree struct {
 	arena      *rpArena
 	root       int32
+	ts         []int64       // tid -> timestamp, shared by every tree of a mine
 	order      []tsdb.ItemID // tree item order, most frequent first
 	headers    []int32       // first node per rank, nilNode when empty
 	rootByRank []int32       // root's child per rank (O(1) insert lookup)
@@ -125,11 +99,12 @@ type rpTree struct {
 // the merge scratch, which is per-miner, not per-tree.
 type rpArena = nodeArena
 
-// newRPTree prepares an empty tree over the given item order, carving its
-// root from a.
-func newRPTree(a *nodeArena, order []tsdb.ItemID) *rpTree {
+// newRPTree prepares an empty tree over the given item order and tid map,
+// carving its root from a.
+func newRPTree(a *nodeArena, order []tsdb.ItemID, ts []int64) *rpTree {
 	t := &rpTree{
 		arena:      a,
+		ts:         ts,
 		order:      order,
 		headers:    make([]int32, len(order)),
 		rootByRank: make([]int32, len(order)),
@@ -143,10 +118,9 @@ func newRPTree(a *nodeArena, order []tsdb.ItemID) *rpTree {
 }
 
 // insertRanks adds one candidate projection, given as its strictly
-// increasing sequence of tree ranks, recording the run-tracked ts-list
-// (ts, runs) at the tail node (Algorithm 3, insert_tree). Timestamp values
-// are copied, never aliased.
-func (t *rpTree) insertRanks(ranks []int32, ts []int64, runs []int32) {
+// increasing sequence of tree ranks, recording the tids at the tail node
+// (Algorithm 3, insert_tree). Tid values are copied, never aliased.
+func (t *rpTree) insertRanks(ranks []int32, tids []int32) {
 	a := t.arena
 	cur := t.root
 	for _, rk := range ranks {
@@ -174,7 +148,7 @@ func (t *rpTree) insertRanks(ranks []int32, ts []int64, runs []int32) {
 		cur = child
 	}
 	if cur != t.root {
-		a.nodes[cur].appendRunList(ts, runs)
+		a.nodes[cur].tids = append(a.nodes[cur].tids, tids...)
 	}
 }
 
@@ -201,18 +175,18 @@ func (t *rpTree) linkChild(parent, child int32, rk int32) {
 
 // buildRPTree performs the second database scan of RP-growth (Algorithm 2):
 // every transaction's candidate item projection is inserted into the prefix
-// tree with the transaction's timestamp recorded at the tail node. The tree
-// owns a fresh arena; transactions arrive in timestamp order, so every tail
-// node's ts-list is a single sorted run.
+// tree with the transaction's index recorded at the tail node. The tree owns
+// a fresh arena and the tid map every tree of the mine shares.
 func buildRPTree(db *tsdb.DB, list *RPList) *rpTree {
 	order := make([]tsdb.ItemID, len(list.Candidates))
 	for i, e := range list.Candidates {
 		order[i] = e.Item
 	}
-	t := newRPTree(&nodeArena{}, order)
+	t := newRPTree(&nodeArena{}, order, make([]int64, len(db.Trans)))
 	var ranks []int32
-	var tsOne [1]int64
-	for _, tr := range db.Trans {
+	var tidOne [1]int32
+	for i, tr := range db.Trans {
+		t.ts[i] = tr.TS
 		ranks = ranks[:0]
 		for _, it := range tr.Items {
 			if r := list.Rank[it]; r >= 0 {
@@ -223,49 +197,52 @@ func buildRPTree(db *tsdb.DB, list *RPList) *rpTree {
 			continue
 		}
 		slices.Sort(ranks)
-		tsOne[0] = tr.TS
-		t.insertRanks(ranks, tsOne[:], nil)
+		tidOne[0] = int32(i)
+		t.insertRanks(ranks, tidOne[:])
 	}
 	return t
 }
 
-// collectTS merges the ts-lists of every node carrying the item at rank r
-// into a sorted timestamp list appended to dst. During sequential mining
-// this is TS^beta for the suffix pattern being processed, because deeper
-// items have already pushed their ts-lists up (Lemma 3).
-func (t *rpTree) collectTS(ms *mergeScratch, r int, dst []int64) []int64 {
+// stage puts the tid bags of every node carrying the item at rank r on ms
+// for the next merge, and returns how many tids they hold: the support of
+// the suffix pattern being processed. During sequential mining the nodes'
+// own bags are TS^beta, because deeper items have already pushed theirs up
+// (Lemma 3). subtree stages each node's whole subtree instead, for the
+// parallel miner, which reads a shared immutable tree and so cannot rely
+// on push-ups having happened.
+func (t *rpTree) stage(ms *mergeScratch, r int, subtree bool) int {
 	a := t.arena
-	runs := ms.runs[:0]
+	bags := ms.bags[:0]
 	for n := t.headers[r]; n != nilNode; n = a.nodes[n].link {
-		runs = appendRunViews(runs, a.nodes[n].ts, a.nodes[n].runs)
+		if subtree {
+			bags = t.appendSubtree(bags, n)
+		} else {
+			bags = append(bags, a.nodes[n].tids)
+		}
 	}
-	ms.runs = runs
-	return ms.merge(dst)
+	ms.bags = bags
+	n := 0
+	for _, b := range bags {
+		n += len(b)
+	}
+	return n
 }
 
-// collectSubtreeTS merges the ts-lists of the node at index n and all its
-// descendants into a sorted list appended to dst. Used by the parallel
-// miner, which reads a shared immutable tree and so cannot rely on push-ups
-// having happened. Sibling links make the walk deterministic.
-func (t *rpTree) collectSubtreeTS(ms *mergeScratch, n int32, dst []int64) []int64 {
-	ms.runs = t.appendSubtreeRuns(ms.runs[:0], n)
-	return ms.merge(dst)
-}
-
-// appendSubtreeRuns gathers the run views of n's subtree in first-child/
-// next-sibling order.
-func (t *rpTree) appendSubtreeRuns(dst []run, n int32) []run {
+// appendSubtree appends the non-empty tid bags of n's subtree to dst.
+func (t *rpTree) appendSubtree(dst [][]int32, n int32) [][]int32 {
 	a := t.arena
-	dst = appendRunViews(dst, a.nodes[n].ts, a.nodes[n].runs)
+	if len(a.nodes[n].tids) > 0 {
+		dst = append(dst, a.nodes[n].tids)
+	}
 	for c := a.nodes[n].firstChild; c != nilNode; c = a.nodes[c].nextSibling {
-		dst = t.appendSubtreeRuns(dst, c)
+		dst = t.appendSubtree(dst, c)
 	}
 	return dst
 }
 
 // pushUp implements Lemma 3 and line 9 of Algorithm 4: every node carrying
-// the item at rank r hands its ts-list runs to its parent. Timestamps pushed
-// to the root (projections that contained only this item) are discarded; the
+// the item at rank r hands its tids to its parent. Tids pushed to the root
+// (projections that contained only this item) are discarded; the
 // transactions they identify contain no other candidate item. The nodes stay
 // linked in the slab — bottom-up mining never revisits rank r, and only the
 // parallel miner walks child links, on a tree that is never pushed up.
@@ -275,9 +252,9 @@ func (t *rpTree) pushUp(r int) {
 		n := &a.nodes[ni]
 		ni = n.link
 		if n.parent != t.root {
-			a.nodes[n.parent].appendRunList(n.ts, n.runs)
+			a.nodes[n.parent].tids = append(a.nodes[n.parent].tids, n.tids...)
 		}
-		n.ts, n.runs = n.ts[:0], n.runs[:0] // keep capacity for slot salvage
+		n.tids = n.tids[:0] // keep capacity for slot salvage
 	}
 	t.headers[r] = nilNode
 }
@@ -285,11 +262,10 @@ func (t *rpTree) pushUp(r int) {
 // basePath is one prefix path of the suffix item, restricted to candidate
 // ancestors: the tree ranks of the ancestors (root-most first, ascending,
 // stored as [rankLo:rankHi) of the scratch's shared rankBuf backing) and the
-// path's run-tracked timestamp list.
+// path's tids.
 type basePath struct {
 	rankLo, rankHi int32
-	ts             []int64
-	runs           []int32
+	tids           []int32
 }
 
 // condKeep is one prefix item surviving the conditional Erec check, with its
@@ -308,51 +284,49 @@ func growN[T any](s *[]T, n int) []T {
 	return v
 }
 
-// releaseBase returns subtree-mode collect buffers to the free list; the
-// sequential miner's base paths alias tree node lists and are left alone.
-func (ms *mergeScratch) releaseBase(subtree bool) {
-	if !subtree {
-		return
-	}
-	for i := range ms.base {
-		ms.putBuf(ms.base[i].ts)
-	}
-}
-
 // conditionalTree builds the conditional RP-tree for the item at rank r
 // (Algorithm 4 line 4): the prefix paths of the item's nodes, restricted to
 // items whose conditional Erec passes the candidate check (computed from
-// the per-item merged ts-lists — the "temporary array" of Section 4.2.3),
+// the per-item ts-list unions — the "temporary array" of Section 4.2.3),
 // re-sorted by conditional support. nil is returned when no item survives.
-// Every item the check drops is counted in ms.pruned.
+// Every item the check drops is counted in ms.pruned; an item whose
+// conditional support alone bounds its Erec below MinRec is dropped before
+// its union is built.
 //
 // The new tree is carved from dst (the caller's arena), so the shared
 // initial tree is never mutated — the parallel miner's workers all read t
 // concurrently while building their own conditional trees.
 //
-// subtree selects how a node's timestamp list is read: the sequential miner
-// reads the node's runs directly (push-ups have accumulated descendant
-// timestamps), while the parallel miner merges each node's subtree.
+// subtree selects how a node's tids are read: the sequential miner reads
+// the node's bag directly (push-ups have accumulated descendant tids),
+// while the parallel miner gathers each node's subtree.
 func (t *rpTree) conditionalTree(dst *nodeArena, ms *mergeScratch, o Options, r int, subtree bool) *rpTree {
 	a := t.arena
 
 	// First pass: one base path per node carrying rank r — its candidate
 	// ancestors (tree ranks, root-most first, in the shared rankBuf
-	// backing) and its ts-list. All of it lives in pooled per-miner
-	// scratch; the only allocations left in this function are the pieces
-	// the returned tree retains.
-	base, rankBuf := ms.base[:0], ms.rankBuf[:0]
+	// backing) and its tids. All of it lives in pooled per-miner scratch;
+	// the only allocations left in this function are the pieces the
+	// returned tree retains. A subtree-mode path's tids are its subtree's
+	// bags, concatenated into the shared tidBuf backing; a path keeps its
+	// slice when a later append moves tidBuf, since the old backing stays
+	// intact.
+	base, rankBuf, tidBuf := ms.base[:0], ms.rankBuf[:0], ms.tidBuf[:0]
 	for ni := t.headers[r]; ni != nilNode; ni = a.nodes[ni].link {
-		n := a.nodes[ni]
-		ts, runs := n.ts, n.runs
-		if subtree {
-			ts = t.collectSubtreeTS(ms, ni, ms.getBuf())
-			runs = nil
+		n := &a.nodes[ni]
+		if n.parent == t.root {
+			continue
 		}
-		if len(ts) == 0 || n.parent == t.root {
-			if subtree {
-				ms.putBuf(ts)
+		tids := n.tids
+		if subtree {
+			lo := len(tidBuf)
+			ms.bags = t.appendSubtree(ms.bags[:0], ni)
+			for _, b := range ms.bags {
+				tidBuf = append(tidBuf, b...)
 			}
+			tids = tidBuf[lo:]
+		}
+		if len(tids) == 0 {
 			continue
 		}
 		lo := int32(len(rankBuf))
@@ -360,11 +334,10 @@ func (t *rpTree) conditionalTree(dst *nodeArena, ms *mergeScratch, o Options, r 
 			rankBuf = append(rankBuf, a.nodes[p].rank)
 		}
 		slices.Reverse(rankBuf[lo:]) // root-most first
-		base = append(base, basePath{rankLo: lo, rankHi: int32(len(rankBuf)), ts: ts, runs: runs})
+		base = append(base, basePath{rankLo: lo, rankHi: int32(len(rankBuf)), tids: tids})
 	}
-	ms.base, ms.rankBuf = base, rankBuf
+	ms.base, ms.rankBuf, ms.tidBuf = base, rankBuf, tidBuf
 	if len(base) == 0 {
-		ms.releaseBase(subtree)
 		return nil
 	}
 
@@ -379,7 +352,7 @@ func (t *rpTree) conditionalTree(dst *nodeArena, ms *mergeScratch, o Options, r 
 		bp := &base[bi]
 		for _, pr := range rankBuf[bp.rankLo:bp.rankHi] {
 			cur[pr+1]++
-			sup[pr] += len(bp.ts)
+			sup[pr] += len(bp.tids)
 		}
 	}
 	for pr := 0; pr < r; pr++ {
@@ -407,13 +380,16 @@ func (t *rpTree) conditionalTree(dst *nodeArena, ms *mergeScratch, o Options, r 
 		if lo == hi {
 			continue
 		}
-		runs := ms.runs[:0]
-		for _, bi := range pathIdx[lo:hi] {
-			bp := &base[bi]
-			runs = appendRunViews(runs, bp.ts, bp.runs)
+		if o.erecBound(sup[pr]) < o.MinRec {
+			ms.pruned++
+			continue
 		}
-		ms.runs = runs
-		merged = ms.merge(merged[:0])
+		bags := ms.bags[:0]
+		for _, bi := range pathIdx[lo:hi] {
+			bags = append(bags, base[bi].tids)
+		}
+		ms.bags = bags
+		merged = ms.merge(t.ts, merged[:0])
 		if o.candidateErec(merged) >= o.MinRec {
 			keep = append(keep, condKeep{item: t.order[pr], sup: sup[pr], trank: int32(pr)})
 		} else {
@@ -423,7 +399,6 @@ func (t *rpTree) conditionalTree(dst *nodeArena, ms *mergeScratch, o Options, r 
 	ms.putBuf(merged)
 	ms.keep = keep
 	if len(keep) == 0 {
-		ms.releaseBase(subtree)
 		return nil
 	}
 	slices.SortFunc(keep, func(x, y condKeep) int {
@@ -449,7 +424,7 @@ func (t *rpTree) conditionalTree(dst *nodeArena, ms *mergeScratch, o Options, r 
 	}
 
 	// Second pass: insert the filtered, re-ranked prefix paths.
-	ct := newRPTree(dst, order)
+	ct := newRPTree(dst, order, t.ts)
 	path := ms.path[:0]
 	for bi := range base {
 		bp := &base[bi]
@@ -463,9 +438,8 @@ func (t *rpTree) conditionalTree(dst *nodeArena, ms *mergeScratch, o Options, r 
 			continue
 		}
 		slices.Sort(path)
-		ct.insertRanks(path, bp.ts, bp.runs)
+		ct.insertRanks(path, bp.tids)
 	}
 	ms.path = path
-	ms.releaseBase(subtree)
 	return ct
 }

@@ -2,10 +2,18 @@ package core
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"github.com/recurpat/rp/internal/tsdb"
 )
+
+// collectTS is TS^beta for the item at rank r as the sequential miner reads
+// it: the union of the rank's node lists, through the tid -> timestamp map.
+func (t *rpTree) collectTS(ms *mergeScratch, r int, dst []int64) []int64 {
+	t.stage(ms, r, false)
+	return ms.merge(t.ts, dst)
+}
 
 // buildPaperTree constructs the RP-tree of the running example (paper
 // Figure 5(b)).
@@ -28,12 +36,8 @@ func TestRPTreeStructurePaperExample(t *testing.T) {
 	// recoverable: collecting each item's subtree ts covers exactly the
 	// transactions containing that item.
 	for rank, item := range tree.order {
-		runs := ms.runs[:0]
-		for n := tree.headers[rank]; n != nilNode; n = tree.arena.nodes[n].link {
-			runs = tree.appendSubtreeRuns(runs, n)
-		}
-		ms.runs = runs
-		ts := ms.merge(nil)
+		tree.stage(&ms, rank, true)
+		ts := ms.merge(tree.ts, nil)
 		want := db.TSList([]tsdb.ItemID{item})
 		if !reflect.DeepEqual(ts, want) {
 			t.Errorf("item %s subtree ts = %v, want %v", db.Dict.Name(item), ts, want)
@@ -69,21 +73,25 @@ func TestRPTreeStructurePaperExample(t *testing.T) {
 }
 
 func TestRPTreeNoSupportCountsOnlyTailTS(t *testing.T) {
-	// Paper Section 4.2.1: only tail nodes carry ts-lists. Count timestamps
-	// across the tree: they must equal |TDB| projections (each transaction
-	// recorded exactly once), and in the freshly built tree every ts-list
-	// must be a single sorted run (transactions arrive in time order).
+	// Paper Section 4.2.1: only tail nodes carry ts-lists. Gather the tids
+	// across the tree: every transaction (each has a candidate item here)
+	// must be recorded exactly once, and map to its own timestamp.
 	db, _, tree := buildPaperTree(t)
-	total := 0
+	var tids []int32
 	for i := range tree.arena.nodes {
-		n := &tree.arena.nodes[i]
-		total += len(n.ts)
-		if len(n.runs) != 0 {
-			t.Errorf("node %d has %d run boundaries in a fresh tree", i, len(n.runs))
-		}
+		tids = append(tids, tree.arena.nodes[i].tids...)
 	}
-	if total != db.Len() {
-		t.Errorf("tree holds %d timestamps, want %d (one per transaction)", total, db.Len())
+	slices.Sort(tids)
+	if len(tids) != db.Len() {
+		t.Fatalf("tree holds %d tids, want %d (one per transaction)", len(tids), db.Len())
+	}
+	for i, tid := range tids {
+		if tid != int32(i) {
+			t.Fatalf("sorted tids[%d] = %d: a transaction is missing or recorded twice", i, tid)
+		}
+		if tree.ts[tid] != db.Trans[i].TS {
+			t.Fatalf("tid %d maps to ts %d, want %d", tid, tree.ts[tid], db.Trans[i].TS)
+		}
 	}
 }
 

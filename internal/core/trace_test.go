@@ -3,9 +3,11 @@ package core
 import (
 	"context"
 	"math/rand/v2"
+	"strconv"
 	"testing"
 
 	"github.com/recurpat/rp/internal/obs"
+	"github.com/recurpat/rp/internal/tsdb"
 )
 
 func TestMineTracedMatchesUntraced(t *testing.T) {
@@ -248,6 +250,56 @@ func TestPatternsPrunedMatchesTrace(t *testing.T) {
 		}
 		if sum != want {
 			t.Errorf("%d shards: PatternsPruned sums to %d, single box counted %d", count, sum, want)
+		}
+	}
+}
+
+// TestSupportBoundSkipsUnions checks that the support bound decides
+// candidates without building their ts-lists, and changes nothing else.
+// Without it every pruned or evaluated candidate costs one union, and
+// every prefix item conditionalTree keeps costs one more, so fewer
+// ts-merges than erec-prunes plus recurrence evaluations can only come
+// from skipped unions.
+//
+// Item frequencies fall off as 1/rank, as in retail data, so the rare
+// items' supports are what the bound decides.
+func TestSupportBoundSkipsUnions(t *testing.T) {
+	rng := rand.New(rand.NewPCG(5, 8))
+	b := tsdb.NewBuilder()
+	for ts := int64(1); ts <= 2000; ts++ {
+		for i := 0; i < 20; i++ {
+			if rng.Float64() < 0.6/float64(i+1) {
+				b.Add("i"+strconv.Itoa(i), ts)
+			}
+		}
+	}
+	db := b.Build()
+	base := Options{Per: 4, MinPS: 3, MinRec: 2}
+	want, err := MineVertical(db, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want.Patterns) == 0 {
+		t.Fatal("workload produced no patterns; the comparison would be vacuous")
+	}
+	for _, par := range []int{0, 2} {
+		o := base
+		o.Parallelism, o.CollectStats, o.Trace = par, true, obs.NewTrace()
+		res, err := Mine(db, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Equal(want) {
+			t.Fatalf("par=%d: patterns differ from MineVertical's", par)
+		}
+		counts := map[string]int64{}
+		for _, s := range o.Trace.Report().Phases {
+			counts[s.Phase] = s.Count
+		}
+		merges, prunes := counts[obs.PhaseMerge.String()], counts[obs.PhasePrune.String()]
+		evals := int64(res.Stats.PatternsExamined)
+		if merges >= prunes+evals {
+			t.Errorf("par=%d: %d ts-merges, want fewer than %d erec-prunes + %d recurrence evaluations", par, merges, prunes, evals)
 		}
 	}
 }

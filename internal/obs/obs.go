@@ -52,8 +52,9 @@ const (
 	// adds to the coordinator's top-level coverage sum. Labeled timeline
 	// spans put each shard on its own flight-recorder lane.
 	PhaseShard
-	// PhaseMerge counts and times the ts-list run merges (Section 4.2.2's
-	// TS-list construction). Nested inside PhaseMine.
+	// PhaseMerge counts and times the ts-list unions (Section 4.2.2's
+	// TS-list construction), one observation per sorted list built from
+	// the RP-tree's transaction bags. Nested inside PhaseMine.
 	PhaseMerge
 	// PhasePrune counts pattern extensions cut by the Erec candidate
 	// bound before recurrence evaluation (Property 2). Nested inside

@@ -19,16 +19,16 @@ import (
 //
 // The digest is computed once and cached (hashing is O(database) and the
 // serve layer asks per request); the database must not be mutated after
-// the first call. FingerprintUncached bypasses the cache for tests.
+// the first call.
 func (db *DB) Fingerprint() uint64 {
-	db.fpOnce.Do(func() { db.fpVal = db.FingerprintUncached() })
+	db.fpOnce.Do(func() { db.fpVal = db.fingerprintUncached() })
 	return db.fpVal
 }
 
-// FingerprintUncached recomputes the digest from the content, ignoring
-// and not touching the cache. It exists so tests can prove the cached
-// value stays truthful across round-trips.
-func (db *DB) FingerprintUncached() uint64 {
+// fingerprintUncached computes the digest from the content, ignoring and
+// not touching the cache; tests call it to prove the cached value stays
+// truthful across round-trips.
+func (db *DB) fingerprintUncached() uint64 {
 	h := fnv.New64a()
 	var buf [8]byte
 	writeInt := func(v int64) {

@@ -82,7 +82,7 @@ func FuzzReadParallel(f *testing.F) {
 		if err := parDB.Validate(); err != nil {
 			t.Fatalf("parallel parse produced invalid DB: %v", err)
 		}
-		if s, p := seqDB.FingerprintUncached(), parDB.FingerprintUncached(); s != p {
+		if s, p := seqDB.fingerprintUncached(), parDB.fingerprintUncached(); s != p {
 			t.Fatalf("fingerprint mismatch: sequential %016x, parallel %016x", s, p)
 		}
 	})
@@ -127,7 +127,7 @@ func FuzzMapped(f *testing.F) {
 		if err := db2.Validate(); err != nil {
 			t.Fatalf("mapped round trip produced invalid DB: %v", err)
 		}
-		if a, b := db.FingerprintUncached(), db2.FingerprintUncached(); a != b {
+		if a, b := db.fingerprintUncached(), db2.fingerprintUncached(); a != b {
 			t.Fatalf("mapped round trip changed fingerprint: %016x vs %016x", a, b)
 		}
 	})

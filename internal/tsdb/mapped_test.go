@@ -252,7 +252,7 @@ func TestFingerprintCachedAcrossRoundTrips(t *testing.T) {
 	// must match a fresh recompute, including after format round-trips.
 	db := canonicalDB(t)
 	fp := db.Fingerprint()
-	if fp != db.FingerprintUncached() {
+	if fp != db.fingerprintUncached() {
 		t.Fatal("cached fingerprint diverges from recompute")
 	}
 	if fp != db.Fingerprint() {
@@ -281,7 +281,7 @@ func TestFingerprintCachedAcrossRoundTrips(t *testing.T) {
 		if got.Fingerprint() != fp {
 			t.Errorf("%s round-trip changed fingerprint: %016x vs %016x", name, got.Fingerprint(), fp)
 		}
-		if got.Fingerprint() != got.FingerprintUncached() {
+		if got.Fingerprint() != got.fingerprintUncached() {
 			t.Errorf("%s: cached fingerprint diverges from recompute", name)
 		}
 	}

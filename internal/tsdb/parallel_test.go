@@ -66,7 +66,7 @@ func requireSameDB(t *testing.T, got, want *DB) {
 			t.Fatalf("transaction %d differs: %+v vs %+v", i, got.Trans[i], want.Trans[i])
 		}
 	}
-	if g, w := got.FingerprintUncached(), want.FingerprintUncached(); g != w {
+	if g, w := got.fingerprintUncached(), want.fingerprintUncached(); g != w {
 		t.Fatalf("fingerprints differ: %016x vs %016x", g, w)
 	}
 }
