@@ -7,6 +7,8 @@ import (
 	"math"
 	"reflect"
 	"testing"
+
+	"github.com/recurpat/rp/internal/tsdb"
 )
 
 // requestBodies seeds the decoder fuzzers: the request bodies of
@@ -75,5 +77,64 @@ func FuzzDecodeShardMineRequest(f *testing.F) {
 			return
 		}
 		checkWire(t, req, DecodeShardMineRequest, &req.MineRequest)
+	})
+}
+
+// responseBodies seeds FuzzDecodeShardMineResponse: the shard response
+// bodies of api_test.go, accepted and refused alike, plus one carrying
+// patterns, stats, phases and a timeline.
+var responseBodies = []string{
+	`{"v":1,"fingerprint":"00000000000000aa","shard":0,"shards":2,"count":0,"miningMS":1.5,"patterns":[]}`,
+	`{"v":2,"fingerprint":"0","shard":0,"shards":1}`,
+	`{"v":1,"fingerprint":"00000000deadbeef","shard":1,"shards":3,"count":0,"miningMS":0,"patterns":null,"phases":[{"phase":"mine","nanos":1200,"count":2,"unit":"tasks"}],"elapsedNS":4500,"timeline":{"spans":[{"phase":"mine","startNS":10,"durNS":900}],"cap":8}}`,
+	`{"v":1,"fingerprint":"00000000deadbeef","shard":0,"shards":2,"count":2,"miningMS":3.25,"patterns":[{"items":["a","b"],"support":4,"recurrence":2,"intervals":[{"start":1,"end":5,"ps":3},{"start":9,"end":12,"ps":2}]},{"items":["zz"],"support":1,"recurrence":1,"intervals":[]}],"stats":{"candidateItems":3}}`,
+}
+
+func FuzzDecodeShardMineResponse(f *testing.F) {
+	for _, b := range responseBodies {
+		f.Add([]byte(b))
+	}
+	dict := tsdb.NewBuilder()
+	for _, name := range []string{"a", "b", "c"} {
+		dict.Add(name, 1)
+	}
+	db := dict.Build()
+	f.Fuzz(func(t *testing.T, body []byte) {
+		resp, err := DecodeShardMineResponse(bytes.NewReader(body))
+		if err != nil {
+			return
+		}
+		// An accepted response re-encodes to bytes that decode to a value
+		// encoding to the same bytes: JSON cannot tell an empty omitempty
+		// slice from an absent one, so equality is judged on the wire.
+		enc, err := json.Marshal(resp)
+		if err != nil {
+			t.Fatalf("re-encoding %+v: %v", resp, err)
+		}
+		back, err := DecodeShardMineResponse(bytes.NewReader(enc))
+		if err != nil {
+			t.Fatalf("decoding the re-encoded %s: %v", enc, err)
+		}
+		again, err := json.Marshal(back)
+		if err != nil {
+			t.Fatalf("re-encoding %+v: %v", back, err)
+		}
+		if !bytes.Equal(again, enc) {
+			t.Fatalf("round trip changed the response:\n got %s\nwant %s", again, enc)
+		}
+		ps, err := PatternsToCore(db, resp.Patterns)
+		if err != nil {
+			return
+		}
+		if len(ps) != len(resp.Patterns) {
+			t.Fatalf("PatternsToCore returned %d patterns for %d wire patterns", len(ps), len(resp.Patterns))
+		}
+		for i, p := range ps {
+			for j, id := range p.Items {
+				if name := db.Dict.Name(id); name != resp.Patterns[i].Items[j] {
+					t.Fatalf("pattern %d item %d: %q came back as %q", i, j, resp.Patterns[i].Items[j], name)
+				}
+			}
+		}
 	})
 }

@@ -8,15 +8,16 @@ import (
 )
 
 // Union machinery for the RP-tree's transaction lists. Every list in the
-// tree is an unordered bag of transaction indices (tids: positions in
-// db.Trans), and the bags gathered for one sorted view are disjoint: a
-// transaction reaches a given item's nodes along exactly one tree path.
+// tree is a node's subtree range: an unordered bag of transaction indices
+// (tids: positions in db.Trans), and the bags gathered for one sorted view
+// are disjoint: a transaction reaches a given item's nodes along exactly
+// one tree path.
 // tsdb.DB orders its transactions strictly by timestamp, so ascending tid
 // order is ascending timestamp order, and the sorted timestamp list of a
 // union is a bitmap scan: scatter every tid into a two-level bitmap sized
 // to |TDB|, then walk the touched words in ascending order appending
 // ts[tid]. A union costs O(n + touched words), not a merge's O(n log k),
-// however finely push-ups have fragmented the lists.
+// however many bags it gathers.
 
 // mergeScratch holds the reusable buffers of one miner: the staged tid
 // bags, the union bitmap, a free list of timestamp buffers, and the
@@ -32,13 +33,13 @@ type mergeScratch struct {
 	// conditionalTree scratch (see rptree.go):
 	base     []basePath // base paths of the current call
 	rankBuf  []int32    // shared backing for the paths' ancestor ranks
-	tidBuf   []int32    // shared backing for subtree-mode paths' tids
 	sup      []int      // per-rank conditional support
 	cur      []int      // CSR offsets / fill cursors
 	pathIdx  []int32    // CSR payload: base-path indices per rank
 	keep     []condKeep // items surviving the Erec check
 	condRank []int32    // tree rank -> conditional rank, or nilNode
 	path     []int32    // re-ranked path being inserted
+	build    treeBuild  // the conditional tree's construction scratch
 
 	// pruned counts the prefix items conditionalTree dropped by the Erec
 	// check since the owning miner last collected them (miner.prune).

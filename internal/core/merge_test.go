@@ -202,6 +202,7 @@ func TestMinerArenaReuse(t *testing.T) {
 	// does rank after rank) must produce identical results: the arena reset
 	// and scratch recycling may not leak state between runs.
 	rng := rand.New(rand.NewPCG(21, 4))
+	slabbed := 0 // trials whose mine carved conditional tids
 	for trial := 0; trial < 20; trial++ {
 		db := randomDB(rng, 6, 40, 0.35)
 		o := Options{Per: 3, MinPS: 2, MinRec: 2}
@@ -218,6 +219,7 @@ func TestMinerArenaReuse(t *testing.T) {
 		var m miner
 		m.o = o
 		var results []*Result
+		slabCap := 0
 		for round := 0; round < 2; round++ {
 			tree := buildRPTree(db, list)
 			res := &Result{}
@@ -225,7 +227,20 @@ func TestMinerArenaReuse(t *testing.T) {
 			m.mineTree(tree, nil, 1)
 			res.Canonicalize()
 			results = append(results, res)
-			m.arena.reset(0)
+			// Every conditional tree's nodes and tids are reclaimed, and
+			// the second identical run reuses the first one's tid slab.
+			if len(m.arena.nodes) != 0 || len(m.arena.tids) != 0 {
+				t.Fatalf("trial %d round %d: arena holds %d nodes, %d tids after the mine",
+					trial, round, len(m.arena.nodes), len(m.arena.tids))
+			}
+			if round == 1 && cap(m.arena.tids) != slabCap {
+				t.Fatalf("trial %d: tid slab grew from %d to %d on an identical rerun",
+					trial, slabCap, cap(m.arena.tids))
+			}
+			slabCap = cap(m.arena.tids)
+		}
+		if slabCap > 0 {
+			slabbed++
 		}
 		for i, res := range results {
 			if renderResult(res) != renderResult(fresh) {
@@ -234,5 +249,8 @@ func TestMinerArenaReuse(t *testing.T) {
 			}
 		}
 		checkZeroBitmap(t, &m.ms.u)
+	}
+	if slabbed == 0 {
+		t.Fatal("no trial built a conditional tree; the tid slab went unchecked")
 	}
 }

@@ -26,9 +26,9 @@ func Mine(db *tsdb.DB, o Options) (*Result, error) {
 }
 
 // MineContext is Mine with cancellation: when ctx is cancelled (or its
-// deadline passes), mining stops at the next subtree-task boundary — the
-// workers of a parallel run observe ctx between top-level subtree tasks,
-// a sequential run between tree ranks and conditional trees — and a
+// deadline passes), mining stops at the next subtree-task boundary — every
+// worker observes ctx between top-level subtree tasks and between the ranks
+// of its conditional trees — and a
 // *CancelError wrapping ctx.Err() is returned instead of a result. With
 // Options.CollectStats set, the CancelError carries the partial search
 // statistics accumulated up to the stop.
@@ -51,12 +51,8 @@ func MineContext(ctx context.Context, db *tsdb.DB, o Options) (*Result, error) {
 // discovery order (returning false stops the run) and the Result carries
 // only the stats.
 //
-// Mining forks exactly once. A run with one worker that owns every rank
-// (Parallelism ≤ 1 and spec {0,1}) uses the paper's push-up miner (Lemma 3
-// mutates the tree as it goes); every other run uses the worker pool's
-// read-only subtree merge. Both yield the same patterns and stats; push-up
-// is kept because it measured faster and leaner where it applies (see
-// DESIGN.md §5b).
+// Every run mines through one loop, mineRanks: a pool of workers over the
+// read-only initial tree, one worker when Parallelism ≤ 1 or a sink is set.
 func mine(ctx context.Context, db *tsdb.DB, o Options, spec ShardSpec, emit func(Pattern) bool) (*Result, error) {
 	if err := o.Validate(); err != nil {
 		return nil, err
@@ -93,15 +89,7 @@ func mine(ctx context.Context, db *tsdb.DB, o Options, spec ShardSpec, emit func
 	// span; the label covers the pool's workers too, which inherit it.
 	cancelled := false
 	obs.DoPhase(ctx, obs.PhaseMine, func(ctx context.Context) {
-		if o.Parallelism > 1 || spec.Count > 1 {
-			cancelled = mineRanks(ctx, tree, o, res, spec.ranks(len(tree.order)))
-			return
-		}
-		m := newMiner(o)
-		m.res, m.fn, m.done = res, emit, ctx.Done()
-		m.mineTree(tree, nil, 1)
-		m.lc.Flush(m.tr)
-		cancelled = m.cancelled
+		cancelled = mineRanks(ctx, tree, o, res, spec.ranks(len(tree.order)), emit)
 	})
 	if cancelled {
 		cerr := &CancelError{Err: ctx.Err()}
@@ -168,10 +156,11 @@ func newMiner(o Options) *miner {
 	return m
 }
 
-// mineTree is Algorithm 4 (RP-growth): process the tree's items bottom-up;
-// for each item, collect the suffix pattern's timestamp list, apply the Erec
-// candidate check, evaluate recurrence (Algorithm 5), recurse into the
-// conditional tree, and push the item's ts-lists up for the next iteration.
+// mineTree is Algorithm 4 (RP-growth) on a conditional tree: process the
+// tree's items bottom-up; for each item, collect the suffix pattern's
+// timestamp list, apply the Erec candidate check, evaluate recurrence
+// (Algorithm 5) and recurse into the conditional tree. The subtree ranges
+// already hold what Lemma 3's push-ups would gather, so nothing is pushed.
 //
 // Cancellation is observed once per rank — task granularity, so the check
 // never runs inside the ts-list merge or tree-walk hot loops.
@@ -183,19 +172,7 @@ func (m *miner) mineTree(t *rpTree, suffix []tsdb.ItemID, depth int) {
 		if m.checkCancel() {
 			return
 		}
-		if m.tr != nil && depth == 1 {
-			// Top-level subtree task: attribute its wall time to the
-			// mining phase (and, when a timeline is attached, retain the
-			// task as a span) and publish the batch accumulated during it.
-			sp := m.tr.StartTask(m.taskLabel(t.order[r]), &m.lc)
-			m.mineRank(t, r, suffix, depth, false)
-			t.pushUp(r)
-			sp.End(&m.lc)
-			m.lc.Flush(m.tr)
-			continue
-		}
-		m.mineRank(t, r, suffix, depth, false)
-		t.pushUp(r)
+		m.mineRank(t, r, suffix, depth)
 	}
 }
 
@@ -216,8 +193,8 @@ func (m *miner) taskLabel(item tsdb.ItemID) string {
 // built. The list lives in a pooled buffer that is released before the
 // recursion, and the conditional tree is carved from the miner's arena and
 // reclaimed (reset) as soon as its subtree has been mined.
-func (m *miner) mineRank(t *rpTree, r int, suffix []tsdb.ItemID, depth int, subtree bool) {
-	support := t.stage(&m.ms, r, subtree)
+func (m *miner) mineRank(t *rpTree, r int, suffix []tsdb.ItemID, depth int) {
+	support := t.stage(&m.ms, r)
 	if support == 0 {
 		return
 	}
@@ -250,7 +227,7 @@ func (m *miner) mineRank(t *rpTree, r int, suffix []tsdb.ItemID, depth int, subt
 		return
 	}
 	mark := m.arena.mark()
-	cond := t.conditionalTree(&m.arena, &m.ms, m.o, r, subtree)
+	cond := t.conditionalTree(&m.arena, &m.ms, m.o, r)
 	m.prune(m.ms.pruned)
 	m.ms.pruned = 0
 	if cond != nil {
@@ -296,16 +273,18 @@ func (m *miner) emit(beta []tsdb.ItemID, support, rec int, ipi []Interval) {
 
 // mineRanks mines the given top-level ranks of t with a fixed pool of
 // Parallelism workers (minimum one) pulling rank indexes from a shared
-// atomic queue, so a heavy suffix item no longer serializes the tail of the
-// run the way the old goroutine-per-item semaphore did. The shared initial
-// tree is read-only in this mode: each worker merges subtree ts-lists
-// instead of relying on the sequential push-up mutation, which yields
-// exactly the same conditional bases (every descendant tail of an item's
-// node belongs to a transaction containing the item). Each rank's partial
-// result has exactly one writer, and partials are merged in deterministic
-// rank order after the pool drains — which is what makes a shard-restricted
-// rank subset (core.MineShardContext) produce exactly the patterns the full
-// mine attributes to those ranks.
+// atomic queue, highest rank first, so a heavy suffix item no longer
+// serializes the tail of the run the way the old goroutine-per-item
+// semaphore did. The shared initial tree is read-only: every worker reads
+// the same subtree ranges. Each rank's partial result has exactly one
+// writer, and partials are merged in deterministic rank order after the
+// pool drains — which is what makes a shard-restricted rank subset
+// (core.MineShardContext) produce exactly the patterns the full mine
+// attributes to those ranks.
+//
+// emit, when non-nil, is the streaming sink of MineFunc, whose caller
+// forces a single worker: it then sees patterns in the sequential
+// RP-growth order, suffix ranks from the last to the first.
 //
 // ranks must be sorted ascending and duplicate-free: the ranks the run's
 // ShardSpec owns (every rank for {0,1}).
@@ -313,12 +292,9 @@ func (m *miner) emit(beta []tsdb.ItemID, support, rec int, ipi []Interval) {
 // Workers observe ctx between subtree tasks (and, via mineTree, between the
 // ranks within one task); once it fires they stop claiming ranks and the
 // pool drains. The cancelled return still carries merged partial stats.
-func mineRanks(ctx context.Context, t *rpTree, o Options, res *Result, ranks []int) (cancelled bool) {
+func mineRanks(ctx context.Context, t *rpTree, o Options, res *Result, ranks []int, emit func(Pattern) bool) (cancelled bool) {
 	partial := make([]Result, len(ranks))
-	workers := o.Parallelism
-	if workers > len(ranks) {
-		workers = len(ranks)
-	}
+	workers := min(o.Parallelism, len(ranks))
 	if workers < 1 {
 		workers = 1
 	}
@@ -333,7 +309,9 @@ func mineRanks(ctx context.Context, t *rpTree, o Options, res *Result, ranks []i
 		// samples to the request that spawned them.
 		go func() {
 			defer wg.Done()
-			mineWorker(t, o, done, ranks, partial, &next, &stopped)
+			m := newMiner(o)
+			m.fn, m.done = emit, done
+			mineWorker(m, t, ranks, partial, &next, &stopped)
 		}()
 	}
 	wg.Wait()
@@ -350,27 +328,28 @@ func mineRanks(ctx context.Context, t *rpTree, o Options, res *Result, ranks []i
 }
 
 // mineWorker is one pool worker's loop: claim rank indexes from the shared
-// queue, mine each claimed rank's subtree into its partial slot, and stop
-// once ctx fired (done) or the queue drains.
-func mineWorker(t *rpTree, o Options, done <-chan struct{}, ranks []int, partial []Result, next *atomic.Int64, stopped *atomic.Bool) {
-	m := newMiner(o)
-	m.done = done
-	for {
+// queue, highest first, mine each claimed rank's subtree into its partial
+// slot, and stop once ctx fired, the sink asked to stop, or the queue
+// drains.
+func mineWorker(m *miner, t *rpTree, ranks []int, partial []Result, next *atomic.Int64, stopped *atomic.Bool) {
+	for !m.stop {
 		if m.checkCancel() {
-			stopped.Store(true)
-			return
+			break
 		}
-		i := int(next.Add(1)) - 1
-		if i >= len(ranks) {
+		i := len(ranks) - int(next.Add(1))
+		if i < 0 {
 			return
 		}
 		r := ranks[i]
 		m.res = &partial[i]
+		if m.o.CollectStats {
+			m.res.Stats.MaxDepth = 1
+		}
 		var sp obs.TaskSpan
 		if m.tr != nil {
 			sp = m.tr.StartTask(m.taskLabel(t.order[r]), &m.lc)
 		}
-		m.mineRank(t, r, nil, 1, true)
+		m.mineRank(t, r, nil, 1)
 		if m.tr != nil {
 			// One subtree task per rank: time it (retaining the
 			// span when a timeline is attached) and publish the
@@ -378,13 +357,8 @@ func mineWorker(t *rpTree, o Options, done <-chan struct{}, ranks []int, partial
 			sp.End(&m.lc)
 			m.lc.Flush(m.tr)
 		}
-		if m.cancelled {
-			stopped.Store(true)
-			return
-		}
-		if m.o.CollectStats && 1 > m.res.Stats.MaxDepth {
-			m.res.Stats.MaxDepth = 1
-		}
-		m.arena.reset(0)
+	}
+	if m.cancelled {
+		stopped.Store(true)
 	}
 }

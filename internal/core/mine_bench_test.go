@@ -38,11 +38,6 @@ func BenchmarkBuildRPTree(b *testing.B) {
 func BenchmarkCollectTS(b *testing.B) {
 	_, tree := benchWorkload()
 	var ms mergeScratch
-	// Mix of tail-only collection (fresh tree) and merge-heavy collection
-	// (after push-ups), like a mining run sees.
-	for r := len(tree.order) - 1; r > len(tree.order)/2; r-- {
-		tree.pushUp(r)
-	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -66,7 +61,7 @@ func BenchmarkConditionalTree(b *testing.B) {
 		built := 0
 		for r := len(tree.order) - 1; r >= 1; r-- {
 			mark := arena.mark()
-			if ct := tree.conditionalTree(&arena, &ms, o, r, true); ct != nil {
+			if ct := tree.conditionalTree(&arena, &ms, o, r); ct != nil {
 				built++
 			}
 			arena.reset(mark)

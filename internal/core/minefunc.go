@@ -13,7 +13,7 @@ import (
 // Mine); returning false from fn stops mining early.
 //
 // MineFunc is always sequential: Options.Parallelism is ignored, so the
-// callback never races with itself and the run takes the push-up miner.
+// run's pool has one worker and the callback never races with itself.
 // The callback runs under the run's phase=mine pprof label (plus any
 // request labels on the context), like every other mining path. Long-running
 // callers that need cancellation should use MineFuncContext.

@@ -3,12 +3,16 @@ package core
 import (
 	"bytes"
 	"compress/gzip"
+	"hash/fnv"
 	"io"
+	"math/rand/v2"
 	"runtime/pprof"
+	"strings"
 	"testing"
 	"time"
 
 	"github.com/recurpat/rp/internal/obs"
+	"github.com/recurpat/rp/internal/tsdb"
 )
 
 func TestMineFuncMatchesMine(t *testing.T) {
@@ -111,4 +115,46 @@ func TestMineFuncCarriesPhaseLabel(t *testing.T) {
 		}
 	}
 	t.Fatal("no profile of a streaming mine carried the phase=mine label")
+}
+
+// discoveryOrder renders the item sequences MineFunc emits, in emission
+// order, one pattern per line with its items named by the dictionary.
+func discoveryOrder(t *testing.T, db *tsdb.DB, o Options) string {
+	t.Helper()
+	var b strings.Builder
+	err := MineFunc(db, o, func(p Pattern) bool {
+		for i, it := range p.Items {
+			if i > 0 {
+				b.WriteByte(' ')
+			}
+			b.WriteString(db.Dict.Name(it))
+		}
+		b.WriteByte('\n')
+		return true
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b.String()
+}
+
+// TestMineFuncDiscoveryOrder pins the order MineFunc delivers patterns in:
+// suffix items from the least to the most frequent, each suffix's pattern
+// before the patterns grown from its conditional tree. The random DB's
+// sequence is pinned by its FNV-1a digest and length.
+func TestMineFuncDiscoveryOrder(t *testing.T) {
+	got := discoveryOrder(t, paperDB(t), paperOptions())
+	want := "f\ne f\ne\nd\nc d\nb\na b\na\n"
+	if got != want {
+		t.Errorf("paper example discovery order:\n%s\nwant:\n%s", got, want)
+	}
+
+	rng := rand.New(rand.NewPCG(5, 8))
+	db := randomDB(rng, 12, 400, 0.3)
+	seq := discoveryOrder(t, db, Options{Per: 3, MinPS: 2, MinRec: 3})
+	h := fnv.New64a()
+	h.Write([]byte(seq))
+	if n, sum := strings.Count(seq, "\n"), h.Sum64(); n != 86 || sum != 0x20f246dfdc5691db {
+		t.Errorf("random DB discovery order: %d patterns, digest %#x; want 86, 0x20f246dfdc5691db", n, sum)
+	}
 }

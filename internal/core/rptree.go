@@ -12,181 +12,208 @@ const nilNode int32 = -1
 
 // rpNode is a node of the RP-tree prefix tree (paper Section 4.2.1), laid
 // out for slab allocation: nodes live in a nodeArena's []rpNode slice and
-// reference each other by int32 index, and the children of a node form a
-// first-child/next-sibling list sorted by tree rank. Unlike an FP-tree node
-// it carries no support count; instead, tail nodes (the last node of each
-// inserted candidate projection) carry the ts-list of the transactions that
-// end there. During bottom-up mining, ts-lists are pushed up to parents
-// (Lemma 3), so interior nodes accumulate them too.
+// reference each other by int32 index, so the slab holds no pointers. The
+// node's item is its tree's order[rank]. Unlike an FP-tree node it carries
+// no support count; instead, the transactions whose candidate projection
+// ends at a node (its tail tids) are recorded in the tree's tid array.
 //
-// A node's ts-list is held as an unordered bag of transaction indices (tids,
-// positions in db.Trans); the tree's ts map turns them into timestamps, and
-// every sorted view is a union of bags (see merge.go), so appends and
-// push-ups never order anything.
+// That array is laid out so that every node's subtree is one contiguous
+// range tids[lo:hi], the node's own tail tids first, then its children's
+// ranges. The range is exactly the ts-list that pushing every deeper node's
+// list up to its parent (Lemma 3) would accumulate at the node, so mining
+// reads TS^beta straight off the ranges and never mutates the tree.
+//
+// A tid is a transaction index (a position in db.Trans); the tree's ts map
+// turns tids into timestamps, and every sorted view is a union of ranges
+// (see merge.go), so a range's tids are in no particular order.
 type rpNode struct {
-	item        tsdb.ItemID
-	rank        int32 // position of item in the owning tree's order
-	parent      int32
-	firstChild  int32
-	nextSibling int32
-	link        int32   // next node carrying the same item (header chain)
-	tids        []int32 // transactions recorded here, in no particular order
+	rank   int32 // position of the node's item in the owning tree's order
+	parent int32
+	link   int32 // next node carrying the same item (header chain)
+	lo, hi int32 // subtree range in the tree's tids
 }
 
-// nodeArena is a slab of RP-tree nodes. Conditional trees are carved from a
-// per-miner arena stack-wise: mark() before building a conditional tree,
-// reset(mark) once its recursion returns, so the slab's capacity is reused
-// across the entire mining run instead of being reallocated per tree.
+// nodeArena is a slab of RP-tree nodes plus a slab of their tids.
+// Conditional trees are carved from a per-miner arena stack-wise: mark()
+// before building a conditional tree, reset(mark) once its recursion
+// returns, so both slabs' capacity is reused across the entire mining run
+// instead of being reallocated per tree.
 type nodeArena struct {
 	nodes []rpNode
+	tids  []int32
 }
+
+// arenaMark is a position in both of a nodeArena's slabs.
+type arenaMark struct{ nodes, tids int }
 
 // newNode appends a fresh node and returns its index. Growing the slab may
 // move it, so callers must not hold *rpNode pointers across newNode calls.
-//
-// When the slab re-expands over a region truncated by reset, the slot's old
-// tid capacity is salvaged (truncated, not dropped): conditional trees are
-// rebuilt in the same slab region over and over during mining, and reusing
-// the per-slot list storage removes almost all of their append allocations.
-// A tid backing belongs to exactly one slot at a time and every insert
-// copies tid values, so a salvaged buffer can never alias a live list.
-func (a *nodeArena) newNode(item tsdb.ItemID, rank, parent int32) int32 {
-	idx := len(a.nodes)
-	if idx < cap(a.nodes) {
-		a.nodes = a.nodes[:idx+1]
-		n := &a.nodes[idx]
-		n.item, n.rank, n.parent = item, rank, parent
-		n.firstChild, n.nextSibling, n.link = nilNode, nilNode, nilNode
-		n.tids = n.tids[:0]
-		return int32(idx)
-	}
-	a.nodes = append(a.nodes, rpNode{
-		item:        item,
-		rank:        rank,
-		parent:      parent,
-		firstChild:  nilNode,
-		nextSibling: nilNode,
-		link:        nilNode,
-	})
-	return int32(idx)
+func (a *nodeArena) newNode(rank, parent, link int32) int32 {
+	a.nodes = append(a.nodes, rpNode{rank: rank, parent: parent, link: link})
+	return int32(len(a.nodes) - 1)
 }
 
-// node returns the node at index i. The pointer is invalidated by newNode.
-func (a *nodeArena) node(i int32) *rpNode { return &a.nodes[i] }
+// allocTids carves n tids off the tid slab. A tree keeps the returned
+// slice, so a later growth of the slab leaves its contents in place.
+func (a *nodeArena) allocTids(n int) []int32 {
+	lo := len(a.tids)
+	a.tids = slices.Grow(a.tids, n)[:lo+n]
+	return a.tids[lo : lo+n : lo+n]
+}
 
-// mark returns the current slab position for a later reset.
-func (a *nodeArena) mark() int { return len(a.nodes) }
+// mark returns the current slab positions for a later reset.
+func (a *nodeArena) mark() arenaMark { return arenaMark{len(a.nodes), len(a.tids)} }
 
-// reset truncates the slab back to a mark, reclaiming every node created
-// since without freeing the slab's backing array.
-func (a *nodeArena) reset(mark int) { a.nodes = a.nodes[:mark] }
+// reset truncates the slabs back to a mark, reclaiming every node and tid
+// created since without freeing the slabs' backing arrays.
+func (a *nodeArena) reset(m arenaMark) {
+	a.nodes, a.tids = a.nodes[:m.nodes], a.tids[:m.tids]
+}
 
 // rpTree is a prefix tree plus the per-item header chains. The item order is
 // support-descending within the tree's own database (the full TDB for the
 // initial tree, the conditional pattern base for conditional trees). All
 // nodes, including the root, live in the referenced arena.
 type rpTree struct {
-	arena      *rpArena
-	root       int32
-	ts         []int64       // tid -> timestamp, shared by every tree of a mine
-	order      []tsdb.ItemID // tree item order, most frequent first
-	headers    []int32       // first node per rank, nilNode when empty
-	rootByRank []int32       // root's child per rank (O(1) insert lookup)
-	nodes      int           // nodes created (stats)
+	arena   *nodeArena
+	root    int32
+	tids    []int32       // every node's subtree range, see rpNode
+	ts      []int64       // tid -> timestamp, shared by every tree of a mine
+	order   []tsdb.ItemID // tree item order, most frequent first
+	headers []int32       // first node per rank, nilNode when empty
+	nodes   int           // nodes created (stats)
 }
 
-// rpArena aliases nodeArena so rpTree reads naturally; kept distinct from
-// the merge scratch, which is per-miner, not per-tree.
-type rpArena = nodeArena
+// treeBuild is the scratch of one tree construction: the child links that
+// insert walks, which the finished tree does not keep. A zero value is
+// ready to use; conditional trees reuse one per miner.
+type treeBuild struct {
+	t          *rpTree
+	rootByRank []int32     // root's child per rank (O(1) insert lookup)
+	links      []buildLink // per node, indexed by node index minus the root's
+}
 
-// newRPTree prepares an empty tree over the given item order and tid map,
-// carving its root from a.
-func newRPTree(a *nodeArena, order []tsdb.ItemID, ts []int64) *rpTree {
-	t := &rpTree{
-		arena:      a,
-		ts:         ts,
-		order:      order,
-		headers:    make([]int32, len(order)),
-		rootByRank: make([]int32, len(order)),
-	}
+// buildLink is a node's place in its parent's child list, which is sorted by
+// rank; the rank is repeated here so a sibling scan reads one array.
+type buildLink struct {
+	child, sibling, rank int32 // first child, next sibling, the node's rank
+}
+
+// start begins a tree over the given item order and tid map, carving its
+// root from a.
+func (b *treeBuild) start(a *nodeArena, order []tsdb.ItemID, ts []int64) *rpTree {
+	t := &rpTree{arena: a, ts: ts, order: order, headers: make([]int32, len(order))}
 	for i := range t.headers {
 		t.headers[i] = nilNode
-		t.rootByRank[i] = nilNode
 	}
-	t.root = a.newNode(0, -1, nilNode)
+	t.root = a.newNode(-1, nilNode, nilNode)
+	b.t = t
+	b.rootByRank = growN(&b.rootByRank, len(order))
+	for i := range b.rootByRank {
+		b.rootByRank[i] = nilNode
+	}
+	b.links = append(b.links[:0], buildLink{nilNode, nilNode, -1})
 	return t
 }
 
-// insertRanks adds one candidate projection, given as its strictly
-// increasing sequence of tree ranks, recording the tids at the tail node
-// (Algorithm 3, insert_tree). Tid values are copied, never aliased.
-func (t *rpTree) insertRanks(ranks []int32, tids []int32) {
+// insert adds one candidate projection, given as its strictly increasing
+// sequence of tree ranks, and returns its tail node (Algorithm 3,
+// insert_tree). k is the number of tids the projection carries; they are
+// placed once the tree is laid out (layout, place).
+func (b *treeBuild) insert(ranks []int32, k int) int32 {
+	t := b.t
 	a := t.arena
 	cur := t.root
 	for _, rk := range ranks {
 		child := nilNode
+		prev := &b.links[cur-t.root].child // link to splice a new child into
 		if cur == t.root {
-			child = t.rootByRank[rk]
+			child = b.rootByRank[rk]
 		} else {
-			for c := a.nodes[cur].firstChild; c != nilNode; c = a.nodes[c].nextSibling {
-				if a.nodes[c].rank == rk {
-					child = c
+			for c := *prev; c != nilNode; c = *prev {
+				l := &b.links[c-t.root]
+				if l.rank >= rk {
+					if l.rank == rk {
+						child = c
+					}
 					break
 				}
-				if a.nodes[c].rank > rk {
-					break
-				}
+				prev = &l.sibling
 			}
 		}
 		if child == nilNode {
-			child = a.newNode(t.order[rk], rk, cur)
-			t.linkChild(cur, child, rk)
-			a.nodes[child].link = t.headers[rk]
+			child = a.newNode(rk, cur, t.headers[rk])
 			t.headers[rk] = child
 			t.nodes++
+			next := nilNode
+			if cur == t.root {
+				b.rootByRank[rk] = child
+			} else {
+				next, *prev = *prev, child
+			}
+			b.links = append(b.links, buildLink{nilNode, next, rk})
 		}
 		cur = child
 	}
-	if cur != t.root {
-		a.nodes[cur].tids = append(a.nodes[cur].tids, tids...)
-	}
+	a.nodes[cur].lo += int32(k)
+	a.nodes[cur].hi += int32(k)
+	return cur
 }
 
-// linkChild splices child into parent's rank-sorted sibling list and, for
-// root children, the dense rootByRank index.
-func (t *rpTree) linkChild(parent, child int32, rk int32) {
-	a := t.arena
-	if parent == t.root {
-		t.rootByRank[rk] = child
+// layout assigns every node its subtree range once all projections are
+// inserted, and carves the tree's tids from the arena. On entry lo and hi
+// both hold the number of tids whose projection ends at the node. Children
+// sit after their parents in the slab, so one backward pass sums subtree
+// sizes into hi and one forward pass hands each child the next free stretch
+// of its parent's range. On return hi is final and lo is the end of the
+// node's own tail slots, which place fills downwards back to the range
+// start.
+func (b *treeBuild) layout() {
+	t := b.t
+	nodes := t.arena.nodes[t.root:]
+	for i := len(nodes) - 1; i > 0; i-- {
+		nodes[nodes[i].parent-t.root].hi += nodes[i].hi
 	}
-	prev := nilNode
-	c := a.nodes[parent].firstChild
-	for c != nilNode && a.nodes[c].rank < rk {
-		prev = c
-		c = a.nodes[c].nextSibling
+	next := b.links // the child links are dead: reuse as per-node cursors
+	for i := range nodes {
+		n := &nodes[i]
+		start := int32(0)
+		if i > 0 {
+			p := &next[n.parent-t.root].child
+			start = *p
+			*p += n.hi
+		}
+		own := n.lo
+		n.lo, n.hi = start+own, start+n.hi
+		next[i].child = start + own
 	}
-	a.nodes[child].nextSibling = c
-	if prev == nilNode {
-		a.nodes[parent].firstChild = child
-	} else {
-		a.nodes[prev].nextSibling = child
-	}
+	t.tids = t.arena.allocTids(int(nodes[0].hi))
+}
+
+// place records tids at their projection's tail node n; laid out, a node
+// takes exactly the tids its inserts announced.
+func (t *rpTree) place(n int32, tids []int32) {
+	nd := &t.arena.nodes[n]
+	nd.lo -= int32(len(tids))
+	copy(t.tids[nd.lo:], tids)
 }
 
 // buildRPTree performs the second database scan of RP-growth (Algorithm 2):
 // every transaction's candidate item projection is inserted into the prefix
-// tree with the transaction's index recorded at the tail node. The tree owns
-// a fresh arena and the tid map every tree of the mine shares.
+// tree, and the transaction's index is then placed at its tail node. The
+// tree owns a fresh arena and the tid map every tree of the mine shares.
 func buildRPTree(db *tsdb.DB, list *RPList) *rpTree {
 	order := make([]tsdb.ItemID, len(list.Candidates))
 	for i, e := range list.Candidates {
 		order[i] = e.Item
 	}
-	t := newRPTree(&nodeArena{}, order, make([]int64, len(db.Trans)))
+	var b treeBuild
+	t := b.start(&nodeArena{}, order, make([]int64, len(db.Trans)))
+	tails := make([]int32, len(db.Trans))
 	var ranks []int32
-	var tidOne [1]int32
 	for i, tr := range db.Trans {
 		t.ts[i] = tr.TS
+		tails[i] = nilNode
 		ranks = ranks[:0]
 		for _, it := range tr.Items {
 			if r := list.Rank[it]; r >= 0 {
@@ -197,74 +224,44 @@ func buildRPTree(db *tsdb.DB, list *RPList) *rpTree {
 			continue
 		}
 		slices.Sort(ranks)
-		tidOne[0] = int32(i)
-		t.insertRanks(ranks, tidOne[:])
+		tails[i] = b.insert(ranks, 1)
+	}
+	b.layout()
+	nodes := t.arena.nodes
+	for i, n := range tails {
+		if n != nilNode {
+			nodes[n].lo--
+			t.tids[nodes[n].lo] = int32(i)
+		}
 	}
 	return t
 }
 
-// stage puts the tid bags of every node carrying the item at rank r on ms
-// for the next merge, and returns how many tids they hold: the support of
-// the suffix pattern being processed. During sequential mining the nodes'
-// own bags are TS^beta, because deeper items have already pushed theirs up
-// (Lemma 3). subtree stages each node's whole subtree instead, for the
-// parallel miner, which reads a shared immutable tree and so cannot rely
-// on push-ups having happened.
-func (t *rpTree) stage(ms *mergeScratch, r int, subtree bool) int {
+// stage puts the subtree ranges of every node carrying the item at rank r
+// on ms for the next merge, and returns how many tids they hold: the
+// support of the suffix pattern being processed. The ranges together are
+// TS^beta, what Lemma 3's push-ups would have gathered at those nodes.
+func (t *rpTree) stage(ms *mergeScratch, r int) int {
 	a := t.arena
 	bags := ms.bags[:0]
-	for n := t.headers[r]; n != nilNode; n = a.nodes[n].link {
-		if subtree {
-			bags = t.appendSubtree(bags, n)
-		} else {
-			bags = append(bags, a.nodes[n].tids)
-		}
+	n := 0
+	for ni := t.headers[r]; ni != nilNode; ni = a.nodes[ni].link {
+		nd := &a.nodes[ni]
+		bags = append(bags, t.tids[nd.lo:nd.hi])
+		n += int(nd.hi - nd.lo)
 	}
 	ms.bags = bags
-	n := 0
-	for _, b := range bags {
-		n += len(b)
-	}
 	return n
-}
-
-// appendSubtree appends the non-empty tid bags of n's subtree to dst.
-func (t *rpTree) appendSubtree(dst [][]int32, n int32) [][]int32 {
-	a := t.arena
-	if len(a.nodes[n].tids) > 0 {
-		dst = append(dst, a.nodes[n].tids)
-	}
-	for c := a.nodes[n].firstChild; c != nilNode; c = a.nodes[c].nextSibling {
-		dst = t.appendSubtree(dst, c)
-	}
-	return dst
-}
-
-// pushUp implements Lemma 3 and line 9 of Algorithm 4: every node carrying
-// the item at rank r hands its tids to its parent. Tids pushed to the root
-// (projections that contained only this item) are discarded; the
-// transactions they identify contain no other candidate item. The nodes stay
-// linked in the slab — bottom-up mining never revisits rank r, and only the
-// parallel miner walks child links, on a tree that is never pushed up.
-func (t *rpTree) pushUp(r int) {
-	a := t.arena
-	for ni := t.headers[r]; ni != nilNode; {
-		n := &a.nodes[ni]
-		ni = n.link
-		if n.parent != t.root {
-			a.nodes[n.parent].tids = append(a.nodes[n.parent].tids, n.tids...)
-		}
-		n.tids = n.tids[:0] // keep capacity for slot salvage
-	}
-	t.headers[r] = nilNode
 }
 
 // basePath is one prefix path of the suffix item, restricted to candidate
 // ancestors: the tree ranks of the ancestors (root-most first, ascending,
-// stored as [rankLo:rankHi) of the scratch's shared rankBuf backing) and the
-// path's tids.
+// stored as [rankLo:rankHi) of the scratch's shared rankBuf backing), the
+// path's tids (its node's subtree range) and, once inserted into the
+// conditional tree, its tail node there.
 type basePath struct {
 	rankLo, rankHi int32
+	tail           int32
 	tids           []int32
 }
 
@@ -293,40 +290,21 @@ func growN[T any](s *[]T, n int) []T {
 // conditional support alone bounds its Erec below MinRec is dropped before
 // its union is built.
 //
-// The new tree is carved from dst (the caller's arena), so the shared
-// initial tree is never mutated — the parallel miner's workers all read t
-// concurrently while building their own conditional trees.
-//
-// subtree selects how a node's tids are read: the sequential miner reads
-// the node's bag directly (push-ups have accumulated descendant tids),
-// while the parallel miner gathers each node's subtree.
-func (t *rpTree) conditionalTree(dst *nodeArena, ms *mergeScratch, o Options, r int, subtree bool) *rpTree {
+// The new tree, tids included, is carved from dst (the caller's arena), so
+// t is never mutated — the workers of a parallel run all read the shared
+// initial tree concurrently while building their own conditional trees.
+func (t *rpTree) conditionalTree(dst *nodeArena, ms *mergeScratch, o Options, r int) *rpTree {
 	a := t.arena
 
 	// First pass: one base path per node carrying rank r — its candidate
 	// ancestors (tree ranks, root-most first, in the shared rankBuf
-	// backing) and its tids. All of it lives in pooled per-miner scratch;
-	// the only allocations left in this function are the pieces the
-	// returned tree retains. A subtree-mode path's tids are its subtree's
-	// bags, concatenated into the shared tidBuf backing; a path keeps its
-	// slice when a later append moves tidBuf, since the old backing stays
-	// intact.
-	base, rankBuf, tidBuf := ms.base[:0], ms.rankBuf[:0], ms.tidBuf[:0]
+	// backing) and its tids, the node's subtree range. All of it lives in
+	// pooled per-miner scratch; the only allocations left in this function
+	// are the pieces the returned tree retains.
+	base, rankBuf := ms.base[:0], ms.rankBuf[:0]
 	for ni := t.headers[r]; ni != nilNode; ni = a.nodes[ni].link {
 		n := &a.nodes[ni]
 		if n.parent == t.root {
-			continue
-		}
-		tids := n.tids
-		if subtree {
-			lo := len(tidBuf)
-			ms.bags = t.appendSubtree(ms.bags[:0], ni)
-			for _, b := range ms.bags {
-				tidBuf = append(tidBuf, b...)
-			}
-			tids = tidBuf[lo:]
-		}
-		if len(tids) == 0 {
 			continue
 		}
 		lo := int32(len(rankBuf))
@@ -334,9 +312,9 @@ func (t *rpTree) conditionalTree(dst *nodeArena, ms *mergeScratch, o Options, r 
 			rankBuf = append(rankBuf, a.nodes[p].rank)
 		}
 		slices.Reverse(rankBuf[lo:]) // root-most first
-		base = append(base, basePath{rankLo: lo, rankHi: int32(len(rankBuf)), tids: tids})
+		base = append(base, basePath{rankLo: lo, rankHi: int32(len(rankBuf)), tids: t.tids[n.lo:n.hi]})
 	}
-	ms.base, ms.rankBuf, ms.tidBuf = base, rankBuf, tidBuf
+	ms.base, ms.rankBuf = base, rankBuf
 	if len(base) == 0 {
 		return nil
 	}
@@ -423,11 +401,14 @@ func (t *rpTree) conditionalTree(dst *nodeArena, ms *mergeScratch, o Options, r 
 		condRank[k.trank] = int32(i)
 	}
 
-	// Second pass: insert the filtered, re-ranked prefix paths.
-	ct := newRPTree(dst, order, t.ts)
+	// Second pass: insert the filtered, re-ranked prefix paths, lay the
+	// tree out, and copy each path's tids to its tail node's slots.
+	b := &ms.build
+	ct := b.start(dst, order, t.ts)
 	path := ms.path[:0]
 	for bi := range base {
 		bp := &base[bi]
+		bp.tail = nilNode
 		path = path[:0]
 		for _, tr := range rankBuf[bp.rankLo:bp.rankHi] {
 			if cr := condRank[tr]; cr != nilNode {
@@ -438,8 +419,14 @@ func (t *rpTree) conditionalTree(dst *nodeArena, ms *mergeScratch, o Options, r 
 			continue
 		}
 		slices.Sort(path)
-		ct.insertRanks(path, bp.tids)
+		bp.tail = b.insert(path, len(bp.tids))
 	}
 	ms.path = path
+	b.layout()
+	for _, bp := range base {
+		if bp.tail != nilNode {
+			ct.place(bp.tail, bp.tids)
+		}
+	}
 	return ct
 }

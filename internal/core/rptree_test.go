@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/rand/v2"
 	"reflect"
 	"slices"
 	"testing"
@@ -8,11 +9,35 @@ import (
 	"github.com/recurpat/rp/internal/tsdb"
 )
 
-// collectTS is TS^beta for the item at rank r as the sequential miner reads
-// it: the union of the rank's node lists, through the tid -> timestamp map.
+// collectTS is TS^beta for the item at rank r as the miner reads it: the
+// union of the subtree ranges of the rank's nodes, through the tid ->
+// timestamp map.
 func (t *rpTree) collectTS(ms *mergeScratch, r int, dst []int64) []int64 {
-	t.stage(ms, r, false)
+	t.stage(ms, r)
 	return ms.merge(t.ts, dst)
+}
+
+// ownLen is the number of tail tids node n holds itself: its range minus
+// its children's ranges.
+func (t *rpTree) ownLen(n int32) int32 {
+	own := t.arena.nodes[n].hi - t.arena.nodes[n].lo
+	for c := n + 1; c < int32(len(t.arena.nodes)); c++ {
+		if t.arena.nodes[c].parent == n {
+			own -= t.arena.nodes[c].hi - t.arena.nodes[c].lo
+		}
+	}
+	return own
+}
+
+// pathItems lists the items on the path from the root to node n, root-most
+// first.
+func (t *rpTree) pathItems(n int32) []tsdb.ItemID {
+	var items []tsdb.ItemID
+	for ; n != t.root; n = t.arena.nodes[n].parent {
+		items = append(items, t.order[t.arena.nodes[n].rank])
+	}
+	slices.Reverse(items)
+	return items
 }
 
 // buildPaperTree constructs the RP-tree of the running example (paper
@@ -27,20 +52,25 @@ func buildPaperTree(t *testing.T) (*tsdb.DB, *RPList, *rpTree) {
 
 func TestRPTreeStructurePaperExample(t *testing.T) {
 	db, list, tree := buildPaperTree(t)
-	var ms mergeScratch
 	// Six candidate items -> six header chains.
 	if len(tree.headers) != 6 {
 		t.Fatalf("headers = %d, want 6", len(tree.headers))
 	}
 	// Every transaction's full candidate projection timestamps must be
-	// recoverable: collecting each item's subtree ts covers exactly the
+	// recoverable: the ranges of each item's nodes cover exactly the
 	// transactions containing that item.
 	for rank, item := range tree.order {
-		tree.stage(&ms, rank, true)
-		ts := ms.merge(tree.ts, nil)
+		var ts []int64
+		for n := tree.headers[rank]; n != nilNode; n = tree.arena.nodes[n].link {
+			nd := tree.arena.nodes[n]
+			for _, tid := range tree.tids[nd.lo:nd.hi] {
+				ts = append(ts, tree.ts[tid])
+			}
+		}
+		slices.Sort(ts)
 		want := db.TSList([]tsdb.ItemID{item})
 		if !reflect.DeepEqual(ts, want) {
-			t.Errorf("item %s subtree ts = %v, want %v", db.Dict.Name(item), ts, want)
+			t.Errorf("item %s range ts = %v, want %v", db.Dict.Name(item), ts, want)
 		}
 	}
 	// Figure 5(b): the root's children are exactly the distinct leading
@@ -54,43 +84,56 @@ func TestRPTreeStructurePaperExample(t *testing.T) {
 			roots[proj[0]] = true
 		}
 	}
-	got := 0
-	for c := tree.arena.nodes[tree.root].firstChild; c != nilNode; c = tree.arena.nodes[c].nextSibling {
-		got++
-	}
-	if got != len(roots) {
-		t.Errorf("root children = %d, want %d", got, len(roots))
-	}
-	// The dense root index must agree with the sibling list.
-	for rk, ci := range tree.rootByRank {
-		if ci == nilNode {
-			continue
+	got := map[tsdb.ItemID]bool{}
+	for n := range tree.arena.nodes {
+		if nd := tree.arena.nodes[n]; nd.parent == tree.root {
+			item := tree.order[nd.rank]
+			if got[item] {
+				t.Errorf("root has two children for item %s", db.Dict.Name(item))
+			}
+			got[item] = true
 		}
-		if tree.arena.nodes[ci].rank != int32(rk) || tree.arena.nodes[ci].parent != tree.root {
-			t.Errorf("rootByRank[%d] inconsistent", rk)
-		}
+	}
+	if !reflect.DeepEqual(got, roots) {
+		t.Errorf("root children = %v, want %v", got, roots)
+	}
+	// The root's range spans every transaction with a candidate item.
+	if nd := tree.arena.nodes[tree.root]; nd.lo != 0 || int(nd.hi) != len(tree.tids) {
+		t.Errorf("root range [%d, %d), want [0, %d)", nd.lo, nd.hi, len(tree.tids))
 	}
 }
 
 func TestRPTreeNoSupportCountsOnlyTailTS(t *testing.T) {
-	// Paper Section 4.2.1: only tail nodes carry ts-lists. Gather the tids
-	// across the tree: every transaction (each has a candidate item here)
-	// must be recorded exactly once, and map to its own timestamp.
-	db, _, tree := buildPaperTree(t)
-	var tids []int32
-	for i := range tree.arena.nodes {
-		tids = append(tids, tree.arena.nodes[i].tids...)
+	// Paper Section 4.2.1: only tail nodes carry ts-lists. Each tid sits
+	// in its tail node's own slots, the head of the node's range: every
+	// transaction (each has a candidate item here) appears exactly once,
+	// at the node whose root path is its candidate projection, and maps to
+	// its own timestamp.
+	db, list, tree := buildPaperTree(t)
+	if len(tree.tids) != db.Len() {
+		t.Fatalf("tree holds %d tids, want %d (one per transaction)", len(tree.tids), db.Len())
 	}
-	slices.Sort(tids)
-	if len(tids) != db.Len() {
-		t.Fatalf("tree holds %d tids, want %d (one per transaction)", len(tids), db.Len())
-	}
-	for i, tid := range tids {
-		if tid != int32(i) {
-			t.Fatalf("sorted tids[%d] = %d: a transaction is missing or recorded twice", i, tid)
+	seen := make([]bool, db.Len())
+	var proj []tsdb.ItemID
+	for n := range tree.arena.nodes {
+		nd := tree.arena.nodes[n]
+		for _, tid := range tree.tids[nd.lo : nd.lo+tree.ownLen(int32(n))] {
+			if seen[tid] {
+				t.Fatalf("tid %d recorded twice", tid)
+			}
+			seen[tid] = true
+			proj = list.Project(proj[:0], db.Trans[tid].Items)
+			if path := tree.pathItems(int32(n)); !reflect.DeepEqual(path, proj) {
+				t.Errorf("tid %d sits at path %v, its projection is %v", tid, path, proj)
+			}
+			if tree.ts[tid] != db.Trans[tid].TS {
+				t.Fatalf("tid %d maps to ts %d, want %d", tid, tree.ts[tid], db.Trans[tid].TS)
+			}
 		}
-		if tree.ts[tid] != db.Trans[i].TS {
-			t.Fatalf("tid %d maps to ts %d, want %d", tid, tree.ts[tid], db.Trans[i].TS)
+	}
+	for tid, ok := range seen {
+		if !ok {
+			t.Fatalf("tid %d sits in no node's own slots", tid)
 		}
 	}
 }
@@ -98,29 +141,13 @@ func TestRPTreeNoSupportCountsOnlyTailTS(t *testing.T) {
 func TestCollectTSMatchesScan(t *testing.T) {
 	db, _, tree := buildPaperTree(t)
 	var ms mergeScratch
-	// Before any push-up, the bottom item's collectTS must equal its scan
-	// ts-list (all its nodes are tail nodes).
-	bottomRank := len(tree.order) - 1
-	bottom := tree.order[bottomRank]
-	got := tree.collectTS(&ms, bottomRank, nil)
-	want := db.TSList([]tsdb.ItemID{bottom})
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("collectTS(%s) = %v, want %v", db.Dict.Name(bottom), got, want)
-	}
-}
-
-func TestPushUpPreservesParentTS(t *testing.T) {
-	// Lemma 3: pushing the bottom item's ts-lists up lets the next item's
-	// collectTS still see every transaction containing it.
-	db, _, tree := buildPaperTree(t)
-	var ms mergeScratch
-	for r := len(tree.order) - 1; r > 0; r-- {
-		tree.pushUp(r)
-		got := tree.collectTS(&ms, r-1, nil)
-		want := db.TSList([]tsdb.ItemID{tree.order[r-1]})
+	// Every item's collectTS, read from its nodes' ranges, equals its
+	// scan ts-list: the ranges hold what push-ups would gather.
+	for r, item := range tree.order {
+		got := tree.collectTS(&ms, r, nil)
+		want := db.TSList([]tsdb.ItemID{item})
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("after pushUp(%d): collectTS(%s) = %v, want %v",
-				r, db.Dict.Name(tree.order[r-1]), got, want)
+			t.Errorf("collectTS(%s) = %v, want %v", db.Dict.Name(item), got, want)
 		}
 	}
 }
@@ -142,7 +169,7 @@ func TestConditionalTreePaperExample(t *testing.T) {
 	if fRank != len(tree.order)-1 {
 		t.Fatalf("f should be the bottom item, got rank %d", fRank)
 	}
-	cond := tree.conditionalTree(&arena, &ms, paperOptions(), fRank, false)
+	cond := tree.conditionalTree(&arena, &ms, paperOptions(), fRank)
 	if cond == nil {
 		t.Fatal("conditional tree for f is empty")
 	}
@@ -158,35 +185,6 @@ func TestConditionalTreePaperExample(t *testing.T) {
 	want := []int64{3, 5, 6, 10, 11, 12}
 	if !reflect.DeepEqual(ts, want) {
 		t.Errorf("TS^ef = %v, want %v", ts, want)
-	}
-}
-
-func TestConditionalTreeSubtreeModeEquivalent(t *testing.T) {
-	// The parallel miner's subtree-merging conditional construction must
-	// produce the same conditional tree contents as the sequential
-	// push-up-based one, for the bottom item (where both apply unmodified).
-	_, _, tree1 := buildPaperTree(t)
-	_, _, tree2 := buildPaperTree(t)
-	var a1, a2 nodeArena
-	var ms mergeScratch
-	r := len(tree1.order) - 1
-	seqCT := tree1.conditionalTree(&a1, &ms, paperOptions(), r, false)
-	parCT := tree2.conditionalTree(&a2, &ms, paperOptions(), r, true)
-	if (seqCT == nil) != (parCT == nil) {
-		t.Fatalf("one mode produced nil: %v vs %v", seqCT, parCT)
-	}
-	if seqCT == nil {
-		return
-	}
-	if !reflect.DeepEqual(seqCT.order, parCT.order) {
-		t.Fatalf("orders differ: %v vs %v", seqCT.order, parCT.order)
-	}
-	for rank := range seqCT.order {
-		a := seqCT.collectTS(&ms, rank, nil)
-		b := parCT.collectTS(&ms, rank, nil)
-		if !reflect.DeepEqual(a, b) {
-			t.Errorf("rank %d ts differ: %v vs %v", rank, a, b)
-		}
 	}
 }
 
@@ -317,4 +315,192 @@ func TestLemma2TreeSizeBound(t *testing.T) {
 	if len(tree.arena.nodes) != tree.nodes+1 {
 		t.Errorf("slab has %d entries, want %d nodes + 1 root", len(tree.arena.nodes), tree.nodes)
 	}
+}
+
+// checkRanges verifies the subtree-range layout of tree, whose database is
+// the transactions members of db: every member whose projection onto the
+// tree's items is non-empty sits in tree.tids exactly once; every node's
+// range holds exactly the members whose projection passes through the node
+// (brute force); and a node's children's ranges are disjoint and nested in
+// its range, after the node's own tail tids.
+func checkRanges(t *testing.T, db *tsdb.DB, tree *rpTree, members []int32) {
+	t.Helper()
+	inTree := map[tsdb.ItemID]bool{}
+	for _, it := range tree.order {
+		inTree[it] = true
+	}
+	rank := map[tsdb.ItemID]int{}
+	for r, it := range tree.order {
+		rank[it] = r
+	}
+	// proj[tid] is the member's projection, in tree rank order.
+	proj := map[int32][]tsdb.ItemID{}
+	for _, tid := range members {
+		var p []tsdb.ItemID
+		for _, it := range db.Trans[tid].Items {
+			if inTree[it] {
+				p = append(p, it)
+			}
+		}
+		slices.SortFunc(p, func(x, y tsdb.ItemID) int { return rank[x] - rank[y] })
+		if len(p) > 0 {
+			proj[tid] = p
+		}
+	}
+
+	seen := map[int32]int{}
+	for _, tid := range tree.tids {
+		seen[tid]++
+	}
+	for tid, n := range seen {
+		if n != 1 {
+			t.Fatalf("tid %d appears %d times in tree.tids", tid, n)
+		}
+		if _, ok := proj[tid]; !ok {
+			t.Fatalf("tid %d is in tree.tids but its projection is empty or it is no member", tid)
+		}
+	}
+	if len(seen) != len(proj) {
+		t.Fatalf("tree.tids holds %d transactions, want %d", len(seen), len(proj))
+	}
+
+	nodes := tree.arena.nodes
+	for n := tree.root; n < int32(len(nodes)); n++ {
+		nd := nodes[n]
+		if nd.lo < 0 || nd.lo > nd.hi || int(nd.hi) > len(tree.tids) {
+			t.Fatalf("node %d range [%d, %d) outside tids[0:%d]", n, nd.lo, nd.hi, len(tree.tids))
+		}
+		path := tree.pathItems(n)
+		var want, wantOwn []int32
+		for tid, p := range proj {
+			if len(p) >= len(path) && slices.Equal(p[:len(path)], path) {
+				want = append(want, tid)
+				if len(p) == len(path) {
+					wantOwn = append(wantOwn, tid)
+				}
+			}
+		}
+		got := slices.Clone(tree.tids[nd.lo:nd.hi])
+		slices.Sort(got)
+		slices.Sort(want)
+		if !slices.Equal(got, want) {
+			t.Fatalf("node %d (path %v) range holds %v, want %v", n, path, got, want)
+		}
+		own := slices.Clone(tree.tids[nd.lo : nd.lo+int32(len(wantOwn))])
+		slices.Sort(own)
+		slices.Sort(wantOwn)
+		if !slices.Equal(own, wantOwn) {
+			t.Fatalf("node %d (path %v) own slots hold %v, want its tail tids %v", n, path, own, wantOwn)
+		}
+		// Children tile the rest of the range without overlap.
+		var kids [][2]int32
+		for c := n + 1; c < int32(len(nodes)); c++ {
+			if nodes[c].parent == n {
+				kids = append(kids, [2]int32{nodes[c].lo, nodes[c].hi})
+			}
+		}
+		slices.SortFunc(kids, func(x, y [2]int32) int { return int(x[0] - y[0]) })
+		at := nd.lo + int32(len(wantOwn))
+		for _, k := range kids {
+			if k[0] != at {
+				t.Fatalf("node %d: child range [%d, %d) does not start at %d", n, k[0], k[1], at)
+			}
+			at = k[1]
+		}
+		if at != nd.hi {
+			t.Fatalf("node %d: children end at %d, range ends at %d", n, at, nd.hi)
+		}
+	}
+}
+
+// walkRanges checks tree and, depth first, every conditional tree a mine
+// of it can build — one per rank and level, a superset of those mining
+// builds — against checkRanges.
+func walkRanges(t *testing.T, db *tsdb.DB, o Options, tree *rpTree, members []int32, a *nodeArena, ms *mergeScratch) int {
+	t.Helper()
+	checkRanges(t, db, tree, members)
+	built := 1
+	for r := len(tree.order) - 1; r >= 0; r-- {
+		mark := a.mark()
+		ct := tree.conditionalTree(a, ms, o, r)
+		ms.pruned = 0
+		if ct != nil {
+			var sub []int32
+			for _, tid := range members {
+				if slices.Contains(db.Trans[tid].Items, tree.order[r]) {
+					sub = append(sub, tid)
+				}
+			}
+			built += walkRanges(t, db, o, ct, sub, a, ms)
+		}
+		a.reset(mark)
+	}
+	return built
+}
+
+// checkTreeRanges builds db's initial tree under o and walks every
+// conditional tree below it, with Erec pruning on and off.
+func checkTreeRanges(t *testing.T, db *tsdb.DB, o Options) int {
+	t.Helper()
+	built := 0
+	for _, off := range []bool{false, true} {
+		o.DisableErecPruning = off
+		list := BuildRPList(db, o)
+		if len(list.Candidates) == 0 {
+			continue
+		}
+		tree := buildRPTree(db, list)
+		all := make([]int32, db.Len())
+		for i := range all {
+			all[i] = int32(i)
+		}
+		var a nodeArena
+		var ms mergeScratch
+		built += walkRanges(t, db, o, tree, all, &a, &ms)
+	}
+	return built
+}
+
+func TestTreeRanges(t *testing.T) {
+	checkTreeRanges(t, paperDB(t), paperOptions())
+	rng := rand.New(rand.NewPCG(14, 1))
+	conditional := 0
+	for trial := 0; trial < 30; trial++ {
+		db := randomDB(rng, 3+rng.IntN(6), 20+rng.IntN(60), 0.2+0.4*rng.Float64())
+		o := Options{Per: 1 + rng.Int64N(4), MinPS: 1 + rng.IntN(3), MinRec: 1 + rng.IntN(3)}
+		conditional += checkTreeRanges(t, db, o) - 2
+	}
+	if conditional < 100 {
+		t.Fatalf("only %d conditional trees checked; the random DBs are too sparse", conditional)
+	}
+}
+
+func FuzzTreeRanges(f *testing.F) {
+	f.Add([]byte{1, 2, 3, 0, 1, 2, 3, 4, 5, 6, 1, 2, 3, 7}, int64(2), 2, 1)
+	f.Add([]byte{0, 1, 0, 1, 2, 2, 0, 1, 2, 3, 3, 3}, int64(1), 1, 1)
+	f.Fuzz(func(t *testing.T, data []byte, per int64, minPS, minRec int) {
+		if per <= 0 || per > 1000 {
+			per = 2
+		}
+		if minPS <= 0 || minPS > 100 {
+			minPS = 2
+		}
+		if minRec <= 0 || minRec > 10 {
+			minRec = 1
+		}
+		// As in FuzzMineAgainstVertical: each byte contributes item
+		// (b & 7) at timestamp (index/2 + 1).
+		b := newFuzzBuilder()
+		for i, by := range data {
+			if i > 200 {
+				break
+			}
+			b.add(int64(i/2+1), by&7)
+		}
+		db := b.build()
+		if db.Len() == 0 {
+			return
+		}
+		checkTreeRanges(t, db, Options{Per: per, MinPS: minPS, MinRec: minRec})
+	})
 }

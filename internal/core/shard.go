@@ -67,10 +67,10 @@ func (s ShardSpec) ranks(n int) []int {
 // single-box stats, except TreeNodes, which counts each shard's copy of the
 // initial tree.
 //
-// A proper subset (Count > 1) is mined by the worker pool's read-only
-// subtree merge at any Parallelism. A spec of {0, 1} owns every rank and is
-// exactly MineContext, push-up miner included at Parallelism ≤ 1.
-// Cancellation behaves as in MineContext: task-granular, *CancelError.
+// Every spec runs the same worker-pool loop as MineContext, over only the
+// ranks it owns; a spec of {0, 1} owns every rank and is exactly
+// MineContext. Cancellation behaves as in MineContext: task-granular,
+// *CancelError.
 func MineShardContext(ctx context.Context, db *tsdb.DB, o Options, spec ShardSpec) (*Result, error) {
 	return mine(ctx, db, o, spec, nil)
 }

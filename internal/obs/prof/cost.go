@@ -1,7 +1,7 @@
 package prof
 
 import (
-	"runtime/metrics"
+	"runtime"
 	"time"
 )
 
@@ -11,9 +11,8 @@ import (
 // while one request mines at a time and an upper bound under concurrency
 // (the journal documents it as such).
 type Cost struct {
-	// AllocBytes is cumulative heap allocation (runtime/metrics
-	// /gc/heap/allocs:bytes): monotone, counts all allocs ever, immune to
-	// GC timing.
+	// AllocBytes is cumulative heap allocation (runtime.MemStats
+	// TotalAlloc): monotone, counts all allocs ever, immune to GC timing.
 	AllocBytes uint64
 	// CPU is cumulative user+system CPU time consumed by the process.
 	// Read from getrusage on unix; zero where unavailable, and a Sub of
@@ -34,13 +33,14 @@ func (c Cost) Sub(prev Cost) Cost {
 	return d
 }
 
-var allocSample = []metrics.Sample{{Name: "/gc/heap/allocs:bytes"}}
-
-// ReadCost samples the process counters. Cheap enough to call per request:
-// one runtime/metrics read plus one getrusage syscall.
+// ReadCost samples the process counters: one runtime.ReadMemStats plus one
+// getrusage syscall. ReadMemStats stops the world for a few microseconds,
+// and in exchange flushes every P's span cache first, so the read counts
+// the small allocations still sitting in cached spans; the runtime/metrics
+// counter counts those only when their span is refilled, which reads a
+// mine whose allocations fit the cached spans as zero.
 func ReadCost() Cost {
-	s := make([]metrics.Sample, len(allocSample))
-	copy(s, allocSample)
-	metrics.Read(s)
-	return Cost{AllocBytes: s[0].Value.Uint64(), CPU: processCPU()}
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return Cost{AllocBytes: ms.TotalAlloc, CPU: processCPU()}
 }
