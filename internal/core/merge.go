@@ -31,15 +31,13 @@ type mergeScratch struct {
 	free [][]int64 // timestamp buffer free list
 
 	// conditionalTree scratch (see rptree.go):
-	base     []basePath // base paths of the current call
-	rankBuf  []int32    // shared backing for the paths' ancestor ranks
-	sup      []int      // per-rank conditional support
-	cur      []int      // CSR offsets / fill cursors
-	pathIdx  []int32    // CSR payload: base-path indices per rank
-	keep     []condKeep // items surviving the Erec check
-	condRank []int32    // tree rank -> conditional rank, or nilNode
-	path     []int32    // re-ranked path being inserted
-	build    treeBuild  // the conditional tree's construction scratch
+	base    []rankPath // base paths of the current call
+	sup     []int      // per-rank conditional support
+	cur     []int      // CSR offsets / fill cursors
+	pathIdx []int32    // CSR payload: base-path indices per rank
+	keep    []condKeep // items surviving the Erec check
+	spans   []span     // the kept items' base-path lists, in conditional rank order
+	build   treeBuild  // the conditional tree's construction scratch
 
 	// pruned counts the prefix items conditionalTree dropped by the Erec
 	// check since the owning miner last collected them (miner.prune).

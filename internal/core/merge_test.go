@@ -7,6 +7,8 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"github.com/recurpat/rp/internal/tsdb"
 )
 
 // unionOracle is what a union of tid bags must produce: the sorted
@@ -180,6 +182,26 @@ func FuzzTidUnion(f *testing.F) {
 	})
 }
 
+func TestCheckPathSpace(t *testing.T) {
+	list := func(sups ...int) *RPList {
+		l := &RPList{}
+		for i, s := range sups {
+			l.Candidates = append(l.Candidates, RPListEntry{Item: tsdb.ItemID(i), Support: s})
+		}
+		return l
+	}
+	if err := checkPathSpace(list(math.MaxInt32-1, 1)); err != nil {
+		t.Errorf("checkPathSpace at the limit = %v, want nil", err)
+	}
+	err := checkPathSpace(list(math.MaxInt32, 1))
+	if err == nil {
+		t.Fatal("checkPathSpace accepted projections past int32")
+	}
+	if !strings.Contains(err.Error(), "projections") {
+		t.Errorf("checkPathSpace error %q does not name the projections", err)
+	}
+}
+
 func TestCheckTidSpace(t *testing.T) {
 	for _, n := range []int64{0, 1, math.MaxInt32 - 1, math.MaxInt32} {
 		if err := checkTidSpace(n); err != nil {
@@ -202,7 +224,7 @@ func TestMinerArenaReuse(t *testing.T) {
 	// does rank after rank) must produce identical results: the arena reset
 	// and scratch recycling may not leak state between runs.
 	rng := rand.New(rand.NewPCG(21, 4))
-	slabbed := 0 // trials whose mine carved conditional tids
+	slabbed := 0 // trials whose mine carved conditional nodes, tids and paths
 	for trial := 0; trial < 20; trial++ {
 		db := randomDB(rng, 6, 40, 0.35)
 		o := Options{Per: 3, MinPS: 2, MinRec: 2}
@@ -219,7 +241,7 @@ func TestMinerArenaReuse(t *testing.T) {
 		var m miner
 		m.o = o
 		var results []*Result
-		slabCap := 0
+		var slabCap [3]int // nodes, tids, paths
 		for round := 0; round < 2; round++ {
 			tree := buildRPTree(db, list)
 			res := &Result{}
@@ -227,19 +249,21 @@ func TestMinerArenaReuse(t *testing.T) {
 			m.mineTree(tree, nil, 1)
 			res.Canonicalize()
 			results = append(results, res)
-			// Every conditional tree's nodes and tids are reclaimed, and
-			// the second identical run reuses the first one's tid slab.
-			if len(m.arena.nodes) != 0 || len(m.arena.tids) != 0 {
-				t.Fatalf("trial %d round %d: arena holds %d nodes, %d tids after the mine",
-					trial, round, len(m.arena.nodes), len(m.arena.tids))
+			// Every conditional tree's nodes, tids and paths are reclaimed,
+			// and the second identical run reuses the first one's slabs.
+			a := &m.arena
+			if len(a.nodes) != 0 || len(a.tids) != 0 || len(a.paths) != 0 {
+				t.Fatalf("trial %d round %d: arena holds %d nodes, %d tids, %d path ranks after the mine",
+					trial, round, len(a.nodes), len(a.tids), len(a.paths))
 			}
-			if round == 1 && cap(m.arena.tids) != slabCap {
-				t.Fatalf("trial %d: tid slab grew from %d to %d on an identical rerun",
-					trial, slabCap, cap(m.arena.tids))
+			caps := [3]int{cap(a.nodes), cap(a.tids), cap(a.paths)}
+			if round == 1 && caps != slabCap {
+				t.Fatalf("trial %d: slab capacities (nodes, tids, paths) grew from %v to %v on an identical rerun",
+					trial, slabCap, caps)
 			}
-			slabCap = cap(m.arena.tids)
+			slabCap = caps
 		}
-		if slabCap > 0 {
+		if slabCap[0] > 0 && slabCap[1] > 0 && slabCap[2] > 0 {
 			slabbed++
 		}
 		for i, res := range results {
@@ -251,6 +275,6 @@ func TestMinerArenaReuse(t *testing.T) {
 		checkZeroBitmap(t, &m.ms.u)
 	}
 	if slabbed == 0 {
-		t.Fatal("no trial built a conditional tree; the tid slab went unchecked")
+		t.Fatal("no trial built a conditional tree; the slabs went unchecked")
 	}
 }

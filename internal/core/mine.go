@@ -76,6 +76,9 @@ func mine(ctx context.Context, db *tsdb.DB, o Options, spec ShardSpec, emit func
 	if len(list.Candidates) == 0 {
 		return res, nil
 	}
+	if err := checkPathSpace(list); err != nil {
+		return nil, err
+	}
 	var tree *rpTree
 	runPhase(ctx, o.Trace, obs.PhaseTreeBuild, func() { tree = buildRPTree(db, list) })
 	if o.CollectStats {
@@ -109,6 +112,20 @@ func mine(ctx context.Context, db *tsdb.DB, o Options, spec ShardSpec, emit func
 func checkTidSpace(n int64) error {
 	if n > math.MaxInt32 {
 		return fmt.Errorf("core: |TDB| = %d transactions exceeds the RP-tree's int32 transaction-index limit of %d", n, math.MaxInt32)
+	}
+	return nil
+}
+
+// checkPathSpace refuses a database whose candidate projections, the
+// RP-tree's rank paths, hold more items together than the tree's int32
+// path offsets can address. Their length is the candidates' summed support.
+func checkPathSpace(list *RPList) error {
+	n := int64(0)
+	for _, e := range list.Candidates {
+		n += int64(e.Support)
+	}
+	if n > math.MaxInt32 {
+		return fmt.Errorf("core: the candidate item projections hold %d items, past the RP-tree's int32 path-offset limit of %d", n, math.MaxInt32)
 	}
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"math/rand/v2"
 	"testing"
 
+	"github.com/recurpat/rp/internal/gen"
 	"github.com/recurpat/rp/internal/obs"
 )
 
@@ -31,6 +32,28 @@ func BenchmarkBuildRPTree(b *testing.B) {
 		tree := buildRPTree(db, list)
 		if tree.nodes == 0 {
 			b.Fatal("empty tree")
+		}
+	}
+}
+
+// BenchmarkBuildRPTreeShop14 builds the initial trees of the three Shop-14
+// cells of Table 7 (per 360, 720 and 1440 at minPS 0.2% and minRec 2), one
+// set per op: 59,040 transactions over 138 items, a tree far past the
+// cache, where BenchmarkBuildRPTree's fits in it.
+func BenchmarkBuildRPTreeShop14(b *testing.B) {
+	db := gen.Shop(gen.DefaultShop(2))
+	var lists []*RPList
+	for _, per := range []int64{360, 720, 1440} {
+		o := Options{Per: per, MinPS: MinPSFromPercent(db, 0.2), MinRec: 2}
+		lists = append(lists, BuildRPList(db, o))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, list := range lists {
+			if tree := buildRPTree(db, list); tree.nodes == 0 {
+				b.Fatal("empty tree")
+			}
 		}
 	}
 }

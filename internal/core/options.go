@@ -28,9 +28,11 @@ type Options struct {
 	// items. Zero means unlimited.
 	MaxLen int
 
-	// Parallelism, when greater than one, mines that many suffix-item
-	// subtrees concurrently. Zero or one selects the paper's sequential
-	// algorithm. Results are identical either way.
+	// Parallelism is the number of workers that mine suffix-item subtrees
+	// concurrently. Every run mines through the same worker pool, with at
+	// least one worker, so zero and one both mean a single worker. The
+	// pool hands out suffix items in the paper's discovery order, and the
+	// results are identical at every setting.
 	Parallelism int
 
 	// CollectStats, when set, fills the Stats field of the mining Result

@@ -1,73 +1,75 @@
 package core
 
 import (
+	"math"
 	"slices"
 
 	"github.com/recurpat/rp/internal/tsdb"
 )
 
 // nilNode is the null value of a node index: the slab equivalent of a nil
-// pointer for parent, child, sibling and header links.
+// pointer for header links.
 const nilNode int32 = -1
 
 // rpNode is a node of the RP-tree prefix tree (paper Section 4.2.1), laid
 // out for slab allocation: nodes live in a nodeArena's []rpNode slice and
-// reference each other by int32 index, so the slab holds no pointers. The
-// node's item is its tree's order[rank]. Unlike an FP-tree node it carries
-// no support count; instead, the transactions whose candidate projection
-// ends at a node (its tail tids) are recorded in the tree's tid array.
+// reference each other by int32 index, so the slab holds no pointers. Unlike
+// an FP-tree node it carries no support count; instead, the transactions
+// whose candidate projection ends at a node (its tail tids) are recorded in
+// the tree's tid array.
 //
-// That array is laid out so that every node's subtree is one contiguous
-// range tids[lo:hi], the node's own tail tids first, then its children's
-// ranges. The range is exactly the ts-list that pushing every deeper node's
-// list up to its parent (Lemma 3) would accumulate at the node, so mining
-// reads TS^beta straight off the ranges and never mutates the tree.
+// Nodes are created in pre-order, and the tid array is filled in the same
+// order, so every node's subtree is one contiguous range tids[lo:hi], the
+// node's own tail tids first, then its children's ranges. The range is
+// exactly the ts-list that pushing every deeper node's list up to its
+// parent (Lemma 3) would accumulate at the node, so mining reads TS^beta
+// straight off the ranges and never mutates the tree.
+//
+// A node's root path, the ranks from the root down to the node, is
+// paths[pathLo:pathHi] of the tree's path slab: the leading ranks of the
+// first rank path that reached the node, which every path through the node
+// shares. Its last rank is the node's own, its item the tree's order[rank].
 //
 // A tid is a transaction index (a position in db.Trans); the tree's ts map
 // turns tids into timestamps, and every sorted view is a union of ranges
 // (see merge.go), so a range's tids are in no particular order.
 type rpNode struct {
-	rank   int32 // position of the node's item in the owning tree's order
-	parent int32
-	link   int32 // next node carrying the same item (header chain)
-	lo, hi int32 // subtree range in the tree's tids
+	link           int32 // next node carrying the same item (header chain)
+	lo, hi         int32 // subtree range in the tree's tids
+	pathLo, pathHi int32 // root path in the tree's paths
 }
 
-// nodeArena is a slab of RP-tree nodes plus a slab of their tids.
-// Conditional trees are carved from a per-miner arena stack-wise: mark()
-// before building a conditional tree, reset(mark) once its recursion
-// returns, so both slabs' capacity is reused across the entire mining run
-// instead of being reallocated per tree.
+// nodeArena is a slab of RP-tree nodes plus slabs of their tids and rank
+// paths. Conditional trees are carved from a per-miner arena stack-wise:
+// mark() before building a conditional tree, reset(mark) once its
+// recursion returns, so every slab's capacity is reused across the entire
+// mining run instead of being reallocated per tree.
 type nodeArena struct {
 	nodes []rpNode
 	tids  []int32
+	paths []int32
 }
 
-// arenaMark is a position in both of a nodeArena's slabs.
-type arenaMark struct{ nodes, tids int }
+// arenaMark is a position in each of a nodeArena's slabs.
+type arenaMark struct{ nodes, tids, paths int }
 
-// newNode appends a fresh node and returns its index. Growing the slab may
-// move it, so callers must not hold *rpNode pointers across newNode calls.
-func (a *nodeArena) newNode(rank, parent, link int32) int32 {
-	a.nodes = append(a.nodes, rpNode{rank: rank, parent: parent, link: link})
-	return int32(len(a.nodes) - 1)
-}
-
-// allocTids carves n tids off the tid slab. A tree keeps the returned
+// carve cuts n elements off the end of *slab. A tree keeps the returned
 // slice, so a later growth of the slab leaves its contents in place.
-func (a *nodeArena) allocTids(n int) []int32 {
-	lo := len(a.tids)
-	a.tids = slices.Grow(a.tids, n)[:lo+n]
-	return a.tids[lo : lo+n : lo+n]
+func carve(slab *[]int32, n int) []int32 {
+	lo := len(*slab)
+	*slab = slices.Grow(*slab, n)[:lo+n]
+	return (*slab)[lo : lo+n : lo+n]
 }
 
 // mark returns the current slab positions for a later reset.
-func (a *nodeArena) mark() arenaMark { return arenaMark{len(a.nodes), len(a.tids)} }
+func (a *nodeArena) mark() arenaMark {
+	return arenaMark{len(a.nodes), len(a.tids), len(a.paths)}
+}
 
-// reset truncates the slabs back to a mark, reclaiming every node and tid
-// created since without freeing the slabs' backing arrays.
+// reset truncates the slabs back to a mark, reclaiming every node, tid and
+// path rank created since without freeing the slabs' backing arrays.
 func (a *nodeArena) reset(m arenaMark) {
-	a.nodes, a.tids = a.nodes[:m.nodes], a.tids[:m.tids]
+	a.nodes, a.tids, a.paths = a.nodes[:m.nodes], a.tids[:m.tids], a.paths[:m.paths]
 }
 
 // rpTree is a prefix tree plus the per-item header chains. The item order is
@@ -78,163 +80,237 @@ type rpTree struct {
 	arena   *nodeArena
 	root    int32
 	tids    []int32       // every node's subtree range, see rpNode
+	paths   []int32       // the rank paths the tree was built from
 	ts      []int64       // tid -> timestamp, shared by every tree of a mine
 	order   []tsdb.ItemID // tree item order, most frequent first
-	headers []int32       // first node per rank, nilNode when empty
+	headers []int32       // last node created per rank, nilNode when none
 	nodes   int           // nodes created (stats)
 }
 
-// treeBuild is the scratch of one tree construction: the child links that
-// insert walks, which the finished tree does not keep. A zero value is
+// rankPath is one rank path a tree is built from, with the tid bag of the
+// transactions it stands for: ranks paths[lo:hi], strictly ascending, and
+// tids src[tlo:thi] of the build's tid source.
+type rankPath struct {
+	lo, hi, tlo, thi int32
+}
+
+// treeBuild is the scratch of top-down tree construction. A zero value is
 // ready to use; conditional trees reuse one per miner.
 type treeBuild struct {
-	t          *rpTree
-	rootByRank []int32     // root's child per rank (O(1) insert lookup)
-	links      []buildLink // per node, indexed by node index minus the root's
+	tmp   []rankPath // bucketing scatter target
+	keys  []uint64   // per grouped path: bucket key << 32 | position
+	cnt   []int32    // counting-sort buckets
+	ends  []int32    // stack of the bucket ends of the groups being sorted
+	lcp   []int32    // per sorted path: leading ranks shared with the previous
+	stack []int32    // the open nodes of the emit pass, root-most first
 }
 
-// buildLink is a node's place in its parent's child list, which is sorted by
-// rank; the rank is repeated here so a sibling scan reads one array.
-type buildLink struct {
-	child, sibling, rank int32 // first child, next sibling, the node's rank
-}
-
-// start begins a tree over the given item order and tid map, carving its
-// root from a.
-func (b *treeBuild) start(a *nodeArena, order []tsdb.ItemID, ts []int64) *rpTree {
-	t := &rpTree{arena: a, ts: ts, order: order, headers: make([]int32, len(order))}
+// build makes the tree of order's items from its rank paths ps, whose ranks
+// lie in paths and whose bags index src, carving nodes and tids from a. ps
+// is reordered.
+//
+// The paths are bucketed top-down (sort), which puts them in pre-order and
+// tells how many leading ranks each shares with the one before it. One pass
+// over them then emits the nodes: a path closes the open nodes below the
+// ranks it shares, opens one node per further rank and appends its tids at
+// the cursor. Nodes and tids thus come out in pre-order, a node's range
+// runs from the tid cursor at its opening to the cursor at its close, and
+// the node count, known before the pass, sizes the slab exactly.
+func (b *treeBuild) build(a *nodeArena, order []tsdb.ItemID, ts []int64, paths []int32, ps []rankPath, src []int32) *rpTree {
+	t := &rpTree{arena: a, paths: paths, ts: ts, order: order, headers: make([]int32, len(order))}
 	for i := range t.headers {
 		t.headers[i] = nilNode
 	}
-	t.root = a.newNode(-1, nilNode, nilNode)
-	b.t = t
-	b.rootByRank = growN(&b.rootByRank, len(order))
-	for i := range b.rootByRank {
-		b.rootByRank[i] = nilNode
+	lcp := growN(&b.lcp, len(ps))
+	if len(ps) > 0 {
+		lcp[0] = 0
+		b.sort(paths, ps, lcp, 0)
 	}
-	b.links = append(b.links[:0], buildLink{nilNode, nilNode, -1})
+	ntids := 0
+	for i, p := range ps {
+		t.nodes += int(p.hi - p.lo - lcp[i])
+		ntids += int(p.thi - p.tlo)
+	}
+	t.tids = carve(&a.tids, ntids)
+	t.root = int32(len(a.nodes))
+	nodes := append(slices.Grow(a.nodes, t.nodes+1), rpNode{link: nilNode, hi: int32(ntids)})
+	stack, cur := b.stack[:0], int32(0)
+	for i, p := range ps {
+		shared := lcp[i]
+		for _, n := range stack[shared:] {
+			nodes[n].hi = cur
+		}
+		stack = stack[:shared]
+		for k := p.lo + shared; k < p.hi; k++ {
+			rank, n := paths[k], int32(len(nodes))
+			nodes = append(nodes, rpNode{link: t.headers[rank], lo: cur, pathLo: p.lo, pathHi: k + 1})
+			t.headers[rank] = n
+			stack = append(stack, n)
+		}
+		cur += int32(copy(t.tids[cur:], src[p.tlo:p.thi]))
+	}
+	for _, n := range stack {
+		nodes[n].hi = cur
+	}
+	a.nodes, b.stack = nodes, stack
 	return t
 }
 
-// insert adds one candidate projection, given as its strictly increasing
-// sequence of tree ranks, and returns its tail node (Algorithm 3,
-// insert_tree). k is the number of tids the projection carries; they are
-// placed once the tree is laid out (layout, place).
-func (b *treeBuild) insert(ranks []int32, k int) int32 {
-	t := b.t
-	a := t.arena
-	cur := t.root
-	for _, rk := range ranks {
-		child := nilNode
-		prev := &b.links[cur-t.root].child // link to splice a new child into
-		if cur == t.root {
-			child = b.rootByRank[rk]
+// sort orders ps, rank paths sharing their first d ranks, so that a path
+// comes before its extensions and paths sharing a longer prefix are
+// adjacent: it buckets them by their rank at depth d, the paths ending
+// there first, then sorts each bucket one rank deeper. It records in lcp,
+// for every position but the first, how many leading ranks the path there
+// shares with the one before.
+func (b *treeBuild) sort(paths []int32, ps []rankPath, lcp []int32, d int32) {
+	if len(ps) < 2 {
+		return
+	}
+	mark := len(b.ends)
+	b.bucket(paths, ps, d)
+	start, end := int32(0), len(b.ends)
+	for i := mark; i < end; i++ {
+		stop := b.ends[i]
+		if start > 0 {
+			lcp[start] = d
+		}
+		if ps[start].lo+d < ps[start].hi {
+			b.sort(paths, ps[start:stop], lcp[start:stop], d+1)
 		} else {
-			for c := *prev; c != nilNode; c = *prev {
-				l := &b.links[c-t.root]
-				if l.rank >= rk {
-					if l.rank == rk {
-						child = c
-					}
-					break
-				}
-				prev = &l.sibling
+			for j := start + 1; j < stop; j++ {
+				lcp[j] = d // identical paths, ending at depth d
 			}
 		}
-		if child == nilNode {
-			child = a.newNode(rk, cur, t.headers[rk])
-			t.headers[rk] = child
-			t.nodes++
-			next := nilNode
-			if cur == t.root {
-				b.rootByRank[rk] = child
-			} else {
-				next, *prev = *prev, child
+		start = stop
+	}
+	b.ends = b.ends[:mark]
+}
+
+// bucket sorts ps, rank paths sharing their first d ranks, by their rank at
+// depth d, the paths ending there first, and pushes each non-empty bucket's
+// end onto b.ends. A counting sort serves groups whose key span is small
+// next to their size; a sort of packed keys serves the rest, which lie deep
+// in the tree and are small. Both are stable, so every tree is built alike.
+func (b *treeBuild) bucket(paths []int32, ps []rankPath, d int32) {
+	keys := growN(&b.keys, len(ps))
+	kmin, kmax := uint64(math.MaxUint32), uint64(0)
+	for j, p := range ps {
+		k := uint64(0) // ends at depth d
+		if p.lo+d < p.hi {
+			k = uint64(paths[p.lo+d]) + 1
+		}
+		keys[j] = k<<32 | uint64(j)
+		kmin, kmax = min(kmin, k), max(kmax, k)
+	}
+	tmp := growN(&b.tmp, len(ps))
+	if span := int(kmax - kmin + 1); span <= 2*len(ps) {
+		cnt := growN(&b.cnt, span+1)
+		clear(cnt)
+		for _, k := range keys {
+			cnt[k>>32-kmin+1]++
+		}
+		for i := 1; i <= span; i++ {
+			cnt[i] += cnt[i-1]
+		}
+		for j, k := range keys {
+			c := &cnt[k>>32-kmin]
+			tmp[*c] = ps[j]
+			*c++
+		}
+		prev := int32(0)
+		for _, e := range cnt[:span] {
+			if e != prev {
+				b.ends = append(b.ends, e)
+				prev = e
 			}
-			b.links = append(b.links, buildLink{nilNode, next, rk})
 		}
-		cur = child
-	}
-	a.nodes[cur].lo += int32(k)
-	a.nodes[cur].hi += int32(k)
-	return cur
-}
-
-// layout assigns every node its subtree range once all projections are
-// inserted, and carves the tree's tids from the arena. On entry lo and hi
-// both hold the number of tids whose projection ends at the node. Children
-// sit after their parents in the slab, so one backward pass sums subtree
-// sizes into hi and one forward pass hands each child the next free stretch
-// of its parent's range. On return hi is final and lo is the end of the
-// node's own tail slots, which place fills downwards back to the range
-// start.
-func (b *treeBuild) layout() {
-	t := b.t
-	nodes := t.arena.nodes[t.root:]
-	for i := len(nodes) - 1; i > 0; i-- {
-		nodes[nodes[i].parent-t.root].hi += nodes[i].hi
-	}
-	next := b.links // the child links are dead: reuse as per-node cursors
-	for i := range nodes {
-		n := &nodes[i]
-		start := int32(0)
-		if i > 0 {
-			p := &next[n.parent-t.root].child
-			start = *p
-			*p += n.hi
+	} else {
+		slices.Sort(keys)
+		for j, k := range keys {
+			tmp[j] = ps[uint32(k)]
+			if j+1 == len(keys) || keys[j+1]>>32 != k>>32 {
+				b.ends = append(b.ends, int32(j+1))
+			}
 		}
-		own := n.lo
-		n.lo, n.hi = start+own, start+n.hi
-		next[i].child = start + own
 	}
-	t.tids = t.arena.allocTids(int(nodes[0].hi))
-}
-
-// place records tids at their projection's tail node n; laid out, a node
-// takes exactly the tids its inserts announced.
-func (t *rpTree) place(n int32, tids []int32) {
-	nd := &t.arena.nodes[n]
-	nd.lo -= int32(len(tids))
-	copy(t.tids[nd.lo:], tids)
+	copy(ps, tmp)
 }
 
 // buildRPTree performs the second database scan of RP-growth (Algorithm 2):
-// every transaction's candidate item projection is inserted into the prefix
-// tree, and the transaction's index is then placed at its tail node. The
-// tree owns a fresh arena and the tid map every tree of the mine shares.
+// every transaction's candidate item projection becomes one rank path, and
+// the prefix tree of those paths is built top-down, each transaction's
+// index landing at its projection's tail node. The tree owns a fresh arena
+// and the tid map every tree of the mine shares.
+//
+// The scan files each transaction under the ranks it holds, one list per
+// rank sized by the item's support; dealing the lists out makes the
+// projections, rank-sorted with no sort per transaction.
 func buildRPTree(db *tsdb.DB, list *RPList) *rpTree {
 	order := make([]tsdb.ItemID, len(list.Candidates))
-	for i, e := range list.Candidates {
-		order[i] = e.Item
+	spans := make([]span, len(list.Candidates)) // rank r's list: cols[lo:hi]
+	total := int32(0)
+	for r, e := range list.Candidates {
+		order[r] = e.Item
+		spans[r] = span{total, total}
+		total += int32(e.Support)
 	}
-	var b treeBuild
-	t := b.start(&nodeArena{}, order, make([]int64, len(db.Trans)))
-	tails := make([]int32, len(db.Trans))
-	var ranks []int32
+	ts := make([]int64, len(db.Trans))
+	tids := make([]int32, len(db.Trans)) // the bags: tid i is tids[i:i+1]
+	base := make([]rankPath, len(db.Trans))
+	cols := make([]int32, total)
 	for i, tr := range db.Trans {
-		t.ts[i] = tr.TS
-		tails[i] = nilNode
-		ranks = ranks[:0]
+		ts[i], tids[i] = tr.TS, int32(i)
+		base[i] = rankPath{tlo: int32(i), thi: int32(i) + 1}
 		for _, it := range tr.Items {
 			if r := list.Rank[it]; r >= 0 {
-				ranks = append(ranks, int32(r))
+				cols[spans[r].hi] = int32(i)
+				spans[r].hi++
 			}
 		}
-		if len(ranks) == 0 {
-			continue
-		}
-		slices.Sort(ranks)
-		tails[i] = b.insert(ranks, 1)
 	}
-	b.layout()
-	nodes := t.arena.nodes
-	for i, n := range tails {
-		if n != nilNode {
-			nodes[n].lo--
-			t.tids[nodes[n].lo] = int32(i)
+	a := &nodeArena{}
+	paths, ps := dealPaths(&a.paths, base, cols, spans)
+	var b treeBuild
+	return b.build(a, order, ts, paths, ps, tids)
+}
+
+// span is a range lo:hi of an index list.
+type span struct{ lo, hi int32 }
+
+// dealPaths makes a tree's rank paths from base paths: rank i of the new
+// tree goes to the base paths idx[spans[i].lo:spans[i].hi]. Dealing the
+// ranks in ascending order lays every path out sorted. The ranks are
+// carved from slab and returned with the non-empty paths, compacted in
+// base, whose own rank ranges are overwritten; the paths' bags stay.
+func dealPaths(slab *[]int32, base []rankPath, idx []int32, spans []span) ([]int32, []rankPath) {
+	for bi := range base {
+		base[bi].hi = 0
+	}
+	for _, sp := range spans {
+		for _, bi := range idx[sp.lo:sp.hi] {
+			base[bi].hi++
 		}
 	}
-	return t
+	w := int32(0)
+	for bi := range base {
+		bp := &base[bi]
+		bp.lo, bp.hi, w = w, w, w+bp.hi
+	}
+	paths := carve(slab, int(w))
+	for i, sp := range spans {
+		for _, bi := range idx[sp.lo:sp.hi] {
+			bp := &base[bi]
+			paths[bp.hi] = int32(i)
+			bp.hi++
+		}
+	}
+	ps := base[:0]
+	for _, bp := range base {
+		if bp.hi > bp.lo {
+			ps = append(ps, bp)
+		}
+	}
+	return paths, ps
 }
 
 // stage puts the subtree ranges of every node carrying the item at rank r
@@ -254,23 +330,12 @@ func (t *rpTree) stage(ms *mergeScratch, r int) int {
 	return n
 }
 
-// basePath is one prefix path of the suffix item, restricted to candidate
-// ancestors: the tree ranks of the ancestors (root-most first, ascending,
-// stored as [rankLo:rankHi) of the scratch's shared rankBuf backing), the
-// path's tids (its node's subtree range) and, once inserted into the
-// conditional tree, its tail node there.
-type basePath struct {
-	rankLo, rankHi int32
-	tail           int32
-	tids           []int32
-}
-
 // condKeep is one prefix item surviving the conditional Erec check, with its
-// conditional support and its rank in the enclosing tree.
+// conditional support and the base paths holding it as a span of pathIdx.
 type condKeep struct {
 	item  tsdb.ItemID
 	sup   int
-	trank int32
+	paths span
 }
 
 // growN resizes *s to n elements (growing the backing as needed, contents
@@ -290,31 +355,25 @@ func growN[T any](s *[]T, n int) []T {
 // conditional support alone bounds its Erec below MinRec is dropped before
 // its union is built.
 //
-// The new tree, tids included, is carved from dst (the caller's arena), so
-// t is never mutated — the workers of a parallel run all read the shared
-// initial tree concurrently while building their own conditional trees.
+// The new tree, tids and paths included, is carved from dst (the caller's
+// arena), so t is never mutated — the workers of a parallel run all read
+// the shared initial tree concurrently while building their own
+// conditional trees.
 func (t *rpTree) conditionalTree(dst *nodeArena, ms *mergeScratch, o Options, r int) *rpTree {
 	a := t.arena
 
 	// First pass: one base path per node carrying rank r — its candidate
-	// ancestors (tree ranks, root-most first, in the shared rankBuf
-	// backing) and its tids, the node's subtree range. All of it lives in
-	// pooled per-miner scratch; the only allocations left in this function
-	// are the pieces the returned tree retains.
-	base, rankBuf := ms.base[:0], ms.rankBuf[:0]
+	// ancestors, the node's root path less its last rank, and its tids, the
+	// node's subtree range. Both are ranges of t's own slabs, so the pass
+	// copies nothing.
+	base := ms.base[:0]
 	for ni := t.headers[r]; ni != nilNode; ni = a.nodes[ni].link {
 		n := &a.nodes[ni]
-		if n.parent == t.root {
-			continue
+		if n.pathHi-n.pathLo > 1 {
+			base = append(base, rankPath{lo: n.pathLo, hi: n.pathHi - 1, tlo: n.lo, thi: n.hi})
 		}
-		lo := int32(len(rankBuf))
-		for p := n.parent; p != t.root; p = a.nodes[p].parent {
-			rankBuf = append(rankBuf, a.nodes[p].rank)
-		}
-		slices.Reverse(rankBuf[lo:]) // root-most first
-		base = append(base, basePath{rankLo: lo, rankHi: int32(len(rankBuf)), tids: t.tids[n.lo:n.hi]})
 	}
-	ms.base, ms.rankBuf = base, rankBuf
+	ms.base = base
 	if len(base) == 0 {
 		return nil
 	}
@@ -326,20 +385,18 @@ func (t *rpTree) conditionalTree(dst *nodeArena, ms *mergeScratch, o Options, r 
 	cur := growN(&ms.cur, r+1)
 	clear(sup)
 	clear(cur)
-	for bi := range base {
-		bp := &base[bi]
-		for _, pr := range rankBuf[bp.rankLo:bp.rankHi] {
+	for _, bp := range base {
+		for _, pr := range t.paths[bp.lo:bp.hi] {
 			cur[pr+1]++
-			sup[pr] += len(bp.tids)
+			sup[pr] += int(bp.thi - bp.tlo)
 		}
 	}
 	for pr := 0; pr < r; pr++ {
 		cur[pr+1] += cur[pr]
 	}
-	pathIdx := growN(&ms.pathIdx, len(rankBuf))
-	for bi := range base {
-		bp := &base[bi]
-		for _, pr := range rankBuf[bp.rankLo:bp.rankHi] {
+	pathIdx := growN(&ms.pathIdx, cur[r])
+	for bi, bp := range base {
+		for _, pr := range t.paths[bp.lo:bp.hi] {
 			pathIdx[cur[pr]] = int32(bi)
 			cur[pr]++
 		}
@@ -364,12 +421,13 @@ func (t *rpTree) conditionalTree(dst *nodeArena, ms *mergeScratch, o Options, r 
 		}
 		bags := ms.bags[:0]
 		for _, bi := range pathIdx[lo:hi] {
-			bags = append(bags, base[bi].tids)
+			bp := &base[bi]
+			bags = append(bags, t.tids[bp.tlo:bp.thi])
 		}
 		ms.bags = bags
 		merged = ms.merge(t.ts, merged[:0])
 		if o.candidateErec(merged) >= o.MinRec {
-			keep = append(keep, condKeep{item: t.order[pr], sup: sup[pr], trank: int32(pr)})
+			keep = append(keep, condKeep{item: t.order[pr], sup: sup[pr], paths: span{int32(lo), int32(hi)}})
 		} else {
 			ms.pruned++
 		}
@@ -392,41 +450,14 @@ func (t *rpTree) conditionalTree(dst *nodeArena, ms *mergeScratch, o Options, r 
 		return 0
 	})
 	order := make([]tsdb.ItemID, len(keep))
-	condRank := growN(&ms.condRank, r) // tree rank -> conditional rank
-	for i := range condRank {
-		condRank[i] = nilNode
-	}
+	spans := growN(&ms.spans, len(keep))
 	for i, k := range keep {
-		order[i] = k.item
-		condRank[k.trank] = int32(i)
+		order[i], spans[i] = k.item, k.paths
 	}
 
-	// Second pass: insert the filtered, re-ranked prefix paths, lay the
-	// tree out, and copy each path's tids to its tail node's slots.
-	b := &ms.build
-	ct := b.start(dst, order, t.ts)
-	path := ms.path[:0]
-	for bi := range base {
-		bp := &base[bi]
-		bp.tail = nilNode
-		path = path[:0]
-		for _, tr := range rankBuf[bp.rankLo:bp.rankHi] {
-			if cr := condRank[tr]; cr != nilNode {
-				path = append(path, cr)
-			}
-		}
-		if len(path) == 0 {
-			continue
-		}
-		slices.Sort(path)
-		bp.tail = b.insert(path, len(bp.tids))
-	}
-	ms.path = path
-	b.layout()
-	for _, bp := range base {
-		if bp.tail != nilNode {
-			ct.place(bp.tail, bp.tids)
-		}
-	}
-	return ct
+	// Second pass: the base paths' kept ancestors, re-ranked, are the new
+	// tree's rank paths, dealt out through the CSR index; their bags stay
+	// ranges of t's tids.
+	paths, ps := dealPaths(&dst.paths, base, pathIdx, spans)
+	return ms.build.build(dst, order, t.ts, paths, ps, t.tids)
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"fmt"
 	"math/rand/v2"
 	"reflect"
 	"slices"
@@ -17,12 +19,31 @@ func (t *rpTree) collectTS(ms *mergeScratch, r int, dst []int64) []int64 {
 	return ms.merge(t.ts, dst)
 }
 
+// rootPath is node n's root path read from the tree's path slab: the
+// ranks from the root down to n, empty for the root.
+func (t *rpTree) rootPath(n int32) []int32 {
+	nd := t.arena.nodes[n]
+	return t.paths[nd.pathLo:nd.pathHi]
+}
+
+// rank is node n's rank, the last of its root path.
+func (t *rpTree) rank(n int32) int32 {
+	p := t.rootPath(n)
+	return p[len(p)-1]
+}
+
+// isChild reports whether node c's root path is node n's plus one rank.
+func (t *rpTree) isChild(c, n int32) bool {
+	pc, pn := t.rootPath(c), t.rootPath(n)
+	return len(pc) == len(pn)+1 && slices.Equal(pc[:len(pn)], pn)
+}
+
 // ownLen is the number of tail tids node n holds itself: its range minus
 // its children's ranges.
 func (t *rpTree) ownLen(n int32) int32 {
 	own := t.arena.nodes[n].hi - t.arena.nodes[n].lo
-	for c := n + 1; c < int32(len(t.arena.nodes)); c++ {
-		if t.arena.nodes[c].parent == n {
+	for c := t.root + 1; c < int32(len(t.arena.nodes)); c++ {
+		if t.isChild(c, n) {
 			own -= t.arena.nodes[c].hi - t.arena.nodes[c].lo
 		}
 	}
@@ -33,10 +54,9 @@ func (t *rpTree) ownLen(n int32) int32 {
 // first.
 func (t *rpTree) pathItems(n int32) []tsdb.ItemID {
 	var items []tsdb.ItemID
-	for ; n != t.root; n = t.arena.nodes[n].parent {
-		items = append(items, t.order[t.arena.nodes[n].rank])
+	for _, r := range t.rootPath(n) {
+		items = append(items, t.order[r])
 	}
-	slices.Reverse(items)
 	return items
 }
 
@@ -85,9 +105,9 @@ func TestRPTreeStructurePaperExample(t *testing.T) {
 		}
 	}
 	got := map[tsdb.ItemID]bool{}
-	for n := range tree.arena.nodes {
-		if nd := tree.arena.nodes[n]; nd.parent == tree.root {
-			item := tree.order[nd.rank]
+	for n := tree.root + 1; n < int32(len(tree.arena.nodes)); n++ {
+		if tree.isChild(n, tree.root) {
+			item := tree.order[tree.rank(n)]
 			if got[item] {
 				t.Errorf("root has two children for item %s", db.Dict.Name(item))
 			}
@@ -321,8 +341,11 @@ func TestLemma2TreeSizeBound(t *testing.T) {
 // the transactions members of db: every member whose projection onto the
 // tree's items is non-empty sits in tree.tids exactly once; every node's
 // range holds exactly the members whose projection passes through the node
-// (brute force); and a node's children's ranges are disjoint and nested in
-// its range, after the node's own tail tids.
+// (brute force); a node's children's ranges are disjoint and nested in its
+// range, after the node's own tail tids; every node's root path, read from
+// the path slab, is distinct and is the projection prefix of each member in
+// its range; and nodes are in pre-order: a node's descendants are exactly
+// the block of node indices that follows it.
 func checkRanges(t *testing.T, db *tsdb.DB, tree *rpTree, members []int32) {
 	t.Helper()
 	inTree := map[tsdb.ItemID]bool{}
@@ -365,12 +388,46 @@ func checkRanges(t *testing.T, db *tsdb.DB, tree *rpTree, members []int32) {
 	}
 
 	nodes := tree.arena.nodes
+	paths := map[string]int32{}
 	for n := tree.root; n < int32(len(nodes)); n++ {
 		nd := nodes[n]
 		if nd.lo < 0 || nd.lo > nd.hi || int(nd.hi) > len(tree.tids) {
 			t.Fatalf("node %d range [%d, %d) outside tids[0:%d]", n, nd.lo, nd.hi, len(tree.tids))
 		}
+		if n != tree.root && nd.lo == nd.hi {
+			t.Fatalf("node %d has an empty range", n)
+		}
+		ranks := tree.rootPath(n)
+		if n != tree.root && len(ranks) == 0 {
+			t.Fatalf("node %d has an empty root path", n)
+		}
+		for i := 1; i < len(ranks); i++ {
+			if ranks[i-1] >= ranks[i] {
+				t.Fatalf("node %d root path %v is not strictly ascending", n, ranks)
+			}
+		}
+		key := fmt.Sprint(ranks)
+		if m, dup := paths[key]; dup {
+			t.Fatalf("nodes %d and %d share the root path %v", m, n, ranks)
+		}
+		paths[key] = n
 		path := tree.pathItems(n)
+		for _, tid := range tree.tids[nd.lo:nd.hi] {
+			if p := proj[tid]; len(p) < len(path) || !slices.Equal(p[:len(path)], path) {
+				t.Fatalf("node %d root path %v is not the projection prefix of tid %d in its range, %v", n, path, tid, p)
+			}
+		}
+		// Pre-order: the nodes whose root path properly extends this one's
+		// are exactly the block of nodes n+1 .. n+len(desc).
+		var desc []int32
+		for c := tree.root; c < int32(len(nodes)); c++ {
+			if pc := tree.rootPath(c); len(pc) > len(ranks) && slices.Equal(pc[:len(ranks)], ranks) {
+				desc = append(desc, c)
+			}
+		}
+		if len(desc) > 0 && (desc[0] != n+1 || desc[len(desc)-1] != n+int32(len(desc))) {
+			t.Fatalf("node %d (path %v): its descendants %v are not the block of nodes after it", n, path, desc)
+		}
 		var want, wantOwn []int32
 		for tid, p := range proj {
 			if len(p) >= len(path) && slices.Equal(p[:len(path)], path) {
@@ -395,7 +452,7 @@ func checkRanges(t *testing.T, db *tsdb.DB, tree *rpTree, members []int32) {
 		// Children tile the rest of the range without overlap.
 		var kids [][2]int32
 		for c := n + 1; c < int32(len(nodes)); c++ {
-			if nodes[c].parent == n {
+			if tree.isChild(c, n) {
 				kids = append(kids, [2]int32{nodes[c].lo, nodes[c].hi})
 			}
 		}
@@ -476,9 +533,26 @@ func TestTreeRanges(t *testing.T) {
 }
 
 func FuzzTreeRanges(f *testing.F) {
-	f.Add([]byte{1, 2, 3, 0, 1, 2, 3, 4, 5, 6, 1, 2, 3, 7}, int64(2), 2, 1)
-	f.Add([]byte{0, 1, 0, 1, 2, 2, 0, 1, 2, 3, 3, 3}, int64(1), 1, 1)
-	f.Fuzz(func(t *testing.T, data []byte, per int64, minPS, minRec int) {
+	f.Add([]byte{1, 2, 3, 0, 1, 2, 3, 4, 5, 6, 1, 2, 3, 7}, 2, int64(2), 2, 1)
+	f.Add([]byte{0, 1, 0, 1, 2, 2, 0, 1, 2, 3, 3, 3}, 2, int64(1), 1, 1)
+	// Many identical projections: forty transactions {a, b, c}.
+	f.Add(bytes.Repeat([]byte{0, 1, 2}, 40), 3, int64(1), 1, 1)
+	// One long chain: the nested prefixes {a}, {a, b}, ..., {a, ..., h},
+	// twice, so every item has its own support and every node a tail.
+	var chain []byte
+	for k := byte(0); k < 8; k++ {
+		for i := byte(0); i < 8; i++ {
+			chain = append(chain, min(i, k))
+		}
+	}
+	f.Add(append(chain, chain...), 8, int64(1), 1, 1)
+	// A transaction holding every candidate item among sparser ones.
+	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 0, 3, 0, 0, 0, 0, 0, 0, 1, 2, 5, 1, 1, 1, 1, 1,
+		7, 6, 7, 7, 7, 7, 7, 7, 0, 1, 2, 3, 0, 0, 0, 0, 4, 4, 4, 4, 4, 4, 4, 4}, 8, int64(2), 1, 1)
+	f.Fuzz(func(t *testing.T, data []byte, width int, per int64, minPS, minRec int) {
+		if width <= 0 || width > 8 {
+			width = 2
+		}
 		if per <= 0 || per > 1000 {
 			per = 2
 		}
@@ -488,14 +562,15 @@ func FuzzTreeRanges(f *testing.F) {
 		if minRec <= 0 || minRec > 10 {
 			minRec = 1
 		}
-		// As in FuzzMineAgainstVertical: each byte contributes item
-		// (b & 7) at timestamp (index/2 + 1).
+		// Each byte contributes item (b & 7) to the transaction at
+		// timestamp (index/width + 1), so a transaction holds up to width
+		// items.
 		b := newFuzzBuilder()
 		for i, by := range data {
-			if i > 200 {
+			if i > 400 {
 				break
 			}
-			b.add(int64(i/2+1), by&7)
+			b.add(int64(i/width+1), by&7)
 		}
 		db := b.build()
 		if db.Len() == 0 {

@@ -64,7 +64,7 @@ type (
 	//	MinPS        > 0               an empty interval would be interesting
 	//	MinRec       > 0               every pattern would trivially recur
 	//	MaxLen       >= 0              (0 = unlimited pattern length)
-	//	Parallelism  >= 0              (0 or 1 = the sequential algorithm)
+	//	Parallelism  >= 0              (0 or 1 = one worker)
 	Options = core.Options
 	// Interval is a periodic interval [Start, End] with periodic support PS.
 	Interval = core.Interval
