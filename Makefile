@@ -12,7 +12,7 @@ help:
 	@echo "  check          full gate: gofmt, go vet, rpvet, build, race tests (CI runs this)"
 	@echo "  bench          end-to-end table benchmarks (root package)"
 	@echo "  bench-core     core hot-path benchmarks; updates BENCH_core.json via cmd/benchfmt"
-	@echo "  bench-ingest   ingest-path benchmarks (parallel text parse, v1, v2 mapped); updates BENCH_ingest.json"
+	@echo "  bench-ingest   ingest-path benchmarks (sequential and parallel text parse, v2 mapped); updates BENCH_ingest.json"
 	@echo "  bench-diff     fresh core-benchmark run vs BENCH_core.json, Mann-Whitney per benchmark (exit 1 on regression)"
 	@echo "  fmt            gofmt -w ."
 	@echo "  vet            go vet ./..."
@@ -39,7 +39,7 @@ bench-core:
 	set -o pipefail; $(GO) test -run '^$$' -bench . -benchmem -count 3 ./internal/core/ | $(GO) run ./cmd/benchfmt -out BENCH_core.json
 
 # Tracked baseline for the ingest path: sequential vs chunked-parallel text
-# parsing at several worker counts, plus the v1 decode and v2 mapped-view
+# parsing at several worker counts, plus the v2 mapped-view and mapped-file
 # loads, over the shared 16MB corpus.
 bench-ingest:
 	set -o pipefail; $(GO) test -run '^$$' -bench Ingest -benchmem -count 3 ./internal/tsdb/ | $(GO) run ./cmd/benchfmt -out BENCH_ingest.json

@@ -1,7 +1,7 @@
 // Command rpgen generates the evaluation datasets of the paper — the
 // Quest-style synthetic T10I4D100K, the Shop-14 clickstream simulation,
-// and the Twitter hashtag-stream simulation — in any on-disk format: text
-// (default), compact v1 binary, or the mmap-able v2 layout.
+// and the Twitter hashtag-stream simulation — in either on-disk format:
+// text (default) or the mmap-able v2 layout.
 //
 // Example:
 //
@@ -35,8 +35,7 @@ func run(args []string, stdout io.Writer) error {
 		seed    = fs.Uint64("seed", 1, "generator seed")
 		out     = fs.String("out", "-", "output file ('-' for stdout)")
 		events  = fs.Bool("events", false, "also print the planted burst events (twitter only) to stderr")
-		binary  = fs.Bool("binary", false, "write the compact binary format instead of text (same as -format binary)")
-		format  = fs.String("format", "", "output format: text (default), binary (compact v1) or mapped (mmap-able v2)")
+		format  = fs.String("format", "", "output format: text (default) or mapped (mmap-able v2)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -70,20 +69,14 @@ func run(args []string, stdout io.Writer) error {
 			return f.Close()
 		}
 	}
-	write := tsdb.Write
-	if *binary {
-		write = tsdb.WriteBinary
-	}
+	var write func(io.Writer, *tsdb.DB) error
 	switch *format {
-	case "":
-	case "text":
+	case "", "text":
 		write = tsdb.Write
-	case "binary":
-		write = tsdb.WriteBinary
 	case "mapped":
 		write = tsdb.WriteMapped
 	default:
-		return fmt.Errorf("unknown format %q (want text, binary or mapped)", *format)
+		return fmt.Errorf("unknown format %q (want text or mapped)", *format)
 	}
 	if err := write(w, d.DB); err != nil {
 		return err

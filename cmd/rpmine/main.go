@@ -131,7 +131,7 @@ func mine(input string, minPSPct float64, shards int, stats, tsv bool, format st
 	var db *rp.DB
 	if input == "-" {
 		var err error
-		db, err = rp.ReadDB(os.Stdin) // auto-detects text, v1 binary, v2 mapped
+		db, err = rp.ReadDB(os.Stdin) // auto-detects text or v2 mapped
 		if err != nil {
 			return err
 		}

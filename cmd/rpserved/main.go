@@ -59,10 +59,10 @@
 //
 // With -peers, this server becomes a scatter-gather coordinator: each
 // executed mine splits into -shards tasks POSTed to the peers'
-// /v1/shard/mine endpoints (consistent-hash routed, retried with backoff,
-// optionally hedged; see -shard-*) and the merged result is byte-identical
-// to a single-box mine. Peers must serve the same database bytes — tasks
-// pin the content fingerprint. Shard RPCs carry the coordinator's request
+// /v1/shard/mine endpoints (consistent-hash routed, retried with backoff;
+// see -shard-*) and the merged result is byte-identical to a single-box
+// mine. Peers must serve the same database bytes — tasks pin the content
+// fingerprint. Shard RPCs carry the coordinator's request
 // id (X-Request-Id and the requestID body field), so every server's
 // /debug/requests journal joins on it, and traced mines collect each
 // peer's span timeline into one merged, clock-aligned flight record —
@@ -148,7 +148,6 @@ func run(args []string, logDst io.Writer) error {
 		shardTimeout = fs.Duration("shard-timeout", 0, "per-shard-request timeout in -peers mode (0 = 30s)")
 		shardRetries = fs.Int("shard-retries", 0, "retries per failed shard task (0 = 2, <0 = none)")
 		shardBackoff = fs.Duration("shard-backoff", 0, "initial retry backoff, doubling per retry (0 = 100ms)")
-		shardHedge   = fs.Duration("shard-hedge", 0, "hedge a duplicate shard request after this delay (0 = off)")
 		shardPolicy  = fs.String("shard-policy", "", "partial-failure policy in -peers mode: fail-fast (default) or best-effort")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -191,7 +190,6 @@ func run(args []string, logDst io.Writer) error {
 		ShardTimeout:       *shardTimeout,
 		ShardRetries:       *shardRetries,
 		ShardBackoff:       *shardBackoff,
-		ShardHedge:         *shardHedge,
 		ShardPolicy:        *shardPolicy,
 	}, dbs)
 	if err != nil {

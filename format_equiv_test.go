@@ -10,10 +10,9 @@ import (
 )
 
 // TestCrossFormatMiningEquivalence is the end-to-end guarantee behind
-// "upload once, mine many": a database loaded from the text format, the v1
-// binary format, the v2 mapped layout (buffered and memory-mapped alike)
-// has the same fingerprint and produces byte-for-byte identical mining
-// output. The mapped view mines directly over the file-backed sections, so
+// "upload once, mine many": a database loaded from the text format or the
+// v2 mapped layout (buffered and memory-mapped alike) has the same
+// fingerprint and produces byte-for-byte identical mining output. The mapped view mines directly over the file-backed sections, so
 // this also proves the no-decode load path feeds the miner correctly.
 func TestCrossFormatMiningEquivalence(t *testing.T) {
 	// Canonicalize first: the text format stores no dictionary, so a text
@@ -38,11 +37,8 @@ func TestCrossFormatMiningEquivalence(t *testing.T) {
 	}
 	wantFP := base.Fingerprint()
 
-	var text, v1, v2 bytes.Buffer
+	var text, v2 bytes.Buffer
 	if err := WriteDB(&text, base); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteDBBinary(&v1, base); err != nil {
 		t.Fatal(err)
 	}
 	if err := WriteDBMapped(&v2, base); err != nil {
@@ -50,7 +46,7 @@ func TestCrossFormatMiningEquivalence(t *testing.T) {
 	}
 
 	dir := t.TempDir()
-	paths := map[string][]byte{"db.tdb": text.Bytes(), "db.rpdb": v1.Bytes(), "db.tsdbm": v2.Bytes()}
+	paths := map[string][]byte{"db.tdb": text.Bytes(), "db.tsdbm": v2.Bytes()}
 	for name, data := range paths {
 		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
 			t.Fatal(err)
@@ -60,10 +56,6 @@ func TestCrossFormatMiningEquivalence(t *testing.T) {
 	loads := map[string]func() (*DB, func(), error){
 		"text/reader": func() (*DB, func(), error) {
 			db, err := ReadDB(bytes.NewReader(text.Bytes()))
-			return db, func() {}, err
-		},
-		"v1/reader": func() (*DB, func(), error) {
-			db, err := ReadDB(bytes.NewReader(v1.Bytes()))
 			return db, func() {}, err
 		},
 		"v2/reader": func() (*DB, func(), error) {

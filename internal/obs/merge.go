@@ -15,10 +15,10 @@ import (
 // may arrive in any order (one goroutine per shard task), and Snapshot
 // canonicalizes so identical grafts render byte-identically.
 
-// PeerEvent is a point annotation on a peer's lane — a retry, hedge or
-// failover observed by the shard client while driving the task that
-// produced the peer's snapshot. AtNS is on the coordinator's timeline
-// clock (the client observed the event locally).
+// PeerEvent is a point annotation on a peer's lane — a retry, failed
+// attempt or failover observed by the shard client while driving the
+// task that produced the peer's snapshot. AtNS is on the coordinator's
+// timeline clock (the client observed the event locally).
 type PeerEvent struct {
 	Name string `json:"name"`
 	AtNS int64  `json:"atNS"`
@@ -42,8 +42,8 @@ type PeerTimeline struct {
 	// Snapshot is the peer's recorded timeline, spans relative to the
 	// peer's own epoch.
 	Snapshot TimelineSnapshot `json:"snapshot"`
-	// Events are the shard client's per-task annotations (retries, hedges,
-	// failovers), already on the coordinator's clock.
+	// Events are the shard client's per-task annotations (retries, failed
+	// attempts, failovers), already on the coordinator's clock.
 	Events []PeerEvent `json:"events,omitempty"`
 }
 

@@ -106,7 +106,7 @@ func TestFleetTraceRender(t *testing.T) {
 	tl.record(SpanRecord{Phase: "total", StartNS: 0, DurNS: 10000})
 	a := peerFixture("http://a:1", 1000, 8000, 5000)
 	a.Snapshot.Dropped = 3
-	b := peerFixture("http://b:1", 2000, 9000, 4000, PeerEvent{Name: "hedge -> http://b:1", AtNS: 2500})
+	b := peerFixture("http://b:1", 2000, 9000, 4000, PeerEvent{Name: "fail http://b:1", AtNS: 2500})
 	tl.AddPeer(b)
 	tl.AddPeer(a)
 

@@ -17,7 +17,7 @@ import (
 // as stacked worker tracks without the recorder having to know worker IDs.
 // A snapshot with grafted peer timelines (a fleet-wide flight record)
 // renders each peer as its own process track: the coordinator is pid 1,
-// peers follow in canonical order, and the shard client's retry/hedge
+// peers follow in canonical order, and the shard client's retry/failure
 // annotations appear as instant events on their peer's track.
 
 // TraceEvent is one entry of the trace-event array — the subset of the
@@ -228,7 +228,7 @@ func ValidateTraceEvents(r io.Reader) (spans int, err error) {
 		case "M":
 			// Metadata events carry no timing.
 		case "i":
-			// Instant annotations (retry/hedge marks on peer tracks).
+			// Instant annotations (retry/failure marks on peer tracks).
 			if ev.Ts < 0 {
 				return 0, fmt.Errorf("trace-event JSON: event %d (%q) has negative timing ts=%v", i, ev.Name, ev.Ts)
 			}

@@ -161,6 +161,13 @@ func TestDatasetUploadErrors(t *testing.T) {
 		t.Fatalf("bad upload: status %d, body %v", status, m)
 	}
 
+	// A body in the retired v1 binary format is a 400 naming the format,
+	// not a text parse error.
+	status, m = upload(t, hs.URL, []byte("RPDB\x01\x01\x01a\x01\x01\x01\x00"))
+	if status != http.StatusBadRequest || !strings.Contains(m["error"].(string), "v1 binary") {
+		t.Fatalf("v1 upload: status %d, body %v", status, m)
+	}
+
 	// An over-limit body gets the same JSON 413 shape as /v1/mine.
 	status, m = upload(t, hs.URL, bytes.Repeat([]byte("1\tx\n"), 200))
 	if status != http.StatusRequestEntityTooLarge {

@@ -131,13 +131,12 @@ type Config struct {
 	// Shards is the number of shard tasks per mine in peers mode.
 	// 0 → len(Peers).
 	Shards int
-	// ShardTimeout, ShardRetries, ShardBackoff and ShardHedge tune the
-	// shard HTTP client; zero values resolve per shard.ClientConfig
-	// (30s timeout, 2 retries, 100ms initial backoff, hedging off).
+	// ShardTimeout, ShardRetries and ShardBackoff tune the shard HTTP
+	// client; zero values resolve per shard.ClientConfig (30s timeout, 2
+	// retries, 100ms initial backoff).
 	ShardTimeout time.Duration
 	ShardRetries int
 	ShardBackoff time.Duration
-	ShardHedge   time.Duration
 	// ShardPolicy selects partial-failure handling: "fail-fast" (default)
 	// or "best-effort" (serve the surviving shards' patterns marked
 	// partial).
@@ -281,7 +280,6 @@ func NewServer(cfg Config, dbs map[string]*tsdb.DB) (*Server, error) {
 			Timeout: cfg.ShardTimeout,
 			Retries: cfg.ShardRetries,
 			Backoff: cfg.ShardBackoff,
-			Hedge:   cfg.ShardHedge,
 		})
 		if err != nil {
 			return nil, err
@@ -1170,10 +1168,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			peerSamples(func(ps shard.PeerStats) int64 { return ps.Failure }))
 		p.CounterVec("rpserved_shard_peer_retries_total", "Shard task re-dispatches after a failure, per peer.",
 			peerSamples(func(ps shard.PeerStats) int64 { return ps.Retries }))
-		p.CounterVec("rpserved_shard_peer_hedges_total", "Hedged duplicate shard requests fired, per peer.",
-			peerSamples(func(ps shard.PeerStats) int64 { return ps.Hedges }))
-		p.CounterVec("rpserved_shard_peer_hedge_wins_total", "Hedged shard requests that answered first, per peer.",
-			peerSamples(func(ps shard.PeerStats) int64 { return ps.HedgeWins }))
 		// Per-peer per-phase wall time, as reported by the peers themselves
 		// in their shard responses: where fleet mining time actually goes.
 		// Phase iteration follows the canonical phase order and peers are

@@ -37,11 +37,6 @@ type ClientConfig struct {
 	// Backoff is the delay before the first retry, doubling per retry.
 	// 0 → 100ms, negative → none.
 	Backoff time.Duration
-	// Hedge, when positive, fires a duplicate request at the next peer of
-	// the failover sequence if the primary has not answered within the
-	// delay; the first success wins and the loser is cancelled. Off by
-	// default — hedging buys tail latency with duplicated work.
-	Hedge time.Duration
 	// HTTPClient overrides the transport; nil uses http.DefaultClient.
 	// Per-attempt timeouts come from Timeout via the request context, so
 	// the client's own Timeout field should stay zero.
@@ -76,12 +71,10 @@ func (c ClientConfig) withDefaults() ClientConfig {
 // peerCounters is one peer's atomic outcome counters, exported through
 // PeerStats for /metrics and /v1/stats.
 type peerCounters struct {
-	url       string
-	success   atomic.Int64
-	failure   atomic.Int64
-	retries   atomic.Int64
-	hedges    atomic.Int64
-	hedgeWins atomic.Int64
+	url     string
+	success atomic.Int64
+	failure atomic.Int64
+	retries atomic.Int64
 	// phaseNanos accumulates the peer-reported per-phase wall time of
 	// successful tasks (ShardMineResponse.Phases), indexed by obs.Phase —
 	// the raw material of rpserved_shard_peer_phase_seconds.
@@ -95,11 +88,12 @@ type PeerStats struct {
 	Success int64 `json:"success"`
 	Failure int64 `json:"failure"`
 	// Retries counts attempts that were re-dispatches of a previously
-	// failed task; Hedges duplicate requests fired by the hedging timer,
-	// and HedgeWins the hedged requests that answered first.
-	Retries   int64 `json:"retries"`
-	Hedges    int64 `json:"hedges"`
-	HedgeWins int64 `json:"hedgeWins"`
+	// failed task.
+	Retries int64 `json:"retries"`
+	// Hedges always reads 0: the client sends one request per attempt.
+	// It is kept only because the end-to-end benchmark decodes /v1/stats
+	// into PeerStats and reads it for its shard.hedges column.
+	Hedges int64 `json:"hedges"`
 	// PhaseSeconds is the peer-reported wall time of each algorithm phase,
 	// summed over this peer's successful tasks, keyed by canonical phase
 	// name. Only phases that observed time appear.
@@ -108,8 +102,8 @@ type PeerStats struct {
 
 // Client executes shard tasks on remote rpserved peers over HTTP: POST
 // /v1/shard/mine with consistent-hash routing on (fingerprint, shard
-// index), bounded retries with exponential backoff walking the task's
-// failover sequence, and optional hedged requests. A Client is safe for
+// index) and bounded retries with exponential backoff walking the task's
+// failover sequence, one request per attempt. A Client is safe for
 // concurrent use; one serves every task of a coordinator's scatter.
 type Client struct {
 	cfg   ClientConfig
@@ -155,12 +149,10 @@ func (c *Client) Stats() []PeerStats {
 	out := make([]PeerStats, len(c.peers))
 	for i, p := range c.peers {
 		out[i] = PeerStats{
-			URL:       p.url,
-			Success:   p.success.Load(),
-			Failure:   p.failure.Load(),
-			Retries:   p.retries.Load(),
-			Hedges:    p.hedges.Load(),
-			HedgeWins: p.hedgeWins.Load(),
+			URL:     p.url,
+			Success: p.success.Load(),
+			Failure: p.failure.Load(),
+			Retries: p.retries.Load(),
 		}
 		for ph := obs.Phase(0); ph < obs.NumPhases; ph++ {
 			if n := p.phaseNanos[ph].Load(); n > 0 {
@@ -174,11 +166,12 @@ func (c *Client) Stats() []PeerStats {
 	return out
 }
 
-// taskEvents collects the client's per-task annotations — retries, hedges,
+// taskEvents collects the client's per-task annotations — retries and
 // failed attempts — stamped on the coordinator timeline's clock, so the
-// winning peer's graft can carry them as instant events. A nil receiver is
-// inert (untraced tasks record nothing); the mutex covers the hedged case
-// where two attempts race.
+// answering peer's graft can carry them as instant events. A nil receiver
+// is inert (untraced tasks record nothing). A task's attempts run one
+// after another; the mutex keeps the recorder safe for concurrent use
+// regardless.
 type taskEvents struct {
 	tl *obs.Timeline
 
@@ -196,8 +189,7 @@ func (te *taskEvents) add(name string) {
 	te.mu.Unlock()
 }
 
-// take copies the events recorded so far; a hedged loser finishing late may
-// add more afterwards, which the winner's copy correctly excludes.
+// take copies the events recorded so far.
 func (te *taskEvents) take() []obs.PeerEvent {
 	if te == nil {
 		return nil
@@ -218,7 +210,7 @@ func (te *taskEvents) take() []obs.PeerEvent {
 // (obs.WithRequestID) rides in the body and the X-Request-Id header so the
 // peer journals the task under the coordinator's ID, and when the options
 // carry a timeline the peer is asked to record and return its own, which
-// Execute wraps — clock references, retry/hedge/failover annotations — into
+// Execute wraps — clock references, retry/failover annotations — into
 // Partial.Remote for the coordinator to graft.
 func (c *Client) Execute(ctx context.Context, db *tsdb.DB, o core.Options, t Task) (*Partial, error) {
 	reqID := obs.RequestIDFrom(ctx)
@@ -255,7 +247,7 @@ func (c *Client) Execute(ctx context.Context, db *tsdb.DB, o core.Options, t Tas
 				return nil, lastErr
 			}
 		}
-		p, err := c.attempt(ctx, db, body, t, seq, attempt, reqID, te)
+		p, err := c.post(ctx, db, body, t, seq[attempt%len(seq)], reqID, te)
 		if err == nil {
 			return p, nil
 		}
@@ -277,68 +269,6 @@ func sleep(ctx context.Context, d time.Duration) bool {
 		return true
 	case <-ctx.Done():
 		return false
-	}
-}
-
-// attemptOutcome carries one in-flight request's result to the attempt
-// loop.
-type attemptOutcome struct {
-	p      *Partial
-	err    error
-	peer   int
-	hedged bool
-}
-
-// attempt performs one (possibly hedged) dispatch of the task: the primary
-// request goes to the attempt's peer in the failover sequence; when
-// hedging is on and the primary is quiet past the hedge delay, a duplicate
-// fires at the next peer and the first success wins, cancelling the loser.
-func (c *Client) attempt(ctx context.Context, db *tsdb.DB, body []byte, t Task, seq []int, attempt int, reqID string, te *taskEvents) (*Partial, error) {
-	primary := seq[attempt%len(seq)]
-	if c.cfg.Hedge <= 0 || len(seq) < 2 {
-		return c.post(ctx, db, body, t, primary, reqID, te)
-	}
-	actx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	// Buffered to the maximum in-flight count: a loser's send never
-	// blocks, so cancelled goroutines always exit.
-	results := make(chan attemptOutcome, 2)
-	post := func(peer int, hedged bool) {
-		go func() {
-			p, err := c.post(actx, db, body, t, peer, reqID, te)
-			results <- attemptOutcome{p: p, err: err, peer: peer, hedged: hedged}
-		}()
-	}
-	post(primary, false)
-	inFlight := 1
-	hedgeTimer := time.NewTimer(c.cfg.Hedge)
-	defer hedgeTimer.Stop()
-	var firstErr error
-	for {
-		select {
-		case out := <-results:
-			inFlight--
-			if out.err == nil {
-				if out.hedged {
-					c.peers[out.peer].hedgeWins.Add(1)
-				}
-				return out.p, nil
-			}
-			if firstErr == nil {
-				firstErr = out.err
-			}
-			if inFlight == 0 {
-				return nil, firstErr
-			}
-		case <-hedgeTimer.C:
-			hedge := seq[(attempt+1)%len(seq)]
-			c.peers[hedge].hedges.Add(1)
-			te.add("hedge -> " + c.peers[hedge].url)
-			post(hedge, true)
-			inFlight++
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
 	}
 }
 

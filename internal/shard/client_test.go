@@ -28,7 +28,6 @@ type stubPeer struct {
 	db        *tsdb.DB
 	requests  atomic.Int64
 	failFirst int64
-	delay     time.Duration
 	srv       *httptest.Server
 
 	mu         sync.Mutex
@@ -52,13 +51,6 @@ func (p *stubPeer) handle(w http.ResponseWriter, r *http.Request) {
 	}
 	start := time.Now()
 	n := p.requests.Add(1)
-	if p.delay > 0 {
-		select {
-		case <-time.After(p.delay):
-		case <-r.Context().Done():
-			return
-		}
-	}
 	if n <= p.failFirst {
 		w.WriteHeader(http.StatusInternalServerError)
 		_ = json.NewEncoder(w).Encode(api.ErrorResponse{Error: "injected peer failure"})
@@ -246,43 +238,6 @@ func TestClientExhaustedRetries(t *testing.T) {
 	}
 	if got := bad.requests.Load(); got != 3 {
 		t.Errorf("peer saw %d requests, want 3 (1 + 2 retries)", got)
-	}
-}
-
-// TestClientHedging delays every peer response beyond the hedge trigger so
-// a hedged duplicate fires; the mine must still come back correct and the
-// hedge counters move.
-func TestClientHedging(t *testing.T) {
-	db := testDB(17, 8, 40, 0.4)
-	p1, p2 := newStubPeer(t, db), newStubPeer(t, db)
-	p1.delay, p2.delay = 30*time.Millisecond, 30*time.Millisecond
-	client, err := NewClient(ClientConfig{
-		Peers:   []string{p1.srv.URL, p2.srv.URL},
-		Hedge:   time.Millisecond,
-		Backoff: time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	o := core.Options{Per: 4, MinPS: 2, MinRec: 1}
-	want, err := core.MineContext(context.Background(), db, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := client.Execute(context.Background(), db, o, Task{Index: 0, Count: 1, FP: db.Fingerprint()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := Reduce([]*Partial{p})
-	if !res.Equal(want) {
-		t.Error("hedged mine diverged from single-box")
-	}
-	var hedges int64
-	for _, ps := range client.Stats() {
-		hedges += ps.Hedges
-	}
-	if hedges == 0 {
-		t.Error("hedge timer never fired despite slow peers")
 	}
 }
 

@@ -22,7 +22,7 @@ type Partial struct {
 	// executors only; a Local task flushes straight into the shared trace).
 	Phases []obs.PhaseStat
 	// Remote is the peer's recorded timeline with its clock references and
-	// the client's retry/hedge annotations, ready to graft into the
+	// the client's retry/failure annotations, ready to graft into the
 	// coordinator's timeline. Set only by remote executors on traced tasks.
 	Remote *obs.PeerTimeline
 }

@@ -36,9 +36,9 @@ type ringPoint struct {
 
 // ring is a consistent hash ring over a fixed peer set. Task keys map to
 // the first virtual node clockwise; the failover sequence continues
-// clockwise through the remaining peers, so retries and hedges have a
-// deterministic, key-dependent peer order and a peer-set change only
-// remaps the arcs the changed peer owned.
+// clockwise through the remaining peers, so retries have a deterministic,
+// key-dependent peer order and a peer-set change only remaps the arcs the
+// changed peer owned.
 type ring struct {
 	points []ringPoint
 	peers  int
@@ -73,7 +73,7 @@ func newRing(urls []string) (ring, error) {
 
 // sequence returns the distinct peers in clockwise ring order starting at
 // key's successor point: sequence(k)[0] is the task's home peer, the rest
-// the failover order retries and hedges walk.
+// the failover order retries walk.
 func (r ring) sequence(key uint64) []int {
 	start := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= key })
 	seq := make([]int, 0, r.peers)

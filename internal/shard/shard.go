@@ -15,7 +15,7 @@
 //   - Executors: Local mines a task in-process through
 //     core.MineShardContext; Client POSTs it to a remote rpserved peer's
 //     /v1/shard/mine, with consistent-hash routing, per-task timeouts,
-//     bounded retries with backoff, and optional request hedging.
+//     bounded retries with backoff, one request per attempt.
 //   - Reducer (Reduce): concatenates shard pattern sets and canonicalizes.
 //     Canonical order is a total order on unique item sets and the tasks
 //     partition the pattern set, so the merged output is byte-identical to

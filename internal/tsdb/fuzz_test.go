@@ -37,27 +37,36 @@ func FuzzReadText(f *testing.F) {
 	})
 }
 
-func FuzzReadBinary(f *testing.F) {
-	// Seed with a valid encoding and mutations of it.
+func FuzzReadAny(f *testing.F) {
+	// The loader behind every -db file and dataset upload: whatever the
+	// buffered sniff accepts must be valid, and the streaming ReadAny over
+	// the same bytes must agree on accept/reject and on the fingerprint.
 	b := NewBuilder()
 	b.Add("alpha", 1)
 	b.Add("beta", 1)
 	b.Add("alpha", 7)
 	var valid bytes.Buffer
-	if err := WriteBinary(&valid, b.Build()); err != nil {
+	if err := WriteMapped(&valid, b.Build()); err != nil {
 		f.Fatal(err)
 	}
+	f.Add([]byte("1\ta b g\n-2\ta c d\n"))
 	f.Add(valid.Bytes())
-	f.Add([]byte("RPDB"))
-	f.Add([]byte("RPDB\x01\x00\x00"))
-	f.Add([]byte{})
+	f.Add(valid.Bytes()[:mappedHeaderSize/2])
+	f.Add([]byte(v1File))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		db, err := ReadBinary(bytes.NewReader(data))
+		db, err := ReadAnyBytes(data)
+		streamDB, streamErr := ReadAny(onlyReader{bytes.NewReader(data)})
+		if (err == nil) != (streamErr == nil) {
+			t.Fatalf("accept/reject mismatch: buffered %v, stream %v", err, streamErr)
+		}
 		if err != nil {
 			return
 		}
 		if err := db.Validate(); err != nil {
-			t.Fatalf("ReadBinary accepted input producing invalid DB: %v", err)
+			t.Fatalf("ReadAnyBytes accepted input producing invalid DB: %v", err)
+		}
+		if a, b := db.fingerprintUncached(), streamDB.fingerprintUncached(); a != b {
+			t.Fatalf("fingerprint mismatch: buffered %016x, stream %016x", a, b)
 		}
 	})
 }

@@ -11,10 +11,9 @@ import (
 )
 
 // The mapped binary format (tsdbm v2) is a zero-copy, mmap-able TDB
-// layout: instead of a varint stream that must be decoded transaction by
-// transaction (v1), it lays the database out as flat little-endian arrays
-// so an open materializes a read-only *DB view without a decode loop —
-// the item arrays of every transaction alias the mapping directly.
+// layout: it lays the database out as flat little-endian arrays so an
+// open materializes a read-only *DB view without a decode loop — the item
+// arrays of every transaction alias the mapping directly.
 //
 // Layout (all integers little-endian, every section 8-byte aligned):
 //

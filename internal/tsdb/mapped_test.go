@@ -3,8 +3,10 @@ package tsdb
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -15,21 +17,6 @@ func mappedTestDB(t *testing.T) *DB {
 		t.Fatal(err)
 	}
 	return db
-}
-
-// shiftNonNeg rebases timestamps to start at zero: the v1 binary format
-// delta-encodes from 0 and cannot represent a negative first timestamp,
-// so cross-format tests use a rebased database.
-func shiftNonNeg(db *DB) *DB {
-	if db.Len() == 0 || db.Trans[0].TS >= 0 {
-		return db
-	}
-	shift := -db.Trans[0].TS
-	trans := make([]Transaction, len(db.Trans))
-	for i, tr := range db.Trans {
-		trans[i] = Transaction{TS: tr.TS + shift, Items: tr.Items}
-	}
-	return &DB{Dict: db.Dict, Trans: trans}
 }
 
 func TestMappedRoundTripBuffer(t *testing.T) {
@@ -158,34 +145,34 @@ func TestMappedRejectsCorrupt(t *testing.T) {
 // its own text serialization (the text format stores no dictionary, so a
 // text round-trip re-interns in timestamp order; parsing the DB's own
 // Write output makes that a fixed point). Cross-format equivalence tests
-// start here so text, v1 and v2 loads can be representation-identical.
+// start here so text and v2 loads can be representation-identical. About
+// a third of its timestamps are negative, which both formats store.
 func canonicalDB(t *testing.T) *DB {
 	t.Helper()
-	base := shiftNonNeg(mappedTestDB(t))
 	var text bytes.Buffer
-	if err := Write(&text, base); err != nil {
+	if err := Write(&text, mappedTestDB(t)); err != nil {
 		t.Fatal(err)
 	}
 	db, err := ReadBytes(text.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
+	if db.Len() == 0 || db.Trans[0].TS >= 0 {
+		t.Fatal("canonicalDB has no negative timestamps")
+	}
 	return db
 }
 
 func TestReadAnyBytesDispatch(t *testing.T) {
 	want := canonicalDB(t)
-	var text, v1, v2 bytes.Buffer
+	var text, v2 bytes.Buffer
 	if err := Write(&text, want); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteBinary(&v1, want); err != nil {
 		t.Fatal(err)
 	}
 	if err := WriteMapped(&v2, want); err != nil {
 		t.Fatal(err)
 	}
-	for name, data := range map[string][]byte{"text": text.Bytes(), "v1": v1.Bytes(), "v2": v2.Bytes()} {
+	for name, data := range map[string][]byte{"text": text.Bytes(), "v2": v2.Bytes()} {
 		got, err := ReadAnyBytes(data)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -220,10 +207,9 @@ func TestOpenFileFormats(t *testing.T) {
 		return path
 	}
 	textPath := write("db.tdb", func(f *os.File) error { return Write(f, want) })
-	v1Path := write("db.rpdb", func(f *os.File) error { return WriteBinary(f, want) })
 	v2Path := write("db.tsdbm", func(f *os.File) error { return WriteMapped(f, want) })
 
-	for path, wantMapped := range map[string]bool{textPath: false, v1Path: false, v2Path: true} {
+	for path, wantMapped := range map[string]bool{textPath: false, v2Path: true} {
 		fh, err := OpenFile(path)
 		if err != nil {
 			t.Fatalf("%s: %v", path, err)
@@ -238,7 +224,7 @@ func TestOpenFileFormats(t *testing.T) {
 	}
 
 	// ReadFile agrees with OpenFile on every format.
-	for _, path := range []string{textPath, v1Path, v2Path} {
+	for _, path := range []string{textPath, v2Path} {
 		db, err := ReadFile(path)
 		if err != nil {
 			t.Fatalf("ReadFile(%s): %v", path, err)
@@ -259,10 +245,7 @@ func TestFingerprintCachedAcrossRoundTrips(t *testing.T) {
 		t.Fatal("second Fingerprint call changed the value")
 	}
 
-	var v1, v2, text bytes.Buffer
-	if err := WriteBinary(&v1, db); err != nil {
-		t.Fatal(err)
-	}
+	var v2, text bytes.Buffer
 	if err := WriteMapped(&v2, db); err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +253,6 @@ func TestFingerprintCachedAcrossRoundTrips(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, load := range map[string]func() (*DB, error){
-		"v1":   func() (*DB, error) { return ReadBinary(bytes.NewReader(v1.Bytes())) },
 		"v2":   func() (*DB, error) { return ReadMapped(v2.Bytes()) },
 		"text": func() (*DB, error) { return ReadBytes(text.Bytes()) },
 	} {
@@ -283,6 +265,60 @@ func TestFingerprintCachedAcrossRoundTrips(t *testing.T) {
 		}
 		if got.Fingerprint() != got.fingerprintUncached() {
 			t.Errorf("%s: cached fingerprint diverges from recompute", name)
+		}
+	}
+}
+
+// v1File is a complete database in the retired v1 binary format: magic,
+// version 1, a one-item dictionary {"a"} and one transaction {a} at ts 1.
+const v1File = "RPDB\x01\x01\x01a\x01\x01\x01\x00"
+
+// TestReadAnyDetectsFormat pins the one format sniff behind ReadAny,
+// ReadAnyBytes, ReadFile and OpenFile: text and v2 each load through
+// their own path, and a retired v1 file fails on every entry point with
+// ErrV1Format, naming the removed format and the supported ones, instead
+// of reaching the text parser.
+func TestReadAnyDetectsFormat(t *testing.T) {
+	want := canonicalDB(t)
+	var text, v2 bytes.Buffer
+	if err := Write(&text, want); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteMapped(&v2, want); err != nil {
+		t.Fatal(err)
+	}
+	for name, buf := range map[string]*bytes.Buffer{"text": &text, "v2": &v2} {
+		got, err := ReadAny(buf)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		requireSameDB(t, got, want)
+	}
+
+	path := filepath.Join(t.TempDir(), "db.rpdb")
+	if err := os.WriteFile(path, []byte(v1File), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	loads := map[string]func() error{
+		"ReadAny stream": func() error {
+			_, err := ReadAny(onlyReader{bytes.NewReader([]byte(v1File))})
+			return err
+		},
+		"ReadAny buffer": func() error { _, err := ReadAny(bytes.NewBufferString(v1File)); return err },
+		"ReadAnyBytes":   func() error { _, err := ReadAnyBytes([]byte(v1File)); return err },
+		"ReadFile":       func() error { _, err := ReadFile(path); return err },
+		"OpenFile":       func() error { _, err := OpenFile(path); return err },
+	}
+	for name, load := range loads {
+		err := load()
+		if !errors.Is(err, ErrV1Format) {
+			t.Errorf("%s: err = %v, want ErrV1Format", name, err)
+			continue
+		}
+		for _, word := range []string{"v1 binary", "text", "v2 mapped"} {
+			if !strings.Contains(err.Error(), word) {
+				t.Errorf("%s: error %q does not name %q", name, err, word)
+			}
 		}
 	}
 }

@@ -144,9 +144,10 @@ func NewBuilder() *Builder { return tsdb.NewBuilder() }
 // FromEvents builds a database directly from an event sequence.
 func FromEvents(events EventSequence) *DB { return tsdb.FromEvents(events) }
 
-// ReadDB parses a database from any supported on-disk format — the text
-// transaction format ("timestamp<TAB>item item ..." lines), the compact v1
-// binary format, or the mmap-able v2 layout — detected automatically.
+// ReadDB parses a database from either supported on-disk format — the
+// text transaction format ("timestamp<TAB>item item ..." lines) or the
+// mmap-able v2 layout — detected automatically. A file in the retired v1
+// binary format fails with an error naming it.
 // Seekable and in-memory text inputs parse through the chunked parallel
 // scanner; use ReadDBFile or OpenDBFile when the input is a file.
 func ReadDB(r io.Reader) (*DB, error) { return tsdb.ReadAny(r) }
@@ -169,10 +170,6 @@ func OpenDBFile(path string) (*DBFile, error) { return tsdb.OpenFile(path) }
 
 // WriteDB serializes a database in the text transaction format.
 func WriteDB(w io.Writer, db *DB) error { return tsdb.Write(w, db) }
-
-// WriteDBBinary serializes a database in the compact binary format
-// (typically several times smaller than the text format).
-func WriteDBBinary(w io.Writer, db *DB) error { return tsdb.WriteBinary(w, db) }
 
 // WriteDBMapped serializes a database in the mmap-able v2 layout: aligned
 // little-endian sections behind a versioned header, loadable with

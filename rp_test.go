@@ -145,17 +145,20 @@ func TestMineFuncFacade(t *testing.T) {
 	}
 }
 
-func TestWriteDBBinaryFacade(t *testing.T) {
+func TestWriteDBMappedFacade(t *testing.T) {
 	db := FromEvents(paperEvents())
 	var buf bytes.Buffer
-	if err := WriteDBBinary(&buf, db); err != nil {
+	if err := WriteDBMapped(&buf, db); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadDB(&buf) // auto-detects binary
+	got, err := ReadDB(&buf) // auto-detects the mapped layout
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Len() != db.Len() {
-		t.Errorf("binary round trip: %d vs %d transactions", got.Len(), db.Len())
+	if err := got.Validate(); err != nil {
+		t.Fatalf("mapped round trip produced an invalid DB: %v", err)
+	}
+	if got.Fingerprint() != db.Fingerprint() {
+		t.Errorf("mapped round trip changed the fingerprint: %016x vs %016x", got.Fingerprint(), db.Fingerprint())
 	}
 }
