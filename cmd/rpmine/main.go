@@ -136,7 +136,7 @@ func mine(input string, minPSPct float64, shards int, stats, tsv bool, format st
 			return err
 		}
 	} else {
-		// Files go through OpenDBFile: text parses in parallel, v2 mapped
+		// Files go through OpenDBFile: text parses in one pass, v2 mapped
 		// files open as memory-mapped views with no decode loop.
 		fh, err := rp.OpenDBFile(input)
 		if err != nil {

@@ -1,6 +1,6 @@
 // The dataset registry is the "upload once, mine many" half of the
 // service: POST /v1/datasets streams a TDB (any format) to a spill file,
-// parses it through the parallel ingest path, and registers the database
+// parses it through the one-pass ingest path, and registers the database
 // under its content fingerprint; POST /v1/mine then addresses it as
 // {"dataset": "<fp>"} with no body re-parse. Registry memory is bounded
 // by entry count and by estimated resident bytes, evicting least recently
@@ -226,7 +226,7 @@ type listDatasetsResponse struct {
 
 // handleDatasetUpload ingests one dataset: the body streams to a spill
 // file (bounded by MaxUpload with the same JSON 413 as /v1/mine), parses
-// through the parallel ingest path, and registers under its fingerprint.
+// through the one-pass ingest path, and registers under its fingerprint.
 // The ingest is phase-attributed and journalled like a mine, so
 // /debug/requests shows upload requests with an "ingest" phase and
 // mine-by-fingerprint requests without one.
@@ -265,7 +265,7 @@ func (s *Server) handleDatasetUpload(w http.ResponseWriter, r *http.Request) {
 
 	rec.opts = fmt.Sprintf("bytes=%d", n)
 
-	// Parse through the parallel path, attributing the wall time (and the
+	// Parse in one pass, attributing the wall time (and the
 	// byte count: time + count = throughput) to the ingest phase.
 	trace := obs.NewTrace()
 	begin := now()

@@ -47,18 +47,15 @@ func BenchmarkIngestTextSequential(b *testing.B) {
 	}
 }
 
-func BenchmarkIngestTextParallel(b *testing.B) {
+func BenchmarkIngestText(b *testing.B) {
 	data := benchText()
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			b.SetBytes(int64(len(data)))
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := ReadBytesWorkers(data, workers); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ReadBytes(data); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

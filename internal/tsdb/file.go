@@ -33,9 +33,10 @@ func sniff(prefix []byte) (mapped bool, err error) {
 }
 
 // ReadAny reads a database in any supported format, sniffing its first
-// bytes. Buffered or seekable inputs are slurped so text goes through the
-// parallel parser and mapped data needs no copy; true streams are peeked
-// through a bufio.Reader.
+// bytes. Buffered or seekable inputs are read to EOF and handed to
+// ReadAnyBytes; true streams are peeked through a bufio.Reader. Either
+// way the input is consumed, and the result never aliases the caller's
+// buffer.
 func ReadAny(r io.Reader) (*DB, error) {
 	if data, ok, err := slurp(r); ok {
 		if err != nil {
@@ -60,7 +61,7 @@ func ReadAny(r io.Reader) (*DB, error) {
 }
 
 // ReadAnyBytes is ReadAny over a fully buffered input: format sniff, then
-// the zero-copy path for each format (parallel parse for text, in-place
+// the zero-copy path for each format (one-pass parse for text, in-place
 // view for mapped). The returned DB may alias data; callers must not
 // modify it afterwards.
 func ReadAnyBytes(data []byte) (*DB, error) {
@@ -75,8 +76,8 @@ func ReadAnyBytes(data []byte) (*DB, error) {
 }
 
 // ReadFile loads a database file of any supported format into memory:
-// text goes through the chunked parallel parser and mapped v2 through the
-// in-place view over the heap buffer. The result never references the
+// text goes through the one-pass parser (ReadBytes) and mapped v2 through
+// the in-place view over the heap buffer. The result never references the
 // file; use OpenFile to keep a mapped file on disk instead.
 func ReadFile(path string) (*DB, error) {
 	data, err := os.ReadFile(path)

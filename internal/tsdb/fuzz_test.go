@@ -71,28 +71,30 @@ func FuzzReadAny(f *testing.F) {
 	})
 }
 
-func FuzzReadParallel(f *testing.F) {
-	// Pinned equivalence: the chunked parallel parser and the sequential
+func FuzzReadBytes(f *testing.F) {
+	// Pinned equivalence: the one-pass buffer parser and the streaming
 	// scanner accept exactly the same language and build identical DBs.
-	f.Add([]byte("1\ta b g\n2\ta c d\n"), uint8(4))
-	f.Add([]byte("# c\n\n5 x\n5\ty z\n-3 w\n"), uint8(2))
-	f.Add([]byte("bogus"), uint8(8))
-	f.Add([]byte("1\ta b\n"), uint8(3)) // unicode whitespace splits items
-	f.Add([]byte("9223372036854775807\tx\n9223372036854775808\ty\n"), uint8(2))
-	f.Fuzz(func(t *testing.T, data []byte, workers uint8) {
+	f.Add([]byte("1\ta b g\n2\ta c d\n"))
+	f.Add([]byte("# c\n\n5 x\n5\ty z\n-3 w\n"))
+	f.Add([]byte("bogus"))
+	f.Add([]byte("1\ta b\n")) // unicode whitespace splits items
+	f.Add([]byte("9223372036854775807\tx\n9223372036854775808\ty\n"))
+	f.Add([]byte("1\ta\n3\tb\n5\tc\n3\td a\n5\te\n2\tf\n2\tg\n5 h\n"))
+	f.Add([]byte("1\ta b\n1\tb c\n1 a\n2\tc\n2\td d\n"))
+	f.Fuzz(func(t *testing.T, data []byte) {
 		seqDB, seqErr := readSequential(bytes.NewReader(data))
-		parDB, parErr := ReadBytesWorkers(data, 1+int(workers%8))
-		if (seqErr == nil) != (parErr == nil) {
-			t.Fatalf("accept/reject mismatch: sequential %v, parallel %v", seqErr, parErr)
+		db, err := ReadBytes(data)
+		if (seqErr == nil) != (err == nil) {
+			t.Fatalf("accept/reject mismatch: sequential %v, ReadBytes %v", seqErr, err)
 		}
 		if seqErr != nil {
 			return
 		}
-		if err := parDB.Validate(); err != nil {
-			t.Fatalf("parallel parse produced invalid DB: %v", err)
+		if err := db.Validate(); err != nil {
+			t.Fatalf("ReadBytes produced invalid DB: %v", err)
 		}
-		if s, p := seqDB.fingerprintUncached(), parDB.fingerprintUncached(); s != p {
-			t.Fatalf("fingerprint mismatch: sequential %016x, parallel %016x", s, p)
+		if s, p := seqDB.fingerprintUncached(), db.fingerprintUncached(); s != p {
+			t.Fatalf("fingerprint mismatch: sequential %016x, ReadBytes %016x", s, p)
 		}
 	})
 }

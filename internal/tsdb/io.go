@@ -50,10 +50,10 @@ func Write(w io.Writer, db *DB) error {
 // temporally ordered.
 //
 // When the input is already in memory (*bytes.Buffer) or seekable (a file,
-// *bytes.Reader, *strings.Reader), Read slurps it and parses through the
-// chunked parallel path (ReadBytes); true streams fall back to the
-// sequential line scanner. Both paths accept the same language and produce
-// identical databases.
+// *bytes.Reader, *strings.Reader), Read reads it to EOF and parses the
+// bytes in one pass (ReadBytes); true streams go through the line
+// scanner. Both paths accept the same language and produce identical
+// databases.
 func Read(r io.Reader) (*DB, error) {
 	if data, ok, err := slurp(r); ok {
 		if err != nil {
@@ -64,13 +64,15 @@ func Read(r io.Reader) (*DB, error) {
 	return readSequential(r)
 }
 
-// slurp returns the reader's full contents when that is cheap and safe:
-// buffered readers hand over their bytes, seekable ones are read to EOF.
-// ok=false means the caller should stream instead.
+// slurp reads buffered and seekable inputs to EOF. A *bytes.Buffer is
+// drained like any other reader, into one exact-size copy the caller's
+// buffer no longer owns. ok=false means the caller should stream instead.
 func slurp(r io.Reader) (data []byte, ok bool, err error) {
 	switch v := r.(type) {
 	case *bytes.Buffer:
-		return v.Bytes(), true, nil
+		data := bytes.Clone(v.Bytes())
+		v.Reset()
+		return data, true, nil
 	case io.ReadSeeker:
 		data, err := io.ReadAll(v)
 		return data, true, err
@@ -80,7 +82,7 @@ func slurp(r io.Reader) (data []byte, ok bool, err error) {
 
 // readSequential is the streaming text parser: one bufio.Scanner pass,
 // used for pipes and other non-seekable inputs (and by tests as the
-// reference implementation the parallel parser must match).
+// reference implementation ReadBytes must match).
 func readSequential(r io.Reader) (*DB, error) {
 	b := NewBuilder()
 	sc := bufio.NewScanner(r)

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -185,6 +186,52 @@ func TestReadAnyBytesDispatch(t *testing.T) {
 			t.Fatalf("%s stream: %v", name, err)
 		}
 		requireSameDB(t, gotStream, want)
+	}
+}
+
+func TestReadBufferDrainsAndCopies(t *testing.T) {
+	// Reading from a *bytes.Buffer must consume it like any io.Reader and
+	// leave a DB that owns its memory: overwriting the buffer's old bytes
+	// afterwards must not reach the database.
+	want := canonicalDB(t)
+	var text, v2 bytes.Buffer
+	if err := Write(&text, want); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteMapped(&v2, want); err != nil {
+		t.Fatal(err)
+	}
+	readAny := func(b *bytes.Buffer) (*DB, error) { return ReadAny(b) }
+	read := func(b *bytes.Buffer) (*DB, error) { return Read(b) }
+	cases := []struct {
+		name string
+		body []byte
+		read func(*bytes.Buffer) (*DB, error)
+	}{
+		{"ReadAny text", text.Bytes(), readAny},
+		{"ReadAny v2", v2.Bytes(), readAny},
+		{"Read text", text.Bytes(), read},
+	}
+	for _, c := range cases {
+		buf := bytes.NewBuffer(slices.Clone(c.body))
+		old := buf.Bytes()
+		db, err := c.read(buf)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if buf.Len() != 0 {
+			t.Errorf("%s: buffer still holds %d bytes", c.name, buf.Len())
+		}
+		fp := db.fingerprintUncached()
+		for i := range old {
+			old[i] = 0x5A
+		}
+		if err := db.Validate(); err != nil {
+			t.Fatalf("%s: DB changed with the buffer: %v", c.name, err)
+		}
+		if got := db.fingerprintUncached(); got != fp {
+			t.Fatalf("%s: fingerprint changed with the buffer: %016x vs %016x", c.name, got, fp)
+		}
 	}
 }
 

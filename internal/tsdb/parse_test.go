@@ -2,9 +2,12 @@ package tsdb
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
 	"math/rand/v2"
 	"reflect"
+	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -71,67 +74,141 @@ func requireSameDB(t *testing.T, got, want *DB) {
 	}
 }
 
+// sortLines stably sorts data's transaction lines by timestamp, leaving
+// comments and blank lines where they were, so lines sharing a timestamp
+// become adjacent and extend one row.
+func sortLines(data []byte) []byte {
+	lines := strings.SplitAfter(string(data), "\n")
+	var slots []int
+	for i, l := range lines {
+		if tl := strings.TrimSpace(l); tl != "" && tl[0] != '#' {
+			slots = append(slots, i)
+		}
+	}
+	tsOf := func(l string) int64 {
+		ts, _ := strconv.ParseInt(strings.Fields(l)[0], 10, 64)
+		return ts
+	}
+	txLines := make([]string, len(slots))
+	for i, at := range slots {
+		txLines[i] = lines[at]
+	}
+	slices.SortStableFunc(txLines, func(a, b string) int { return cmp.Compare(tsOf(a), tsOf(b)) })
+	for i, at := range slots {
+		lines[at] = txLines[i]
+	}
+	return []byte(strings.Join(lines, ""))
+}
+
+// turnsOutOfOrder is a sorted prefix that turns out of order mid-file: it
+// revisits an earlier row (the first out-of-order line), revisits the last
+// row, opens a new earlier timestamp and revisits it, then goes back to an
+// earlier row before unsorted lines follow.
+func turnsOutOfOrder(t *testing.T, lines int) []byte {
+	t.Helper()
+	prefix := sortLines(genText(uint64(lines)+7, lines))
+	db, err := readSequential(bytes.NewReader(prefix))
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, last := db.Span()
+	earlier := -int64(lines) - 10 // below every timestamp genText writes
+	turn := fmt.Sprintf("%d\tturn-a item-1\n%d\tturn-b\n%d turn-c item-2\n%d\tturn-d\n%d\tturn-e item-3\n",
+		first, last, earlier, earlier, last)
+	return append(append(prefix, turn...), genText(uint64(lines)+8, lines)...)
+}
+
 func TestReadBytesMatchesSequential(t *testing.T) {
+	type input struct {
+		name string
+		data []byte
+	}
+	var inputs []input
 	for _, lines := range []int{0, 1, 7, 500, 5000} {
 		data := genText(uint64(lines)+1, lines)
-		want, err := readSequential(bytes.NewReader(data))
-		if err != nil {
-			t.Fatalf("lines=%d: sequential: %v", lines, err)
-		}
-		for _, workers := range []int{1, 2, 4, 8} {
-			got, err := ReadBytesWorkers(data, workers)
+		inputs = append(inputs,
+			input{fmt.Sprintf("lines=%d", lines), data},
+			input{fmt.Sprintf("sorted lines=%d", lines), sortLines(data)})
+	}
+	for _, lines := range []int{1, 40, 500} {
+		inputs = append(inputs, input{fmt.Sprintf("turns out of order lines=%d", lines), turnsOutOfOrder(t, lines)})
+	}
+	for _, in := range inputs {
+		t.Run(in.name, func(t *testing.T) {
+			want, err := readSequential(bytes.NewReader(in.data))
 			if err != nil {
-				t.Fatalf("lines=%d workers=%d: %v", lines, workers, err)
+				t.Fatalf("sequential: %v", err)
+			}
+			got, err := ReadBytes(in.data)
+			if err != nil {
+				t.Fatal(err)
 			}
 			if err := got.Validate(); err != nil {
-				t.Fatalf("lines=%d workers=%d: invalid DB: %v", lines, workers, err)
+				t.Fatalf("invalid DB: %v", err)
 			}
 			requireSameDB(t, got, want)
-		}
+		})
 	}
 }
 
-func TestReadBytesManyChunks(t *testing.T) {
-	// Force multi-chunk splits regardless of minChunkBytes by going through
-	// splitChunks directly: reassembly must be lossless and newline-aligned.
-	data := genText(3, 300)
-	for _, n := range []int{2, 3, 7, 50} {
-		chunks := splitChunks(data, n)
-		var re []byte
-		for i, c := range chunks {
-			if c.off != len(re) {
-				t.Fatalf("n=%d chunk %d: offset %d, want %d", n, i, c.off, len(re))
-			}
-			if i > 0 && len(chunks[i-1].data) > 0 && chunks[i-1].data[len(chunks[i-1].data)-1] != '\n' {
-				t.Fatalf("n=%d chunk %d does not end at a newline", n, i-1)
-			}
-			re = append(re, c.data...)
-		}
-		if !bytes.Equal(re, data) {
-			t.Fatalf("n=%d: chunks do not reassemble the input", n)
-		}
-
-		// Parse each chunk and merge; must equal the sequential parse.
-		parts := make([]*ingestPartial, len(chunks))
-		for i, c := range chunks {
-			parts[i] = parseChunk(c.data, c.off)
-		}
-		got, err := mergePartials(data, parts, 2)
-		if err != nil {
-			t.Fatalf("n=%d: merge: %v", n, err)
-		}
-		want, err := readSequential(bytes.NewReader(data))
-		if err != nil {
-			t.Fatal(err)
-		}
-		requireSameDB(t, got, want)
+func TestReadBytesRetainsWhatItKeeps(t *testing.T) {
+	// Lines that add no row or no new item (blanks, comments, a repeated
+	// timestamp, a repeated item, timestamps that join out of order) must
+	// neither reserve memory sized by their count nor leave the DB holding
+	// memory sized by the input. perByte bounds what one parse allocates
+	// per input byte; an uncapped arena reservation alone costs 4.
+	const n = 1 << 18
+	inputs := map[string]struct {
+		text    string
+		perByte int
+	}{
+		"blank lines":         {strings.Repeat("\n", 4*n) + "1\ta\n", 4},
+		"comment lines":       {strings.Repeat("# c\n", n) + "1\ta\n", 4},
+		"repeated timestamp":  {strings.Repeat("1\ta\n", n), 3},
+		"repeated item":       {"1\t" + strings.Repeat("a ", 2*n) + "\n", 3},
+		"spaces":              {"1\ta" + strings.Repeat(" ", 4*n) + "b\n", 3},
+		"joined out of order": {strings.Repeat("2\ta\n1\tb\n", n/2), 6},
 	}
+	for name, in := range inputs {
+		t.Run(name, func(t *testing.T) {
+			data := []byte(in.text)
+			before := heapInUse()
+			var ms runtime.MemStats
+			runtime.ReadMemStats(&ms)
+			allocBefore := ms.TotalAlloc
+			db, err := ReadBytes(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&ms)
+			if alloc, limit := ms.TotalAlloc-allocBefore, uint64(in.perByte*len(data)); alloc > limit {
+				t.Errorf("parse allocated %d bytes, want at most %d (input %d bytes)", alloc, limit, len(data))
+			}
+			retained := heapInUse() - before
+			runtime.KeepAlive(data)
+			if cap(db.Trans) > 2*len(db.Trans)+8 {
+				t.Errorf("cap(Trans) = %d for %d rows", cap(db.Trans), len(db.Trans))
+			}
+			if limit := int64(len(data) / 16); retained > limit {
+				t.Errorf("DB of %d rows retains %d bytes of heap, want at most %d (input %d bytes)",
+					len(db.Trans), retained, limit, len(data))
+			}
+			runtime.KeepAlive(db)
+		})
+	}
+}
+
+// heapInUse is the live heap after a full collection.
+func heapInUse() int64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
 }
 
 func TestReadBytesErrorsMatchSequential(t *testing.T) {
-	// The parallel parser must report the earliest failing line by the same
-	// line number the sequential parser would, even when a later chunk
-	// fails "first" in wall time.
+	// ReadBytes must reject exactly where the sequential parser does and
+	// report the same line number.
 	good := string(genText(9, 200))
 	cases := []string{
 		"notanumber\ta b\n",
@@ -146,16 +223,12 @@ func TestReadBytesErrorsMatchSequential(t *testing.T) {
 		if seqErr == nil {
 			t.Fatalf("case should fail sequentially: %q...", in[:40])
 		}
-		for _, workers := range []int{1, 4} {
-			_, parErr := ReadBytesWorkers([]byte(in), workers)
-			if parErr == nil {
-				t.Fatalf("workers=%d: parallel accepted input the sequential parser rejects", workers)
-			}
-			seqLine := errLine(t, seqErr.Error())
-			parLine := errLine(t, parErr.Error())
-			if seqLine != parLine {
-				t.Errorf("workers=%d: error line %d, sequential says %d (%v vs %v)", workers, parLine, seqLine, parErr, seqErr)
-			}
+		_, err := ReadBytes([]byte(in))
+		if err == nil {
+			t.Fatal("ReadBytes accepted input the sequential parser rejects")
+		}
+		if got, want := errLine(t, err.Error()), errLine(t, seqErr.Error()); got != want {
+			t.Errorf("error line %d, sequential says %d (%v vs %v)", got, want, err, seqErr)
 		}
 	}
 }
@@ -171,8 +244,8 @@ func errLine(t *testing.T, msg string) int {
 }
 
 func TestReadDispatchesSeekableInputs(t *testing.T) {
-	// Read over a seekable reader (parallel path) and over a plain pipe-like
-	// reader (sequential path) must agree.
+	// Read over a seekable reader (ReadBytes) and over a plain pipe-like
+	// reader (the streaming parser) must agree.
 	data := genText(11, 400)
 	viaSeek, err := Read(bytes.NewReader(data))
 	if err != nil {

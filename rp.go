@@ -148,13 +148,14 @@ func FromEvents(events EventSequence) *DB { return tsdb.FromEvents(events) }
 // text transaction format ("timestamp<TAB>item item ..." lines) or the
 // mmap-able v2 layout — detected automatically. A file in the retired v1
 // binary format fails with an error naming it.
-// Seekable and in-memory text inputs parse through the chunked parallel
-// scanner; use ReadDBFile or OpenDBFile when the input is a file.
+// Seekable and in-memory inputs are read to EOF (a *bytes.Buffer is
+// drained, never aliased) and text parses in one pass over the bytes;
+// use ReadDBFile or OpenDBFile when the input is a file.
 func ReadDB(r io.Reader) (*DB, error) { return tsdb.ReadAny(r) }
 
 // ReadDBFile loads a database file in any supported format fully into
-// memory. Text parses in parallel; the v2 mapped layout materializes its
-// view without a per-item decode loop.
+// memory. Text parses in one pass over the file's bytes; the v2 mapped
+// layout materializes its view without a per-item decode loop.
 func ReadDBFile(path string) (*DB, error) { return tsdb.ReadFile(path) }
 
 // DBFile is an opened database file (see OpenDBFile). Close releases the
