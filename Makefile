@@ -3,7 +3,7 @@
 GO ?= go
 SHELL := /bin/bash
 
-.PHONY: help build test check bench bench-core bench-ingest bench-diff fmt vet rpvet vet-fix-check vet-sarif
+.PHONY: help build test check bench bench-core bench-ingest bench-diff fmt vet rpvet
 
 help:
 	@echo "Targets:"
@@ -17,8 +17,6 @@ help:
 	@echo "  fmt            gofmt -w ."
 	@echo "  vet            go vet ./..."
 	@echo "  rpvet          custom static-analysis passes"
-	@echo "  vet-fix-check  assert rpvet -fix -diff is empty (every suggested fix is applied)"
-	@echo "  vet-sarif      write rpvet's findings to rpvet.sarif for code scanning"
 
 build:
 	$(GO) build ./...
@@ -61,15 +59,3 @@ vet:
 
 rpvet:
 	$(GO) run ./cmd/rpvet ./...
-
-# Fails when any pass still carries an unapplied suggested fix: the tree
-# must be a fixed point of `rpvet -fix`.
-vet-fix-check:
-	$(GO) run ./cmd/rpvet -fix -diff ./...
-
-# Writes the findings as SARIF 2.1.0 for GitHub code scanning; always
-# produces the file, even when there are findings (CI uploads it and then
-# fails on the gate instead).
-vet-sarif:
-	$(GO) run ./cmd/rpvet -format=sarif ./... > rpvet.sarif || true
-	@echo "wrote rpvet.sarif"

@@ -9,24 +9,17 @@
 //
 //	rpvet [flags] [package-dir | ./... ...]
 //
-//	-list            list pass names, versions and one-line docs
-//	-passes a,b,...  run only these passes (alias: -pass)
-//	-format f        output format: text (default), json, or sarif
-//	-fix             apply the findings' suggested fixes to the tree
-//	-diff            with -fix: print a unified diff instead of writing
-//	-j N             analysis parallelism (default GOMAXPROCS; 1 = sequential)
-//	-cache           use the on-disk result cache (default true)
-//	-cache-dir dir   cache location (default <module>/.rpvetcache)
-//	-C dir           change to this directory before resolving packages
+//	-list          list pass names and one-line docs
+//	-pass a,b,...  run only these passes
+//	-fix           apply the findings' suggested fixes to the tree
+//	-C dir         change to this directory before resolving packages
 //
 // With no arguments (or "./...") every package of the enclosing module is
 // analyzed. Findings print one per line as "file:line:col: pass: message"
 // and make the exit status 1; a clean tree exits 0.
 //
-// Packages load and analyze in parallel, and per-(package, pass) results
-// are cached under .rpvetcache keyed by content and pass-version hashes,
-// so a warm run costs milliseconds; the merged output is byte-identical
-// to a sequential, uncached run either way.
+// Packages load and analyze in parallel (GOMAXPROCS at a time); the
+// merged output is byte-identical to a sequential run.
 //
 // A finding is suppressed by a "//rpvet:allow <pass> <reason>" comment on
 // the flagged line or the line above it — the escape hatch for, e.g., the
@@ -59,16 +52,10 @@ func main() {
 func run(args []string, out io.Writer) (int, error) {
 	fs := flag.NewFlagSet("rpvet", flag.ContinueOnError)
 	var (
-		list      = fs.Bool("list", false, "list the passes and exit")
-		passFlag  = fs.String("pass", "", "run only these comma-separated passes (default: all)")
-		passesFlg = fs.String("passes", "", "alias for -pass")
-		formatFlg = fs.String("format", "text", "output format: text, json, or sarif")
-		fixFlag   = fs.Bool("fix", false, "apply suggested fixes to the tree")
-		diffFlag  = fs.Bool("diff", false, "with -fix: print a unified diff instead of writing files")
-		jFlag     = fs.Int("j", 0, "analysis parallelism (0 = GOMAXPROCS, 1 = sequential)")
-		cacheFlag = fs.Bool("cache", true, "use the on-disk result cache")
-		cacheDir  = fs.String("cache-dir", "", "result cache directory (default <module>/.rpvetcache)")
-		dirFlag   = fs.String("C", "", "change to this directory before resolving packages")
+		list     = fs.Bool("list", false, "list the passes and exit")
+		passFlag = fs.String("pass", "", "run only these comma-separated passes (default: all)")
+		fixFlag  = fs.Bool("fix", false, "apply suggested fixes to the tree")
+		dirFlag  = fs.String("C", "", "change to this directory before resolving packages")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2, err
@@ -76,29 +63,14 @@ func run(args []string, out io.Writer) (int, error) {
 	if *list {
 		w := cliio.NewWriter(out)
 		for _, p := range analysis.Passes() {
-			fmt.Fprintf(w, "%-20s v%-3d %s\n", p.Name, p.Version, p.Doc)
+			fmt.Fprintf(w, "%-20s %s\n", p.Name, p.Doc)
 		}
 		return 0, w.Err()
 	}
-	if *diffFlag && !*fixFlag {
-		return 2, fmt.Errorf("-diff requires -fix")
-	}
-	switch *formatFlg {
-	case "text", "json", "sarif":
-	default:
-		return 2, fmt.Errorf("unknown -format %q (want text, json or sarif)", *formatFlg)
-	}
-	selector := *passFlag
-	if *passesFlg != "" {
-		if selector != "" && selector != *passesFlg {
-			return 2, fmt.Errorf("-pass and -passes disagree; set only one")
-		}
-		selector = *passesFlg
-	}
 	passes := analysis.Passes()
-	if selector != "" {
+	if *passFlag != "" {
 		passes = passes[:0]
-		for _, name := range strings.Split(selector, ",") {
+		for _, name := range strings.Split(*passFlag, ",") {
 			p := analysis.PassByName(strings.TrimSpace(name))
 			if p == nil {
 				return 2, fmt.Errorf("unknown pass %q (see -list)", name)
@@ -124,36 +96,16 @@ func run(args []string, out io.Writer) (int, error) {
 		return 2, err
 	}
 
-	driver := &analysis.Driver{Root: root, Passes: passes, Workers: *jFlag}
-	if *cacheFlag {
-		dir := *cacheDir
-		if dir == "" {
-			dir = filepath.Join(root, ".rpvetcache")
-		}
-		cache, err := analysis.OpenCache(dir, root)
-		if err != nil {
-			return 2, err
-		}
-		driver.Cache = cache
-	}
-	diags, err := driver.Run(dirs)
+	diags, err := (&analysis.Driver{Root: root, Passes: passes}).Run(dirs)
 	if err != nil {
 		return 2, err
 	}
-
 	if *fixFlag {
-		return applyFixes(out, root, diags, *diffFlag)
+		if diags, err = applyFixes(diags); err != nil {
+			return 2, err
+		}
 	}
-
-	var n int
-	switch *formatFlg {
-	case "text":
-		n, err = analysis.Print(out, root, diags)
-	case "json":
-		n, err = analysis.WriteJSON(out, root, diags)
-	case "sarif":
-		n, err = analysis.WriteSARIF(out, root, passes, diags)
-	}
+	n, err := analysis.Print(out, root, diags)
 	if err != nil {
 		return 2, err
 	}
@@ -163,30 +115,15 @@ func run(args []string, out io.Writer) (int, error) {
 	return 0, nil
 }
 
-// applyFixes materializes suggested fixes: with diff=true it prints the
-// pending rewrite as a unified diff (exit 1 when non-empty, the contract
-// `make vet-fix-check` relies on); otherwise it writes the files and then
-// reports the findings no fix could resolve.
-func applyFixes(out io.Writer, root string, diags []analysis.Diagnostic, diff bool) (int, error) {
+// applyFixes writes the findings' suggested fixes to the tree and returns
+// the findings no fix could resolve.
+func applyFixes(diags []analysis.Diagnostic) ([]analysis.Diagnostic, error) {
 	res, err := analysis.ApplyFixes(diags)
 	if err != nil {
-		return 2, err
-	}
-	if diff {
-		text, err := res.Diff(root)
-		if err != nil {
-			return 2, err
-		}
-		if text == "" {
-			return 0, nil
-		}
-		if _, err := io.WriteString(out, text); err != nil {
-			return 2, err
-		}
-		return 1, nil
+		return nil, err
 	}
 	if err := res.Write(); err != nil {
-		return 2, err
+		return nil, err
 	}
 	fmt.Fprintf(os.Stderr, "rpvet: applied %d fix(es) to %d file(s)", res.Applied, len(res.Files))
 	if res.Skipped > 0 {
@@ -199,14 +136,7 @@ func applyFixes(out io.Writer, root string, diags []analysis.Diagnostic, diff bo
 			unfixed = append(unfixed, d)
 		}
 	}
-	n, err := analysis.Print(out, root, unfixed)
-	if err != nil {
-		return 2, err
-	}
-	if n > 0 {
-		return 1, nil
-	}
-	return 0, nil
+	return unfixed, nil
 }
 
 // resolvePatterns maps the command-line package patterns to directories:

@@ -57,10 +57,6 @@ func (d Diagnostic) String(root string) string {
 type Pass struct {
 	// Name is the identifier used in output and in //rpvet:allow directives.
 	Name string
-	// Version participates in the result-cache key: bump it whenever the
-	// pass's rules, message texts, or suggested fixes change, so stale
-	// cached findings are invalidated module-wide.
-	Version int
 	// Doc is a one-line description shown by rpvet -list.
 	Doc string
 	// Run inspects one package and reports findings through ctx.Report.
@@ -124,33 +120,20 @@ func PassByName(name string) *Pass {
 	return nil
 }
 
-// Run applies the passes to the packages, drops findings suppressed by
-// //rpvet:allow directives, and returns the rest sorted by position.
-func Run(l *Loader, pkgs []*Package, passes []*Pass) []Diagnostic {
-	var diags []Diagnostic
-	for _, pkg := range pkgs {
-		for _, pass := range passes {
-			diags = append(diags, runPass(l, pkg, pass)...)
-		}
-	}
-	SortDiagnostics(diags)
-	return diags
-}
-
-// runPass is the unit of work the driver schedules and the cache keys:
-// one pass over one package, allow-directives already applied. The result
-// depends only on the package's source (and, through type information,
-// its dependencies' source), never on scheduling, which is what makes the
-// parallel driver's merged output byte-identical to a sequential run.
+// runPass is the unit of work the driver schedules: one pass over one
+// package, allow-directives already applied. The result depends only on
+// the package's source (and, through type information, its dependencies'
+// source), never on scheduling, which is what makes the parallel driver's
+// merged output byte-identical to a sequential run.
 func runPass(l *Loader, pkg *Package, pass *Pass) []Diagnostic {
 	var diags []Diagnostic
 	ctx := &Context{Loader: l, Pkg: pkg, pass: pass.Name, out: &diags}
 	pass.Run(ctx)
-	return filterAllowed(l, []*Package{pkg}, diags)
+	return filterAllowed(l, pkg, diags)
 }
 
 // SortDiagnostics orders findings by file, line, column, then pass name —
-// the canonical output order every format emits.
+// the canonical output order.
 func SortDiagnostics(diags []Diagnostic) {
 	slices.SortFunc(diags, func(a, b Diagnostic) int {
 		if a.Pos.Filename != b.Pos.Filename {
@@ -191,25 +174,23 @@ type allowKey struct {
 //	start := time.Now() //rpvet:allow determinism
 //	//rpvet:allow errcheck,determinism
 //	doRiskyThing()
-func filterAllowed(l *Loader, pkgs []*Package, diags []Diagnostic) []Diagnostic {
+func filterAllowed(l *Loader, pkg *Package, diags []Diagnostic) []Diagnostic {
 	allowed := make(map[allowKey]map[string]bool)
-	for _, pkg := range pkgs {
-		for _, f := range pkg.Files {
-			for _, cg := range f.Comments {
-				for _, c := range cg.List {
-					passes, ok := parseAllow(c.Text)
-					if !ok {
-						continue
+	for _, f := range pkg.Files {
+		for _, cg := range f.Comments {
+			for _, c := range cg.List {
+				passes, ok := parseAllow(c.Text)
+				if !ok {
+					continue
+				}
+				end := l.Fset.Position(c.End())
+				for _, line := range []int{end.Line, end.Line + 1} {
+					key := allowKey{file: end.Filename, line: line}
+					if allowed[key] == nil {
+						allowed[key] = make(map[string]bool)
 					}
-					end := l.Fset.Position(c.End())
-					for _, line := range []int{end.Line, end.Line + 1} {
-						key := allowKey{file: end.Filename, line: line}
-						if allowed[key] == nil {
-							allowed[key] = make(map[string]bool)
-						}
-						for _, p := range passes {
-							allowed[key][p] = true
-						}
+					for _, p := range passes {
+						allowed[key][p] = true
 					}
 				}
 			}

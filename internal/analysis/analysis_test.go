@@ -5,31 +5,40 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 )
 
 var update = flag.Bool("update", false, "rewrite the golden files under testdata/golden")
 
-// loadFixture type-checks the rpfix fixture module once and runs the full
-// pass suite over it.
-func loadFixture(t *testing.T) (*Loader, []Diagnostic) {
+// fixture is the rpfix fixture module's root and its findings.
+type fixture struct {
+	root  string
+	diags []Diagnostic
+}
+
+// fixtureRun runs the full pass suite over the rpfix fixture module once
+// per test binary; every caller shares the result and must not modify it.
+var fixtureRun = sync.OnceValues(func() (fixture, error) {
+	root, err := filepath.Abs(filepath.Join("testdata", "src", "rpfix"))
+	if err != nil {
+		return fixture{}, err
+	}
+	diags, err := runDriver(root)
+	return fixture{root: root, diags: diags}, err
+})
+
+// loadFixture returns the fixture module's root and its findings.
+func loadFixture(t *testing.T) (string, []Diagnostic) {
 	t.Helper()
-	dir, err := filepath.Abs(filepath.Join("testdata", "src", "rpfix"))
+	fx, err := fixtureRun()
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("analysing the fixture module: %v", err)
 	}
-	l, err := NewLoader(dir)
-	if err != nil {
-		t.Fatalf("NewLoader: %v", err)
+	if len(fx.diags) == 0 {
+		t.Fatal("fixture module produced zero findings")
 	}
-	pkgs, err := l.LoadAll()
-	if err != nil {
-		t.Fatalf("LoadAll: %v", err)
-	}
-	if len(pkgs) == 0 {
-		t.Fatal("fixture module loaded zero packages")
-	}
-	return l, Run(l, pkgs, Passes())
+	return fx.root, fx.diags
 }
 
 // TestFixtureGolden checks every pass against its golden findings on the
@@ -37,11 +46,11 @@ func loadFixture(t *testing.T) (*Loader, []Diagnostic) {
 //
 //	go test ./internal/analysis -run TestFixtureGolden -update
 func TestFixtureGolden(t *testing.T) {
-	l, diags := loadFixture(t)
+	root, diags := loadFixture(t)
 
 	byPass := make(map[string][]string)
 	for _, d := range diags {
-		byPass[d.Pass] = append(byPass[d.Pass], d.String(l.ModDir))
+		byPass[d.Pass] = append(byPass[d.Pass], d.String(root))
 	}
 
 	for _, p := range Passes() {
@@ -72,10 +81,10 @@ func TestFixtureGolden(t *testing.T) {
 // files, that each seeded violation class in the fixture is reported and
 // each deliberately clean construct is not.
 func TestFixtureFindsEveryKind(t *testing.T) {
-	l, diags := loadFixture(t)
+	root, diags := loadFixture(t)
 	var all []string
 	for _, d := range diags {
-		all = append(all, d.String(l.ModDir))
+		all = append(all, d.String(root))
 	}
 	out := strings.Join(all, "\n")
 
@@ -189,27 +198,6 @@ func TestFixtureFindsEveryKind(t *testing.T) {
 		if !strings.Contains(line, ":14:") && !strings.Contains(line, ":20:") {
 			t.Errorf("finding on a deliberately clean sortslice line: %s", line)
 		}
-	}
-}
-
-// TestRepoIsClean runs the full suite over this repository itself: the
-// tree must carry zero findings, or check.sh (and CI) would be red.
-func TestRepoIsClean(t *testing.T) {
-	root, err := FindModuleRoot(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	l, err := NewLoader(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkgs, err := l.LoadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	diags := Run(l, pkgs, Passes())
-	for _, d := range diags {
-		t.Errorf("unexpected finding: %s", d.String(root))
 	}
 }
 

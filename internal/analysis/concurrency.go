@@ -20,10 +20,9 @@ import (
 //     otherwise the write is a data race waiting for -race to find it.
 func ConcurrencyPass() *Pass {
 	return &Pass{
-		Name:    "concurrency",
-		Version: 1,
-		Doc:     "flag goroutines capturing loop variables or sharing Result state without visible synchronization",
-		Run:     runConcurrency,
+		Name: "concurrency",
+		Doc:  "flag goroutines capturing loop variables or sharing Result state without visible synchronization",
+		Run:  runConcurrency,
 	}
 }
 

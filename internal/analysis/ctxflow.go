@@ -31,10 +31,9 @@ import (
 // but rules 1 and 3 still hold once a ctx is in scope.
 func CtxflowPass() *Pass {
 	return &Pass{
-		Name:    "ctxflow",
-		Version: 1,
-		Doc:     "require in-scope contexts to be threaded; forbid fresh root contexts below the edge layer",
-		Run:     runCtxflow,
+		Name: "ctxflow",
+		Doc:  "require in-scope contexts to be threaded; forbid fresh root contexts below the edge layer",
+		Run:  runCtxflow,
 	}
 }
 

@@ -22,10 +22,9 @@ import (
 //     is genuinely order-independent).
 func DeterminismPass() *Pass {
 	return &Pass{
-		Name:    "determinism",
-		Version: 1,
-		Doc:     "forbid time.Now, auto-seeded math/rand and unsorted map iteration in internal/ and cmd/",
-		Run:     runDeterminism,
+		Name: "determinism",
+		Doc:  "forbid time.Now, auto-seeded math/rand and unsorted map iteration in internal/ and cmd/",
+		Run:  runDeterminism,
 	}
 }
 

@@ -1,20 +1,15 @@
 package analysis
 
 import (
-	"path/filepath"
 	"runtime"
-	"slices"
-	"strings"
 	"sync"
 )
 
-// Driver runs a pass suite over a set of package directories, in parallel
-// and through the on-disk result cache when one is attached. Its contract
-// is byte-determinism: for the same tree and pass suite, the merged,
-// sorted diagnostics are identical whatever Workers is and whatever mix of
-// cache hits and fresh runs produced them. Scheduling only ever decides
-// *when* a (package, pass) unit runs, never what it reports, and the merge
-// discards arrival order entirely.
+// Driver runs a pass suite over a set of package directories in parallel.
+// Its contract is byte-determinism: for the same tree and pass suite, the
+// merged, sorted diagnostics are identical whatever Workers is.
+// Scheduling only ever decides *when* a package's passes run, never what
+// they report, and the merge discards arrival order entirely.
 type Driver struct {
 	// Root is the module root directory (holding go.mod).
 	Root string
@@ -23,172 +18,41 @@ type Driver struct {
 	// Workers bounds load and pass concurrency; <=0 means GOMAXPROCS,
 	// 1 is strictly sequential.
 	Workers int
-	// Cache, when non-nil, is consulted before any type-checking and
-	// updated after every fresh (package, pass) run.
-	Cache *Cache
-
-	// Stats describes the last Run: cache traffic and which packages were
-	// freshly analyzed.
-	Stats DriverStats
-}
-
-// DriverStats reports what one Driver.Run did.
-type DriverStats struct {
-	// CacheHits and CacheMisses count (package, pass) units.
-	CacheHits   int
-	CacheMisses int
-	// Analyzed lists the module-relative paths of packages that ran at
-	// least one pass fresh (i.e. were type-checked), sorted.
-	Analyzed []string
-}
-
-// unit is one (package, pass) work item.
-type unit struct {
-	pkgRel string
-	pass   *Pass
-	key    string // cache key, "" when uncached
 }
 
 // Run analyzes the packages in dirs (which must sit inside Root) and
 // returns the merged diagnostics in canonical order.
 func (d *Driver) Run(dirs []string) ([]Diagnostic, error) {
-	d.Stats = DriverStats{}
 	workers := d.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	modPath, err := modulePath(filepath.Join(d.Root, "go.mod"))
-	if err != nil {
-		return nil, err
-	}
-
-	// Resolve directories to module-relative package paths, deduplicated
-	// and sorted so every downstream step sees a canonical order.
-	var rels []string
-	seen := make(map[string]bool)
-	for _, dir := range dirs {
-		abs, err := filepath.Abs(dir)
-		if err != nil {
-			return nil, err
-		}
-		rel, err := filepath.Rel(d.Root, abs)
-		if err != nil || strings.HasPrefix(rel, "..") {
-			return nil, &outsideModuleError{dir: dir, root: d.Root}
-		}
-		if rel == "." {
-			rel = ""
-		}
-		rel = filepath.ToSlash(rel)
-		if !seen[rel] {
-			seen[rel] = true
-			rels = append(rels, rel)
-		}
-	}
-	slices.Sort(rels)
-
-	// Probe the cache with nothing but file hashes and import scans: a
-	// fully warm run never constructs a type checker.
-	var diags []Diagnostic
-	var misses []unit
-	if d.Cache != nil {
-		sc := newScanner(d.Root, modPath)
-		for _, rel := range rels {
-			closure, err := sc.closure(rel)
-			if err != nil {
-				return nil, err
-			}
-			for _, pass := range d.Passes {
-				key := d.Cache.Key(modPath, pass, closure)
-				if cached, ok := d.Cache.Get(key); ok {
-					d.Stats.CacheHits++
-					diags = append(diags, cached...)
-					continue
-				}
-				d.Stats.CacheMisses++
-				misses = append(misses, unit{pkgRel: rel, pass: pass, key: key})
-			}
-		}
-	} else {
-		for _, rel := range rels {
-			for _, pass := range d.Passes {
-				d.Stats.CacheMisses++
-				misses = append(misses, unit{pkgRel: rel, pass: pass})
-			}
-		}
-	}
-
-	if len(misses) > 0 {
-		fresh, err := d.runFresh(misses, workers)
-		if err != nil {
-			return nil, err
-		}
-		diags = append(diags, fresh...)
-	}
-	SortDiagnostics(diags)
-	return diags, nil
-}
-
-// runFresh type-checks the packages behind the missed units and runs their
-// missing passes, workers at a time.
-func (d *Driver) runFresh(misses []unit, workers int) ([]Diagnostic, error) {
-	// Group misses by package so each package type-checks once.
-	byPkg := make(map[string][]unit)
-	var pkgRels []string
-	for _, u := range misses {
-		if _, ok := byPkg[u.pkgRel]; !ok {
-			pkgRels = append(pkgRels, u.pkgRel)
-		}
-		byPkg[u.pkgRel] = append(byPkg[u.pkgRel], u)
-	}
-	slices.Sort(pkgRels)
-	d.Stats.Analyzed = slices.Clone(pkgRels)
-
 	loader, err := NewLoader(d.Root)
 	if err != nil {
 		return nil, err
 	}
 	loader.Workers = workers
-	dirs := make([]string, len(pkgRels))
-	for i, rel := range pkgRels {
-		dirs[i] = filepath.Join(d.Root, filepath.FromSlash(rel))
-	}
 	pkgs, err := loader.LoadDirs(dirs)
 	if err != nil {
 		return nil, err
 	}
-	pkgByRel := make(map[string]*Package, len(pkgs))
-	for _, p := range pkgs {
-		pkgByRel[p.Rel] = p
-	}
 
-	// Run each package's missing passes as one task; results land in a
+	// Run each package's passes as one task; results land in a
 	// per-package slot, so scheduling cannot reorder anything.
-	results := make([][]Diagnostic, len(pkgRels))
-	errs := make([]error, len(pkgRels))
+	results := make([][]Diagnostic, len(pkgs))
 	run := func(i int) {
-		rel := pkgRels[i]
-		pkg := pkgByRel[rel]
-		var out []Diagnostic
-		for _, u := range byPkg[rel] {
-			unitDiags := runPass(loader, pkg, u.pass)
-			if d.Cache != nil && u.key != "" {
-				if err := d.Cache.Put(u.key, u.pass.Name, rel, unitDiags); err != nil {
-					errs[i] = err
-					return
-				}
-			}
-			out = append(out, unitDiags...)
+		for _, pass := range d.Passes {
+			results[i] = append(results[i], runPass(loader, pkgs[i], pass)...)
 		}
-		results[i] = out
 	}
-	if workers == 1 || len(pkgRels) == 1 {
-		for i := range pkgRels {
+	if workers == 1 || len(pkgs) == 1 {
+		for i := range pkgs {
 			run(i)
 		}
 	} else {
 		sem := make(chan struct{}, workers)
 		var wg sync.WaitGroup
-		for i := range pkgRels {
+		for i := range pkgs {
 			wg.Add(1)
 			sem <- struct{}{}
 			go func(i int) {
@@ -200,19 +64,9 @@ func (d *Driver) runFresh(misses []unit, workers int) ([]Diagnostic, error) {
 		wg.Wait()
 	}
 	var diags []Diagnostic
-	for i := range pkgRels {
-		if errs[i] != nil {
-			return nil, errs[i]
-		}
-		diags = append(diags, results[i]...)
+	for _, r := range results {
+		diags = append(diags, r...)
 	}
+	SortDiagnostics(diags)
 	return diags, nil
-}
-
-// outsideModuleError keeps the error text of the old loader for callers
-// that match on it.
-type outsideModuleError struct{ dir, root string }
-
-func (e *outsideModuleError) Error() string {
-	return "analysis: " + e.dir + " is outside module " + e.root
 }

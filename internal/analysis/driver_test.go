@@ -18,6 +18,16 @@ func renderDiags(t *testing.T, root string, diags []Diagnostic) string {
 	return buf.String()
 }
 
+// runDriver runs the full pass suite over every package of the module at
+// root with the default parallelism, the way rpvet does.
+func runDriver(root string) ([]Diagnostic, error) {
+	dirs, err := ModuleDirs(root)
+	if err != nil {
+		return nil, err
+	}
+	return (&Driver{Root: root, Passes: Passes()}).Run(dirs)
+}
+
 // copyFixture clones the rpfix fixture module into a fresh temp dir so
 // tests can edit files without touching testdata.
 func copyFixture(t *testing.T) string {
@@ -80,130 +90,5 @@ func TestParallelMatchesSequential(t *testing.T) {
 		if got := renderDiags(t, root, parDiags); got != want {
 			t.Fatalf("parallel run %d differs from sequential\n--- parallel ---\n%s--- sequential ---\n%s", run, got, want)
 		}
-	}
-}
-
-// TestCacheWarmAndInvalidation drives the on-disk cache through its
-// life cycle: cold run misses everything, warm run hits everything and
-// type-checks nothing, editing one leaf package re-analyzes only that
-// package, and bumping a pass version re-runs that pass module-wide.
-func TestCacheWarmAndInvalidation(t *testing.T) {
-	root := copyFixture(t)
-	dirs, err := ModuleDirs(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cache, err := OpenCache(filepath.Join(t.TempDir(), "cache"), root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	suite := Passes()
-	d := &Driver{Root: root, Passes: suite, Workers: 4, Cache: cache}
-
-	cold, err := d.Run(dirs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := renderDiags(t, root, cold)
-	if d.Stats.CacheHits != 0 {
-		t.Errorf("cold run: %d cache hits, want 0", d.Stats.CacheHits)
-	}
-	if got, wantMiss := d.Stats.CacheMisses, len(dirs)*len(suite); got != wantMiss {
-		t.Errorf("cold run: %d cache misses, want %d", got, wantMiss)
-	}
-
-	warm, err := d.Run(dirs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Stats.CacheMisses != 0 {
-		t.Errorf("warm run: %d cache misses, want 0", d.Stats.CacheMisses)
-	}
-	if len(d.Stats.Analyzed) != 0 {
-		t.Errorf("warm run type-checked %v, want nothing", d.Stats.Analyzed)
-	}
-	if got := renderDiags(t, root, warm); got != want {
-		t.Errorf("warm output differs from cold\n--- warm ---\n%s--- cold ---\n%s", got, want)
-	}
-
-	// Edit a leaf package nothing imports: only it may be re-analyzed.
-	edited := filepath.Join(root, "cmd", "tool", "ctx.go")
-	data, err := os.ReadFile(edited)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(edited, append(data, []byte("\n// touched by the cache test\n")...), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	after, err := d.Run(dirs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(d.Stats.Analyzed) != 1 || d.Stats.Analyzed[0] != "cmd/tool" {
-		t.Errorf("after editing cmd/tool/ctx.go, re-analyzed %v, want [cmd/tool]", d.Stats.Analyzed)
-	}
-	if got, wantMiss := d.Stats.CacheMisses, len(suite); got != wantMiss {
-		t.Errorf("after edit: %d cache misses, want %d (one per pass)", got, wantMiss)
-	}
-	if got := renderDiags(t, root, after); got != want {
-		t.Errorf("output changed after a comment-only edit\n--- after ---\n%s--- before ---\n%s", got, want)
-	}
-
-	// Bump one pass's version: that pass re-runs for every package, the
-	// other passes stay cached.
-	suite[0].Version++
-	bumped, err := d.Run(dirs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, wantMiss := d.Stats.CacheMisses, len(dirs); got != wantMiss {
-		t.Errorf("after version bump: %d cache misses, want %d (one per package)", got, wantMiss)
-	}
-	if got, wantPkgs := len(d.Stats.Analyzed), len(dirs); got != wantPkgs {
-		t.Errorf("after version bump, re-analyzed %d packages %v, want all %d", got, d.Stats.Analyzed, wantPkgs)
-	}
-	if got := renderDiags(t, root, bumped); got != want {
-		t.Errorf("output changed after a version bump\n--- after ---\n%s--- before ---\n%s", got, want)
-	}
-}
-
-// TestCachedRunMatchesUncached pins that diagnostics round-tripped
-// through the cache (positions, messages, fixes) render identically to a
-// fresh run — a half-warm mix must be indistinguishable from either.
-func TestCachedRunMatchesUncached(t *testing.T) {
-	root := copyFixture(t)
-	dirs, err := ModuleDirs(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plain := &Driver{Root: root, Passes: Passes(), Workers: 4}
-	fresh, err := plain.Run(dirs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cache, err := OpenCache(filepath.Join(t.TempDir(), "cache"), root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cachedDriver := &Driver{Root: root, Passes: Passes(), Workers: 4, Cache: cache}
-	if _, err := cachedDriver.Run(dirs); err != nil {
-		t.Fatal(err)
-	}
-	warm, err := cachedDriver.Run(dirs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := renderDiags(t, root, warm), renderDiags(t, root, fresh); got != want {
-		t.Errorf("cache round-trip changed the output\n--- cached ---\n%s--- fresh ---\n%s", got, want)
-	}
-	// The fixes must survive the round-trip too, not just the text lines.
-	countFixes := func(diags []Diagnostic) (n int) {
-		for _, d := range diags {
-			n += len(d.Fixes)
-		}
-		return n
-	}
-	if got, want := countFixes(warm), countFixes(fresh); got != want || want == 0 {
-		t.Errorf("cached run carries %d fixes, fresh run %d (want equal and non-zero)", got, want)
 	}
 }

@@ -26,10 +26,9 @@ import (
 //     the one method name defer may drop.
 func ErrcheckPass() *Pass {
 	return &Pass{
-		Name:    "errcheck",
-		Version: 1,
-		Doc:     "flag dropped error return values module-wide",
-		Run:     runErrcheck,
+		Name: "errcheck",
+		Doc:  "flag dropped error return values module-wide",
+		Run:  runErrcheck,
 	}
 }
 

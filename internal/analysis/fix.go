@@ -134,25 +134,3 @@ func (r *FixResult) Write() error {
 	}
 	return nil
 }
-
-// Diff renders the unified diff between every touched file's on-disk
-// content and its fixed content, in file order. An empty string means the
-// fixes change nothing — the invariant `make vet-fix-check` asserts on
-// the repository tree.
-func (r *FixResult) Diff(root string) (string, error) {
-	var files []string
-	for file := range r.Files {
-		files = append(files, file)
-	}
-	slices.Sort(files)
-	var sb strings.Builder
-	for _, file := range files {
-		old, err := os.ReadFile(file)
-		if err != nil {
-			return "", err
-		}
-		rel := relPath(root, file)
-		sb.WriteString(unifiedDiff("a/"+rel, "b/"+rel, old, r.Files[file]))
-	}
-	return sb.String(), nil
-}

@@ -1,17 +1,36 @@
 package analysis
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 )
+
+// goldenCompare checks got against the golden file, rewriting it under
+// -update.
+func goldenCompare(t *testing.T, golden string, got []byte) {
+	t.Helper()
+	if *update {
+		if err := os.WriteFile(golden, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("reading golden file (run with -update to create it): %v", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("output differs from %s\n--- got ---\n%s--- want ---\n%s", golden, got, want)
+	}
+}
 
 // TestApplyFixesGolden applies every suggested fix the fixture module
 // produces and pins the rewritten files byte for byte. Each file must
 // parse and come out gofmt-clean (ApplyFixes errors otherwise).
 func TestApplyFixesGolden(t *testing.T) {
-	l, diags := loadFixture(t)
+	root, diags := loadFixture(t)
 	res, err := ApplyFixes(diags)
 	if err != nil {
 		t.Fatal(err)
@@ -27,7 +46,11 @@ func TestApplyFixesGolden(t *testing.T) {
 		"internal/core/sortonly.go":  true,
 	}
 	for file, content := range res.Files {
-		rel := relPath(l.ModDir, file)
+		rel, err := filepath.Rel(root, file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rel = filepath.ToSlash(rel)
 		if !wantFiles[rel] {
 			t.Errorf("fixes touched unexpected file %s", rel)
 			continue
@@ -40,30 +63,39 @@ func TestApplyFixesGolden(t *testing.T) {
 	}
 }
 
-// TestFixResultDiff checks the unified-diff rendering of the same fix
-// set: a/ and b/ headers, hunks, and the import swap in sortonly.go.
-func TestFixResultDiff(t *testing.T) {
-	l, diags := loadFixture(t)
-	res, err := ApplyFixes(diags)
+// TestApplyFixesReachFixedPoint applies and writes every suggested fix on
+// a copy of the fixture module, then re-runs the suite: no remaining
+// finding may carry a fix, and exactly one finding must be gone per
+// applied fix. This is what keeps a clean tree a fixed point of
+// `rpvet -fix`: every fix rides on a reported finding.
+func TestApplyFixesReachFixedPoint(t *testing.T) {
+	root := copyFixture(t)
+	before, err := runDriver(root)
 	if err != nil {
 		t.Fatal(err)
 	}
-	diff, err := res.Diff(l.ModDir)
+	res, err := ApplyFixes(before)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{
-		"--- a/internal/core/ctxflow.go",
-		"+++ b/internal/core/ctxflow.go",
-		"--- a/internal/core/sortonly.go",
-		"-import \"sort\"",
-		"+import \"slices\"",
-		"+	slices.Sort(ids)",
-		"+	return SearchContext(ctx, q)",
-	} {
-		if !strings.Contains(diff, want) {
-			t.Errorf("diff is missing %q\n%s", want, diff)
+	if res.Applied == 0 {
+		t.Fatal("fixture carries no fixes; the fixed-point check would be vacuous")
+	}
+	if err := res.Write(); err != nil {
+		t.Fatal(err)
+	}
+	after, err := runDriver(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range after {
+		if len(d.Fixes) > 0 {
+			t.Errorf("finding still carries a fix after -fix: %s", d.String(root))
 		}
+	}
+	if got, want := len(after), len(before)-res.Applied; got != want {
+		t.Errorf("%d findings after applying %d fixes to %d, want %d\n%s",
+			got, res.Applied, len(before), want, renderDiags(t, root, after))
 	}
 }
 
@@ -96,27 +128,5 @@ func TestApplyFixesConflicts(t *testing.T) {
 	}
 	if got, want := string(res.Files[file]), "XYcd-ef"; got != want {
 		t.Errorf("fixed content %q, want %q", got, want)
-	}
-}
-
-// TestUnifiedDiff unit-tests the diff writer directly.
-func TestUnifiedDiff(t *testing.T) {
-	if d := unifiedDiff("a/f", "b/f", []byte("same\n"), []byte("same\n")); d != "" {
-		t.Errorf("identical inputs produced a diff:\n%s", d)
-	}
-	old := []byte("one\ntwo\nthree\nfour\nfive\nsix\nseven\neight\nnine\n")
-	new := []byte("one\ntwo\nthree\nFOUR\nfive\nsix\nseven\neight\nnine\n")
-	d := unifiedDiff("a/f", "b/f", old, new)
-	for _, want := range []string{
-		"--- a/f\n",
-		"+++ b/f\n",
-		"@@ -1,7 +1,7 @@\n",
-		"-four\n",
-		"+FOUR\n",
-		" three\n", // context line
-	} {
-		if !strings.Contains(d, want) {
-			t.Errorf("diff is missing %q\n%s", want, d)
-		}
 	}
 }

@@ -26,10 +26,9 @@ import (
 //     cached driver sees it and fixtures can pin the message format).
 func GoroutineLifecyclePass() *Pass {
 	return &Pass{
-		Name:    "goroutine-lifecycle",
-		Version: 1,
-		Doc:     "require a visible join/cancel path for every goroutine; forbid copying sync locks",
-		Run:     runGoroutineLifecycle,
+		Name: "goroutine-lifecycle",
+		Doc:  "require a visible join/cancel path for every goroutine; forbid copying sync locks",
+		Run:  runGoroutineLifecycle,
 	}
 }
 

@@ -45,10 +45,9 @@ import (
 // miner itself would make the comparison circular.
 func LayeringPass() *Pass {
 	return &Pass{
-		Name:    "layering",
-		Version: 4,
-		Doc:     "enforce the internal import DAG and the baseline/core measure-API boundary",
-		Run:     runLayering,
+		Name: "layering",
+		Doc:  "enforce the internal import DAG and the baseline/core measure-API boundary",
+		Run:  runLayering,
 	}
 }
 

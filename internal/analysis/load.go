@@ -170,15 +170,6 @@ func ModuleDirs(modDir string) ([]string, error) {
 	return dirs, nil
 }
 
-// LoadAll loads every package of the module.
-func (l *Loader) LoadAll() ([]*Package, error) {
-	dirs, err := ModuleDirs(l.ModDir)
-	if err != nil {
-		return nil, err
-	}
-	return l.LoadDirs(dirs)
-}
-
 // LoadDirs loads the packages in the given directories, which must sit
 // inside the module, plus their module-internal import closure. The result
 // holds only the requested packages, sorted by import path.

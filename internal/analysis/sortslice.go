@@ -25,10 +25,9 @@ import (
 // removes its last use in the file. `rpvet -fix` applies it.
 func SortSlicePass() *Pass {
 	return &Pass{
-		Name:    "sortslice",
-		Version: 2,
-		Doc:     "forbid reflection-based sort.Slice on slices of basic ordered types in internal/ and cmd/",
-		Run:     runSortSlice,
+		Name: "sortslice",
+		Doc:  "forbid reflection-based sort.Slice on slices of basic ordered types in internal/ and cmd/",
+		Run:  runSortSlice,
 	}
 }
 

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# check.sh — the repository gate. Runs every static check and the
-# race-enabled test suite; CI fails on the first red step. Run it locally
-# as `make check` (or ./scripts/check.sh) before pushing.
+# check.sh — the repository gate. Runs gofmt, go vet, rpvet, go build and
+# the race-enabled test suite, in that order; CI fails on the first red
+# step. Run it locally as `make check` (or ./scripts/check.sh) before
+# pushing.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -20,9 +21,6 @@ go vet ./...
 
 step "rpvet (determinism, errcheck, layering, concurrency, sortslice, ctxflow, goroutine-lifecycle)"
 go run ./cmd/rpvet ./...
-
-step "rpvet -fix -diff (the tree is a fixed point of the suggested fixes)"
-go run ./cmd/rpvet -fix -diff ./...
 
 step "go build"
 go build ./...
