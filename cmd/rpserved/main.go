@@ -42,15 +42,11 @@
 //	GET  /debug/requests/trace  one request's recorded span timeline as
 //	                            Chrome trace-event JSON (?id=<request id>;
 //	                            open in Perfetto, or check with rptrace)
-//	GET  /debug/profiles        ring of periodic CPU/heap profile captures
-//	                            (HTML; ?format=json), taken every
-//	                            -profile-interval; /debug/profiles/{id}
-//	                            downloads one capture for `go tool pprof`.
-//	                            Mining samples carry pprof labels
-//	                            (request_id, dataset_fp, phase), so a capture
-//	                            attributes CPU to the requests it overlapped
-//	GET  /debug/vars expvar, including the rpserved stats payload
-//	GET  /debug/pprof/...  net/http/pprof, only with -pprof
+//	GET  /debug/pprof/...  net/http/pprof, only with -pprof. Mining
+//	                       samples in /debug/pprof/profile carry pprof
+//	                       labels (request_id, dataset_fp, phase), so a
+//	                       profile attributes CPU to the requests it
+//	                       overlapped
 //
 // Every /v1/mine request emits one structured access-log line (log/slog,
 // logfmt) on stderr with a unique request id, the database fingerprint, an
@@ -139,9 +135,6 @@ func run(args []string, logDst io.Writer) error {
 		journalSize  = fs.Int("journal-size", 0, "request journal entries behind /debug/requests (0 = 64, <0 = disabled)")
 		slowThresh   = fs.Duration("slow-threshold", 0, "elapsed time that puts a request in the journal's slow bucket (0 = 500ms, <0 = none)")
 		traceSpans   = fs.Int("trace-spans", 0, "span retention cap per recorded mine (0 = default, <0 = no timelines)")
-		profInterval = fs.Duration("profile-interval", time.Minute, "continuous-profiling capture interval behind /debug/profiles (0 = disabled)")
-		profRetain   = fs.Int("profile-retain", 0, "profile captures retained in the ring (0 = 16)")
-		profDir      = fs.String("profile-dir", "", "also spill profile captures to this directory (default: memory only)")
 		pprofOn      = fs.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 		quiet        = fs.Bool("quiet", false, "suppress the per-request access log")
 		shards       = fs.Int("shards", 0, "shard tasks per mine in -peers mode (0 = one per peer)")
@@ -180,9 +173,6 @@ func run(args []string, logDst io.Writer) error {
 		JournalSize:        *journalSize,
 		SlowThreshold:      *slowThresh,
 		TimelineSpans:      *traceSpans,
-		ProfileInterval:    *profInterval,
-		ProfileRetain:      *profRetain,
-		ProfileDir:         *profDir,
 		Logger:             logger,
 		Pprof:              *pprofOn,
 		Peers:              splitPeers(peerSpecs),
@@ -195,7 +185,6 @@ func run(args []string, logDst io.Writer) error {
 	if err != nil {
 		return err
 	}
-	srv.PublishExpvar()
 	for _, name := range sortedNames(dbs) {
 		db := dbs[name]
 		fmt.Fprintf(logw, "rpserved: serving %q: %d transactions, fingerprint %016x\n",
@@ -230,7 +219,6 @@ func run(args []string, logDst io.Writer) error {
 	if err := hs.Shutdown(dctx); err != nil {
 		return fmt.Errorf("shutdown: %w", err)
 	}
-	srv.Close() // stop the profile recorder after the last request is done
 	if err := <-serveErr; err != nil && !errors.Is(err, http.ErrServerClosed) {
 		return err
 	}

@@ -14,7 +14,7 @@ import (
 //
 //	internal/tsdb      → nothing internal (the shared substrate)
 //	internal/obs       → nothing internal (the observability substrate)
-//	internal/obs/prof  → internal/obs (profiling rides on the substrate)
+//	internal/obs/prof  → internal/obs (the cost readout rides on the substrate)
 //	internal/core      → internal/tsdb, internal/obs
 //	internal/gen       → internal/tsdb
 //	internal/seq       → internal/tsdb
@@ -35,9 +35,9 @@ import (
 // stays the public rp package (and the service can change shape freely);
 // internal/analysis is the vet tool's framework and only cmd/rpvet may
 // import it, so pass plumbing never leaks into the miner;
-// internal/obs/prof is continuous-profiling service plumbing and only the
-// serve layer and the cmds may import it, so the miner and the library
-// packages never grow a dependency on process-wide profiler state.
+// internal/obs/prof reads process-wide cost counters and only the serve
+// layer and the cmds may import it, so the miner and the library packages
+// never report the whole process's allocation and CPU time as their own.
 //
 // On top of the import edges, internal/baseline packages may reference
 // only internal/core's shared measure API (Recurrence, Erec, ...): the
@@ -96,7 +96,7 @@ var importRestrictions = []importRestriction{
 	{Prefix: "internal/analysis", Allowed: []string{"cmd/rpvet"},
 		Reason: "the vet framework is tooling, not a library for the miner"},
 	{Prefix: "internal/obs/prof", Allowed: []string{"internal/serve", "cmd"},
-		Reason: "continuous profiling is service plumbing, not a library for the miner"},
+		Reason: "it reads process-wide cost counters: service plumbing, not a library for the miner"},
 }
 
 // coreMeasureAPI is the part of internal/core the baselines may use: the

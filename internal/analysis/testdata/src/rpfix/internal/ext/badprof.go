@@ -1,7 +1,7 @@
 package ext
 
-// Seeded restriction violation: internal/obs/prof is service plumbing and
-// only internal/serve and cmd/ may import it.
+// Seeded restriction violation: internal/obs/prof reads process-wide cost
+// counters and only internal/serve and cmd/ may import it.
 
 import "example.com/rpfix/internal/obs/prof"
 

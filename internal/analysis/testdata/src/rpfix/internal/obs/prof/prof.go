@@ -1,4 +1,4 @@
-// Minimal stand-in for the continuous-profiling subsystem: it may import
+// Minimal stand-in for the per-request cost readout: it may import
 // the obs substrate (and nothing else internal), and only internal/serve
 // and cmd/ may import it.
 package prof

@@ -5,9 +5,9 @@ import (
 	"runtime/pprof"
 )
 
-// pprof label attribution. Continuous profiling (internal/obs/prof) captures
-// CPU profiles of the whole process; these helpers make those profiles
-// attributable to workloads by tagging the mining goroutines with
+// pprof label attribution. A CPU profile (rpserved's /debug/pprof/profile,
+// or any runtime/pprof capture) covers the whole process; these helpers
+// make it attributable to workloads by tagging the mining goroutines with
 // {request_id, dataset_fp, phase} pprof labels. Labels ride the context and
 // are inherited by every goroutine the labeled region spawns, so the serve
 // layer tags a request once and the parallel miner's workers tag only the

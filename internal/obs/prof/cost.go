@@ -1,3 +1,12 @@
+// Package prof is the per-request cost readout: two reads of the
+// process-wide counters (cumulative heap allocation and CPU time) taken
+// around a mining section, and their difference. The serve layer journals
+// and exports the deltas next to each request.
+//
+// It is stdlib-only. Only the serve layer and the cmds may import it, and
+// the layering pass enforces that: the counters belong to the whole
+// process, so a library package that read them would report other work as
+// its own.
 package prof
 
 import (

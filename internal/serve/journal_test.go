@@ -4,7 +4,9 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -281,4 +283,136 @@ func decodeJSON(t *testing.T, body string, v any) {
 	if err := json.Unmarshal([]byte(body), v); err != nil {
 		t.Fatalf("decoding %q: %v", body, err)
 	}
+}
+
+// TestRequestTraceContentDisposition pins the trace download's filename to
+// the request ID, so saved fleet traces don't all land as trace.json.
+func TestRequestTraceContentDisposition(t *testing.T) {
+	_, hs := newTestServer(t, Config{}, nil)
+	status, body := postMine(t, hs.URL, `{"db":"shop","per":4,"minPS":3,"minRec":1}`)
+	if status != http.StatusOK {
+		t.Fatalf("mine: status %d, body %v", status, body)
+	}
+	id := journalIDs(t, hs.URL)[0]
+	resp, err := http.Get(hs.URL + "/debug/requests/trace?id=" + id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("trace download: status %d", resp.StatusCode)
+	}
+	want := fmt.Sprintf("attachment; filename=%q", "rpserved-"+id+".json")
+	if cd := resp.Header.Get("Content-Disposition"); cd != want {
+		t.Errorf("Content-Disposition = %q, want %q", cd, want)
+	}
+}
+
+// journalIDs returns the journal's recent request IDs, newest first.
+func journalIDs(t *testing.T, base string) []string {
+	t.Helper()
+	resp, err := http.Get(base + "/debug/requests?format=json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var jr journalResponse
+	if err := json.NewDecoder(resp.Body).Decode(&jr); err != nil {
+		t.Fatal(err)
+	}
+	if len(jr.Recent) == 0 {
+		t.Fatal("journal is empty")
+	}
+	ids := make([]string, len(jr.Recent))
+	for i, e := range jr.Recent {
+		ids[i] = e.ID
+	}
+	return ids
+}
+
+// TestRequestCostColumns pins the per-request cost plumbing: an executed
+// mine journals nonzero alloc bytes, a cache hit re-serves the producing
+// run's cost as historic, and the totals surface in /v1/stats and the
+// /metrics exposition. The mine targets bigDB because the runtime's heap
+// counters are span-granular — a toy mine's few KB can legitimately read
+// as a zero delta.
+func TestRequestCostColumns(t *testing.T) {
+	s, err := NewServer(Config{}, map[string]*tsdb.DB{"big": bigDB()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := httptest.NewServer(s.Handler())
+	t.Cleanup(hs.Close)
+	body := `{"db":"big","per":9,"minPS":5,"minRec":2}`
+	if status, m := postMine(t, hs.URL, body); status != http.StatusOK {
+		t.Fatalf("mine: status %d, body %v", status, m)
+	}
+	if status, m := postMine(t, hs.URL, body); status != http.StatusOK || m["cached"] != true {
+		t.Fatalf("second mine: status %d, cached %v", status, m["cached"])
+	}
+
+	resp, err := http.Get(hs.URL + "/debug/requests?format=json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var jr journalResponse
+	if err := json.NewDecoder(resp.Body).Decode(&jr); err != nil {
+		t.Fatal(err)
+	}
+	if len(jr.Recent) != 2 {
+		t.Fatalf("journal has %d entries, want 2", len(jr.Recent))
+	}
+	hit, miss := jr.Recent[0], jr.Recent[1]
+	if miss.AllocBytes == 0 {
+		t.Errorf("executed mine journalled allocBytes=0, want nonzero")
+	}
+	if miss.CPUMS < 0 {
+		t.Errorf("executed mine journalled cpuMS=%v, want >= 0", miss.CPUMS)
+	}
+	if !hit.Historic || hit.AllocBytes != miss.AllocBytes {
+		t.Errorf("cache hit should inherit the producing run's cost: historic=%v alloc=%d vs %d",
+			hit.Historic, hit.AllocBytes, miss.AllocBytes)
+	}
+
+	stats := getStats(t, hs.URL)
+	if total := metric(t, stats, "requestAllocBytesTotal"); total != float64(miss.AllocBytes) {
+		t.Errorf("stats requestAllocBytesTotal = %v, want %d (one executed mine)", total, miss.AllocBytes)
+	}
+
+	mresp, err := http.Get(hs.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prom, _ := io.ReadAll(mresp.Body)
+	mresp.Body.Close()
+	for _, want := range []string{
+		`rpserved_request_alloc_bytes_bucket{le="65536"}`,
+		`rpserved_request_alloc_bytes_bucket{le="+Inf"} 1`,
+		"rpserved_request_alloc_bytes_count 1",
+		`rpserved_request_cpu_seconds_bucket{le="+Inf"} 1`,
+		"rpserved_request_cpu_seconds_count 1",
+	} {
+		if !strings.Contains(string(prom), want) {
+			t.Errorf("/metrics missing %q", want)
+		}
+	}
+}
+
+// bigDB builds a database heavy enough that mining it takes real CPU, so a
+// profile capture window overlapping a stream of mines is dominated by
+// labeled mining samples.
+func bigDB() *tsdb.DB {
+	b := tsdb.NewBuilder()
+	items := []string{"a", "b", "c", "d", "e", "f", "g", "h", "i", "j", "k", "l"}
+	ts := int64(1)
+	for i := 0; i < 4000; i++ {
+		for j, it := range items {
+			if i%(j+2) == 0 {
+				b.Add(it, ts)
+			}
+		}
+		ts += 3
+	}
+	return b.Build()
 }

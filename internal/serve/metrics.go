@@ -103,8 +103,8 @@ func (h *byteHist) snapshot() (buckets [len(byteBounds) + 1]int64, bytes int64) 
 	return buckets, h.bytes.Load()
 }
 
-// metrics aggregates the serving counters reported by /v1/stats, exported
-// through /debug/vars, and rendered as Prometheus text by /metrics. Every
+// metrics aggregates the serving counters reported by /v1/stats and
+// rendered as Prometheus text by /metrics. Every
 // field is updated atomically; one value is shared by all handler
 // goroutines.
 type metrics struct {

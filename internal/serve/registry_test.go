@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"testing"
 
@@ -312,4 +313,69 @@ func mustFP(t *testing.T, s string) uint64 {
 		t.Fatal(err)
 	}
 	return fp
+}
+
+// FuzzDatasetUpload drives POST /v1/datasets with arbitrary bodies. The
+// handler must agree with tsdb.ReadAnyBytes: a body within MaxUpload gets a
+// 2xx carrying that DB's fingerprint exactly when ReadAnyBytes accepts it,
+// and a 4xx otherwise; a larger body gets a 413. No input yields a 5xx or a
+// panic, and no spill file outlives its request.
+func FuzzDatasetUpload(f *testing.F) {
+	const maxUpload = 4 << 10
+	b := tsdb.NewBuilder()
+	b.Add("alpha", 1)
+	b.Add("beta", 1)
+	b.Add("alpha", 7)
+	db := b.Build()
+	var text, mapped bytes.Buffer
+	if err := tsdb.Write(&text, db); err != nil {
+		f.Fatal(err)
+	}
+	if err := tsdb.WriteMapped(&mapped, db); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(text.Bytes())
+	f.Add(mapped.Bytes())
+	f.Add([]byte("RPDB\x01\x01\x01a\x01\x01\x01\x00")) // retired v1 header
+	f.Add([]byte("\n\n \t\n# only a comment\n\n"))
+	f.Add(mapped.Bytes()[:mapped.Len()/2])
+	f.Fuzz(func(t *testing.T, body []byte) {
+		spill := t.TempDir()
+		s, err := NewServer(Config{SpillDir: spill, MaxUpload: maxUpload}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := httptest.NewRecorder()
+		s.Handler().ServeHTTP(w, httptest.NewRequest("POST", "/v1/datasets", bytes.NewReader(body)))
+
+		if left, err := os.ReadDir(spill); err != nil || len(left) != 0 {
+			t.Fatalf("spill dir after the request: %d entries, err %v", len(left), err)
+		}
+		if w.Code >= 500 {
+			t.Fatalf("status %d: %s", w.Code, w.Body)
+		}
+		if len(body) > maxUpload {
+			if w.Code != http.StatusRequestEntityTooLarge {
+				t.Fatalf("%d-byte body over MaxUpload: status %d, want 413", len(body), w.Code)
+			}
+			return
+		}
+		want, readErr := tsdb.ReadAnyBytes(body)
+		if readErr != nil {
+			if w.Code < 400 {
+				t.Fatalf("ReadAnyBytes rejects the body (%v) but the upload got status %d: %s", readErr, w.Code, w.Body)
+			}
+			return
+		}
+		if w.Code < 200 || w.Code > 299 {
+			t.Fatalf("ReadAnyBytes accepts the body but the upload got status %d: %s", w.Code, w.Body)
+		}
+		var up uploadResponse
+		if err := json.Unmarshal(w.Body.Bytes(), &up); err != nil {
+			t.Fatalf("decoding upload response: %v", err)
+		}
+		if fp := fmt.Sprintf("%016x", want.Fingerprint()); up.Fingerprint != fp {
+			t.Fatalf("upload fingerprint %s, ReadAnyBytes fingerprint %s", up.Fingerprint, fp)
+		}
+	})
 }

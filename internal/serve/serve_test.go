@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"bytes"
+	"compress/gzip"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -401,7 +403,7 @@ func TestDrainTimeout(t *testing.T) {
 	<-done
 }
 
-func TestHealthzAndDebugVars(t *testing.T) {
+func TestHealthz(t *testing.T) {
 	_, hs := newTestServer(t, Config{}, nil)
 
 	resp, err := http.Get(hs.URL + "/healthz")
@@ -413,17 +415,96 @@ func TestHealthzAndDebugVars(t *testing.T) {
 	if resp.StatusCode != http.StatusOK || strings.TrimSpace(string(body)) != "ok" {
 		t.Errorf("healthz: status %d body %q", resp.StatusCode, body)
 	}
+}
 
-	resp, err = http.Get(hs.URL + "/debug/vars")
+// TestMineCapturesLabeledProfile is the serve-level attribution check: a
+// CPU profile pulled from GET /debug/pprof/profile while /v1/mine requests
+// execute contains the pprof label keys and a real request ID minted by
+// the handler. Sampling is statistical, so the profile window brackets a
+// stream of uncached mines and the assertion retries.
+func TestMineCapturesLabeledProfile(t *testing.T) {
+	s, err := NewServer(Config{
+		Pprof:          true,
+		CacheSize:      -1, // every request actually mines
+		MaxParallelism: 2,  // let parallelism:2 reach the worker path
+	}, map[string]*tsdb.DB{"big": bigDB()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	body, _ = io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), "memstats") {
-		t.Errorf("debug/vars: status %d, body lacks memstats", resp.StatusCode)
+	hs := httptest.NewServer(s.Handler())
+	t.Cleanup(hs.Close)
+
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			w := newNopResponseWriter()
+			r, _ := http.NewRequest("POST", "/v1/mine",
+				strings.NewReader(`{"db":"big","per":9,"minPS":5,"minRec":2,"parallelism":2}`))
+			s.Handler().ServeHTTP(w, r)
+			if w.status != http.StatusOK {
+				t.Errorf("mine during profile: status %d", w.status)
+				return
+			}
+		}
+	}()
+	defer func() { close(stop); <-done }()
+
+	for attempt := 0; attempt < 5; attempt++ {
+		resp, err := http.Get(hs.URL + "/debug/pprof/profile?seconds=1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET /debug/pprof/profile: status %d: %s", resp.StatusCode, raw)
+		}
+		zr, err := gzip.NewReader(bytes.NewReader(raw))
+		if err != nil {
+			t.Fatal(err)
+		}
+		proto, err := io.ReadAll(zr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A real request ID from this server: "<8 hex>-<seq>". Checking for
+		// the label keys plus the process's ID prefix keeps the assertion
+		// independent of which requests got sampled.
+		idPrefix := strings.SplitN(obs.RequestID(), "-", 2)[0]
+		if bytes.Contains(proto, []byte(obs.LabelRequestID)) &&
+			bytes.Contains(proto, []byte(obs.LabelDatasetFP)) &&
+			bytes.Contains(proto, []byte(obs.LabelPhase)) &&
+			bytes.Contains(proto, []byte(idPrefix)) {
+			return
+		}
 	}
+	t.Fatal("no profile attempt contained request_id/dataset_fp/phase labels")
 }
+
+// nopResponseWriter is an in-process ResponseWriter for hammering the
+// handler without HTTP sockets in the way.
+type nopResponseWriter struct {
+	h      http.Header
+	status int
+}
+
+func newNopResponseWriter() *nopResponseWriter {
+	return &nopResponseWriter{h: make(http.Header), status: http.StatusOK}
+}
+
+func (w *nopResponseWriter) Header() http.Header         { return w.h }
+func (w *nopResponseWriter) Write(b []byte) (int, error) { return len(b), nil }
+func (w *nopResponseWriter) WriteHeader(status int)      { w.status = status }
 
 func TestStatsPayload(t *testing.T) {
 	_, hs := newTestServer(t, Config{MaxConcurrent: 3, CacheSize: 7}, nil)

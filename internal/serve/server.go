@@ -11,7 +11,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"expvar"
 	"fmt"
 	"io"
 	"log/slog"
@@ -106,20 +105,9 @@ type Config struct {
 	Logger *slog.Logger
 	// Pprof mounts net/http/pprof under /debug/pprof/ when set. Off by
 	// default: the profiling endpoints can stall the process mid-scrape.
+	// It is the service's only profile source; CPU samples taken while a
+	// mine runs carry the obs.WithMineLabels and obs.DoPhase labels.
 	Pprof bool
-
-	// ProfileInterval, when positive, turns on continuous profiling: a
-	// background recorder captures a CPU profile and a heap snapshot every
-	// interval into a bounded ring served by GET /debug/profiles. 0 (and
-	// negative) → no recorder. The server must be Closed to stop the
-	// recorder's goroutine.
-	ProfileInterval time.Duration
-	// ProfileRetain bounds the capture ring (entries, both kinds counted).
-	// 0 → 16.
-	ProfileRetain int
-	// ProfileDir, when non-empty, additionally spills each capture to disk
-	// so profiles survive a crash; pruned alongside the ring.
-	ProfileDir string
 
 	// Peers, when non-empty, turns this server into a scatter-gather
 	// coordinator: each executed /v1/mine splits into Shards tasks POSTed
@@ -213,7 +201,7 @@ type dbEntry struct {
 }
 
 // Server is the mining service. Create with NewServer, mount Handler on an
-// http.Server, and call Drain (then Close) before exiting.
+// http.Server, and call Drain before exiting.
 //
 // Its two mine endpoints are thin adapters over one request pipeline,
 // execute: decode under MaxBody, target resolution, options and the
@@ -243,11 +231,6 @@ type Server struct {
 	// mines scatter over the peer set instead of running locally.
 	shardClient *shard.Client
 	coord       *shard.Coordinator
-
-	// recorder is the continuous-profiling capture loop behind
-	// /debug/profiles; nil unless Config.ProfileInterval > 0. Stopped by
-	// Close.
-	recorder *prof.Recorder
 
 	// Drain machinery: beginMine/endMine bracket every mining run (cache
 	// hits excluded — they borrow no resources worth waiting for).
@@ -300,19 +283,6 @@ func NewServer(cfg Config, dbs map[string]*tsdb.DB) (*Server, error) {
 	}
 	sort.Strings(s.names)
 
-	if cfg.ProfileInterval > 0 {
-		s.recorder = prof.New(prof.Config{
-			Interval: cfg.ProfileInterval,
-			Retain:   cfg.ProfileRetain,
-			Dir:      cfg.ProfileDir,
-			Load:     func() float64 { return float64(s.adm.inFlight()) },
-			Logger:   cfg.Logger,
-		})
-		if err := s.recorder.Start(); err != nil {
-			return nil, err
-		}
-	}
-
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/mine", s.handleMine)
 	mux.HandleFunc("POST /v1/shard/mine", s.handleShardMine)
@@ -323,11 +293,8 @@ func NewServer(cfg Config, dbs map[string]*tsdb.DB) (*Server, error) {
 	mux.HandleFunc("GET /v1/fleet/stats", s.handleFleetStats)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
-	mux.Handle("GET /debug/vars", expvar.Handler())
 	mux.HandleFunc("GET /debug/requests", s.handleDebugRequests)
 	mux.HandleFunc("GET /debug/requests/trace", s.handleRequestTrace)
-	mux.HandleFunc("GET /debug/profiles", s.handleProfiles)
-	mux.HandleFunc("GET /debug/profiles/{id}", s.handleProfileDownload)
 	if cfg.Pprof {
 		mux.HandleFunc("GET /debug/pprof/", pprof.Index)
 		mux.HandleFunc("GET /debug/pprof/cmdline", pprof.Cmdline)
@@ -341,23 +308,6 @@ func NewServer(cfg Config, dbs map[string]*tsdb.DB) (*Server, error) {
 
 // Handler returns the service's HTTP handler.
 func (s *Server) Handler() http.Handler { return s.handler }
-
-// Close releases the server's background resources — today that is the
-// continuous-profiling recorder. It does not drain; call Drain first.
-// Safe to call when profiling is off, and at most once otherwise.
-func (s *Server) Close() {
-	if s.recorder != nil {
-		s.recorder.Stop()
-	}
-}
-
-// PublishExpvar exposes this server's stats payload as the expvar variable
-// "rpserved" (rendered by GET /debug/vars alongside the runtime's
-// memstats). Expvar registration is global and permanent, so this must be
-// called at most once per process; cmd/rpserved calls it, tests do not.
-func (s *Server) PublishExpvar() {
-	expvar.Publish("rpserved", expvar.Func(func() any { return s.statsPayload() }))
-}
 
 // BeginDrain flips the server into draining mode: new mines are refused
 // with 503 and /healthz starts failing, while already-running mines
@@ -645,8 +595,9 @@ func (s *Server) runMine(ctx context.Context, c *mineCall, mine func(context.Con
 	// Stamp the request's ID on the mining context: in peers mode the shard
 	// client forwards it to every peer (request body and X-Request-Id), so
 	// the coordinator's and the peers' journals join on one ID. The pprof
-	// labels make any continuous-profiling CPU capture taken during the run
-	// attribute its samples to this request and database.
+	// labels make a CPU profile taken during the run (GET
+	// /debug/pprof/profile with Config.Pprof) attribute its samples to this
+	// request and database.
 	ctx = obs.WithMineLabels(obs.WithRequestID(ctx, c.rec.id), c.rec.id, c.rec.fp)
 	begin := now()
 	cost0 := prof.ReadCost()

@@ -3,8 +3,8 @@
 # build, start on an ephemeral port, health-check, mine twice (the second
 # must be a cache hit), verify the stats counters, walk the request
 # journal (/debug/requests, HTML and JSON) and validate a downloaded
-# per-request trace with rptrace, check the continuous profiler listed a
-# capture and the journal carries per-request cost, exercise the dataset
+# per-request trace with rptrace, check the journal carries per-request
+# cost, pull an on-demand CPU profile from /debug/pprof, exercise the dataset
 # registry (upload → mine by fingerprint → cached repeat → delete, with
 # ingest-phase attribution visible in the journal and /metrics), then
 # SIGTERM and check the drain path exits cleanly. Needs curl; run from
@@ -30,7 +30,7 @@ echo "== generate a small dataset"
 
 echo "== start rpserved"
 "$workdir/rpserved" -db shop="$workdir/shop.tdb" -listen 127.0.0.1:0 \
-    -profile-interval=1s \
+    -pprof \
     >"$workdir/serve.log" 2>&1 &
 server_pid=$!
 
@@ -63,9 +63,6 @@ grep -q '"mined": 1' <<<"$stats" || { echo "stats missing mined=1: $stats"; exit
 
 echo "== stats expose histogram bucket bounds"
 grep -q '"leNanos"' <<<"$stats" || { echo "stats buckets missing leNanos bounds: $stats"; exit 1; }
-
-echo "== expvar is served"
-grep -q '"rpserved"' <<<"$(curl -sf "http://$addr/debug/vars")"
 
 echo "== /metrics scrape"
 metrics=$(curl -sf "http://$addr/metrics")
@@ -105,18 +102,10 @@ echo "== journal reports per-request cost"
 grep -q '"allocBytes": [1-9]' <<<"$journal" \
     || { echo "no journal row reports nonzero alloc bytes: $journal"; exit 1; }
 
-echo "== continuous profiler listed a capture"
-profiles=""
-for _ in $(seq 1 50); do
-    profiles=$(curl -sf "http://$addr/debug/profiles?format=json")
-    grep -q '"kind": "cpu"' <<<"$profiles" && break
-    sleep 0.2
-done
-grep -q '"kind": "cpu"' <<<"$profiles" || { echo "no cpu capture listed: $profiles"; exit 1; }
-cap_id=$(grep -o '"id": "[0-9]*-cpu"' <<<"$profiles" | head -1 | sed 's/"id": "\(.*\)"/\1/')
-[ -n "$cap_id" ] || { echo "no capture id in listing: $profiles"; exit 1; }
-curl -sf "http://$addr/debug/profiles/$cap_id" -o "$workdir/capture.pprof"
-[ -s "$workdir/capture.pprof" ] || { echo "downloaded capture $cap_id is empty"; exit 1; }
+echo "== on-demand CPU profile"
+curl -sf "http://$addr/debug/pprof/profile?seconds=1" -o "$workdir/cpu.pprof"
+[ -s "$workdir/cpu.pprof" ] || { echo "downloaded CPU profile is empty"; exit 1; }
+gzip -t "$workdir/cpu.pprof" || { echo "downloaded CPU profile is not gzipped pprof"; exit 1; }
 
 echo "== access log lines"
 grep -q 'outcome=ok' "$workdir/serve.log" || { echo "missing ok access-log line"; cat "$workdir/serve.log"; exit 1; }
