@@ -68,8 +68,10 @@ func FuzzMeasures(f *testing.F) {
 }
 
 func FuzzMineAgainstVertical(f *testing.F) {
-	f.Add([]byte{1, 2, 3, 0, 1, 2, 3, 4}, int64(2), 2, 1)
-	f.Fuzz(func(t *testing.T, data []byte, per int64, minPS, minRec int) {
+	f.Add([]byte{1, 2, 3, 0, 1, 2, 3, 4}, int64(2), 2, 1, uint8(0), false, false, uint8(0))
+	f.Add([]byte{0, 1, 2, 3, 0, 1, 2, 3, 0, 1, 4, 5, 0, 1, 2, 6, 0, 1, 2, 3}, int64(3), 2, 1, uint8(3), true, false, uint8(0))
+	f.Add([]byte{0, 1, 0, 1, 2, 2, 0, 1, 2, 3, 3, 3, 0, 1, 2, 3}, int64(1), 1, 2, uint8(2), false, true, uint8(2))
+	f.Fuzz(func(t *testing.T, data []byte, per int64, minPS, minRec int, par uint8, lex, noPrune bool, maxLen uint8) {
 		if per <= 0 || per > 1000 {
 			per = 2
 		}
@@ -92,7 +94,11 @@ func FuzzMineAgainstVertical(f *testing.F) {
 		if db.Len() == 0 {
 			return
 		}
-		o := Options{Per: per, MinPS: minPS, MinRec: minRec}
+		o := Options{Per: per, MinPS: minPS, MinRec: minRec, Parallelism: int(par % 4),
+			DisableErecPruning: noPrune, MaxLen: int(maxLen % 4)}
+		if lex {
+			o.ItemOrder = Lexicographic
+		}
 		a, err := Mine(db, o)
 		if err != nil {
 			t.Fatal(err)
@@ -102,8 +108,8 @@ func FuzzMineAgainstVertical(f *testing.F) {
 			t.Fatal(err)
 		}
 		if !a.Equal(v) {
-			t.Fatalf("RP-growth and vertical disagree: %d vs %d patterns",
-				len(a.Patterns), len(v.Patterns))
+			t.Fatalf("%+v: RP-growth and vertical disagree: %d vs %d patterns",
+				o, len(a.Patterns), len(v.Patterns))
 		}
 	})
 }

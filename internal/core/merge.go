@@ -2,33 +2,32 @@ package core
 
 import (
 	"math/bits"
-	"slices"
+	"time"
 
 	"github.com/recurpat/rp/internal/obs"
 )
 
 // Union machinery for the RP-tree's transaction lists. Every list in the
 // tree is a node's subtree range: an unordered bag of transaction indices
-// (tids: positions in db.Trans), and the bags gathered for one sorted view
-// are disjoint: a transaction reaches a given item's nodes along exactly
-// one tree path.
+// (tids: positions in db.Trans), and the bags gathered for one union are
+// disjoint: a transaction reaches a given item's nodes along exactly one
+// tree path.
 // tsdb.DB orders its transactions strictly by timestamp, so ascending tid
-// order is ascending timestamp order, and the sorted timestamp list of a
-// union is a bitmap scan: scatter every tid into a two-level bitmap sized
-// to |TDB|, then walk the touched words in ascending order appending
+// order is ascending timestamp order, and walking a union in timestamp
+// order is a bitmap scan: scatter every tid into a two-level bitmap sized
+// to |TDB|, then walk the touched words in ascending order reading
 // ts[tid]. A union costs O(n + touched words), not a merge's O(n log k),
-// however many bags it gathers.
+// however many bags it gathers. The scan folds the timestamps' periodic
+// runs as it goes, so no sorted list is ever written out.
 
-// mergeScratch holds the reusable buffers of one miner: the staged tid
-// bags, the union bitmap, a free list of timestamp buffers, and the
-// conditional-tree construction scratch. A zero value is ready to use. Not
-// safe for concurrent use; the parallel miner gives each worker its own.
-// conditionalTree never overlaps its own recursion (each call completes
-// before mining recurses), so one set of buffers per miner suffices.
+// mergeScratch holds the reusable buffers of one miner: the union bitmap
+// and the conditional-tree construction scratch. A zero value is ready to
+// use. Not safe for concurrent use; the parallel miner gives each worker
+// its own. conditionalTree never overlaps its own recursion (each call
+// completes before mining recurses), so one set of buffers per miner
+// suffices.
 type mergeScratch struct {
-	bags [][]int32 // tid bags staged for the next merge, reused per call
-	u    tidUnion  // union bitmap, all zero between merges
-	free [][]int64 // timestamp buffer free list
+	u tidUnion // union bitmap, all zero between folds
 
 	// conditionalTree scratch (see rptree.go):
 	base    []rankPath // base paths of the current call
@@ -43,55 +42,32 @@ type mergeScratch struct {
 	// check since the owning miner last collected them (miner.prune).
 	pruned int
 
-	// lc, when non-nil, is the owning miner's local trace batch: merge
+	// lc, when non-nil, is the owning miner's local trace batch: fold
 	// times a ts-merge observation per call into it. nil (the untraced
 	// default) keeps the hot path at a single pointer check.
 	lc *obs.Local
 }
 
-// getBuf hands out an empty timestamp buffer, reusing returned capacity.
-func (ms *mergeScratch) getBuf() []int64 {
-	if n := len(ms.free); n > 0 {
-		b := ms.free[n-1]
-		ms.free = ms.free[:n-1]
-		return b[:0]
+// fold unions the tid bags of t's base paths base[idx], walks the union in
+// timestamp order and folds its periodic runs under o: it appends the
+// interesting intervals to *ipi and returns Erec. With a trace batch
+// attached, each call records one ts-merge observation with its wall time.
+func (ms *mergeScratch) fold(t *rpTree, base []rankPath, idx []int32, o Options, ipi *[]Interval) int {
+	var start time.Time
+	if ms.lc != nil {
+		start = obs.Now()
 	}
-	return nil
-}
-
-// putBuf returns a buffer to the free list. The caller must not use b (or
-// anything aliasing it) afterwards.
-func (ms *mergeScratch) putBuf(b []int64) {
-	if cap(b) == 0 {
-		return
-	}
-	ms.free = append(ms.free, b[:0])
-}
-
-// merge appends the timestamps of the staged bags' union to dst in
-// ascending order, where ts maps each tid to its timestamp, and unstages
-// the bags. With a trace batch attached, each call records one ts-merge
-// observation with its wall time.
-func (ms *mergeScratch) merge(ts, dst []int64) []int64 {
-	if ms.lc == nil {
-		return ms.union(ts, dst)
-	}
-	start := obs.Now()
-	dst = ms.union(ts, dst)
-	ms.lc.Observe(obs.PhaseMerge, obs.Since(start), 1)
-	return dst
-}
-
-func (ms *mergeScratch) union(ts, dst []int64) []int64 {
 	u := &ms.u
-	u.size(len(ts))
-	n := 0
-	for _, b := range ms.bags {
-		u.add(b)
-		n += len(b)
+	u.size(len(t.ts))
+	for _, bi := range idx {
+		bp := &base[bi]
+		u.add(t.tids[bp.tlo:bp.thi])
 	}
-	ms.bags = ms.bags[:0]
-	return u.appendTo(dst, ts, n)
+	erec := u.fold(t.ts, o.Per, o.MinPS, ipi)
+	if ms.lc != nil {
+		ms.lc.Observe(obs.PhaseMerge, obs.Since(start), 1)
+	}
+	return erec
 }
 
 // tidUnion is a two-level bitmap over the tids of one database: bit tid%64
@@ -128,12 +104,16 @@ func (u *tidUnion) add(tids []int32) {
 	u.lo, u.hi = lo, hi
 }
 
-// appendTo appends ts[tid] for every set tid, ascending, to dst and clears
-// the bitmap. n, the staged tid count, bounds the set bits.
-func (u *tidUnion) appendTo(dst, ts []int64, n int) []int64 {
-	dst = slices.Grow(dst, n)
-	out := dst[len(dst) : len(dst)+n]
-	i := 0
+// fold walks the set tids in ascending order, reading ts[tid], and clears
+// the bitmap. It folds the timestamps' periodic intervals (paper
+// Definition 5, gaps of at most per) in the same pass, as Recurrence and
+// Erec would over the sorted list: every interval whose periodic support
+// reaches minPS is appended to *ipi, and Erec, the sum of floor(ps/minPS)
+// over all intervals, is returned.
+func (u *tidUnion) fold(ts []int64, per int64, minPS int, ipi *[]Interval) (erec int) {
+	out := *ipi
+	var first, last int64
+	ps := 0
 	for s := u.lo; s < u.hi; s++ {
 		sw := u.summary[s]
 		u.summary[s] = 0
@@ -143,12 +123,26 @@ func (u *tidUnion) appendTo(dst, ts []int64, n int) []int64 {
 			word := u.words[w]
 			u.words[w] = 0
 			for word != 0 {
-				out[i] = ts[w<<6|bits.TrailingZeros64(word)]
-				i++
+				t := ts[w<<6|bits.TrailingZeros64(word)]
 				word &= word - 1
+				if ps > 0 && t-last <= per {
+					ps++
+					last = t
+					continue
+				}
+				erec += ps / minPS
+				if ps >= minPS {
+					out = append(out, Interval{Start: first, End: last, PS: ps})
+				}
+				first, last, ps = t, t, 1
 			}
 		}
 	}
+	erec += ps / minPS
+	if ps >= minPS {
+		out = append(out, Interval{Start: first, End: last, PS: ps})
+	}
 	u.lo, u.hi = len(u.summary), 0
-	return dst[:len(dst)+i]
+	*ipi = out
+	return erec
 }

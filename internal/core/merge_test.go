@@ -3,7 +3,6 @@ package core
 import (
 	"math"
 	"math/rand/v2"
-	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -54,10 +53,41 @@ func randomBags(rng *rand.Rand, n, k int, density float64) [][]int32 {
 	return bags
 }
 
-// unionOf stages bags on ms and merges them into dst.
-func unionOf(ms *mergeScratch, ts []int64, bags [][]int32, dst []int64) []int64 {
-	ms.bags = append(ms.bags[:0], bags...)
-	return ms.merge(ts, dst)
+// foldOf lays bags out as the tid ranges of a tree's base paths and folds
+// their union through ms, as conditionalTree's Erec check does, appending
+// the interesting intervals to ipi.
+func foldOf(ms *mergeScratch, ts []int64, bags [][]int32, o Options, ipi []Interval) (int, []Interval) {
+	t := &rpTree{ts: ts}
+	var base []rankPath
+	var idx []int32
+	for i, b := range bags {
+		lo := int32(len(t.tids))
+		t.tids = append(t.tids, b...)
+		base = append(base, rankPath{tlo: lo, thi: int32(len(t.tids))})
+		idx = append(idx, int32(i))
+	}
+	erec := ms.fold(t, base, idx, o, &ipi)
+	return erec, ipi
+}
+
+// checkFold fails unless folding bags through ms gives the Erec,
+// recurrence and interesting intervals of their sorted union, appended
+// after what ipi already held, and leaves the bitmap zero.
+func checkFold(t *testing.T, ms *mergeScratch, ts []int64, bags [][]int32, o Options) {
+	t.Helper()
+	union := unionOracle(ts, bags)
+	wantErec := Erec(union, o.Per, o.MinPS)
+	wantRec, wantIPI := Recurrence(union, o.Per, o.MinPS)
+	head := Interval{Start: -1, End: -1, PS: -1}
+	erec, ipi := foldOf(ms, ts, bags, o, []Interval{head})
+	if erec != wantErec {
+		t.Fatalf("per=%d minPS=%d: fold Erec = %d, want %d (union %v)", o.Per, o.MinPS, erec, wantErec, union)
+	}
+	if ipi[0] != head || len(ipi)-1 != wantRec || !slices.Equal(ipi[1:], wantIPI) {
+		t.Fatalf("per=%d minPS=%d: fold appended intervals %v after %v, want %d: %v (union %v)",
+			o.Per, o.MinPS, ipi[1:], ipi[0], wantRec, wantIPI, union)
+	}
+	checkZeroBitmap(t, &ms.u)
 }
 
 // checkZeroBitmap fails unless the union bitmap is back to its idle state.
@@ -80,7 +110,8 @@ func checkZeroBitmap(t *testing.T, u *tidUnion) {
 
 // TestTidUnion covers tid-space sizes around the word (64) and summary
 // (4096) boundaries, with one reused scratch, so stale bits or a stale
-// touched range from one union would corrupt the next.
+// touched range from one fold would corrupt the next, and periods and
+// minimum periodic supports from all-singleton runs to one long run.
 func TestTidUnion(t *testing.T) {
 	var ms mergeScratch
 	rng := rand.New(rand.NewPCG(7, 11))
@@ -99,18 +130,8 @@ func TestTidUnion(t *testing.T) {
 				}
 				bags = dedupe(bags)
 			}
-			want := unionOracle(ts, bags)
-			got := unionOf(&ms, ts, bags, nil)
-			if got == nil {
-				got = []int64{}
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("n=%d trial=%d: union = %v, want %v", n, trial, got, want)
-			}
-			if len(ms.bags) != 0 {
-				t.Fatalf("n=%d: %d bags left staged after the union", n, len(ms.bags))
-			}
-			checkZeroBitmap(t, &ms.u)
+			o := Options{Per: []int64{1, 3, 5, 40}[rng.IntN(4)], MinPS: 1 + rng.IntN(6)}
+			checkFold(t, &ms, ts, bags, o)
 		}
 	}
 }
@@ -132,33 +153,12 @@ func dedupe(bags [][]int32) [][]int32 {
 	return bags
 }
 
-func TestMergeIntoRecycledBuffer(t *testing.T) {
-	// merge must append after dst's existing contents, honour its capacity
-	// and never read stale contents: fill a buffer with poison, recycle it,
-	// and compare.
-	var ms mergeScratch
-	rng := rand.New(rand.NewPCG(3, 9))
-	ts := tidMap(rng, 300)
-	poison := make([]int64, 0, 256)
-	for i := 0; i < cap(poison); i++ {
-		poison = append(poison, -1)
-	}
-	for trial := 0; trial < 100; trial++ {
-		bags := randomBags(rng, len(ts), 1+rng.IntN(6), 0.3)
-		want := append([]int64{-7}, unionOracle(ts, bags)...)
-		got := unionOf(&ms, ts, bags, append(poison[:0], -7))
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("trial %d: merge = %v, want %v", trial, got, want)
-		}
-	}
-}
-
 func FuzzTidUnion(f *testing.F) {
-	f.Add([]byte{3, 1, 2, 3, 0, 2, 9, 9}, uint16(10), uint8(3))
-	f.Add([]byte{}, uint16(1), uint8(1))
-	f.Add([]byte{1, 1, 1, 1, 1, 1, 1}, uint16(64), uint8(5))
-	f.Add([]byte{0, 255, 17, 63, 64, 65, 200, 128}, uint16(4097), uint8(7))
-	f.Fuzz(func(t *testing.T, data []byte, size uint16, k uint8) {
+	f.Add([]byte{3, 1, 2, 3, 0, 2, 9, 9}, uint16(10), uint8(3), uint8(2), uint8(2))
+	f.Add([]byte{}, uint16(1), uint8(1), uint8(1), uint8(1))
+	f.Add([]byte{1, 1, 1, 1, 1, 1, 1}, uint16(64), uint8(5), uint8(4), uint8(3))
+	f.Add([]byte{0, 255, 17, 63, 64, 65, 200, 128}, uint16(4097), uint8(7), uint8(30), uint8(1))
+	f.Fuzz(func(t *testing.T, data []byte, size uint16, k, per, minPS uint8) {
 		n := int(size%5000) + 1
 		nBags := int(k%8) + 1
 		bags := make([][]int32, nBags)
@@ -168,16 +168,10 @@ func FuzzTidUnion(f *testing.F) {
 		}
 		bags = dedupe(bags)
 		ts := tidMap(rand.New(rand.NewPCG(uint64(n), 1)), n)
+		o := Options{Per: int64(per%64) + 1, MinPS: int(minPS%16) + 1}
 		var ms mergeScratch
 		for round := 0; round < 2; round++ {
-			got := unionOf(&ms, ts, bags, nil)
-			if got == nil {
-				got = []int64{}
-			}
-			if want := unionOracle(ts, bags); !reflect.DeepEqual(got, want) {
-				t.Fatalf("round %d: union = %v, want %v (bags %v)", round, got, want, bags)
-			}
-			checkZeroBitmap(t, &ms.u)
+			checkFold(t, &ms, ts, bags, o)
 		}
 	})
 }
@@ -249,12 +243,13 @@ func TestMinerArenaReuse(t *testing.T) {
 			m.mineTree(tree, nil, 1)
 			res.Canonicalize()
 			results = append(results, res)
-			// Every conditional tree's nodes, tids and paths are reclaimed,
-			// and the second identical run reuses the first one's slabs.
+			// Every conditional tree's nodes, tids, paths and intervals are
+			// reclaimed, and the second identical run reuses the first
+			// one's slabs.
 			a := &m.arena
-			if len(a.nodes) != 0 || len(a.tids) != 0 || len(a.paths) != 0 {
-				t.Fatalf("trial %d round %d: arena holds %d nodes, %d tids, %d path ranks after the mine",
-					trial, round, len(a.nodes), len(a.tids), len(a.paths))
+			if len(a.nodes) != 0 || len(a.tids) != 0 || len(a.paths) != 0 || len(a.ivals) != 0 {
+				t.Fatalf("trial %d round %d: arena holds %d nodes, %d tids, %d path ranks, %d intervals after the mine",
+					trial, round, len(a.nodes), len(a.tids), len(a.paths), len(a.ivals))
 			}
 			caps := [3]int{cap(a.nodes), cap(a.tids), cap(a.paths)}
 			if round == 1 && caps != slabCap {

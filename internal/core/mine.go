@@ -162,8 +162,8 @@ type miner struct {
 }
 
 // newMiner builds a miner for o, wiring the tracer into the merge scratch
-// (which times ts-list merges and counts conditional-tree prunes) when a
-// trace is attached.
+// (which times the conditional Erec check's tid-union folds) when a trace
+// is attached.
 func newMiner(o Options) *miner {
 	m := &miner{o: o}
 	if o.Trace != nil {
@@ -174,13 +174,13 @@ func newMiner(o Options) *miner {
 }
 
 // mineTree is Algorithm 4 (RP-growth) on a conditional tree: process the
-// tree's items bottom-up; for each item, collect the suffix pattern's
-// timestamp list, apply the Erec candidate check, evaluate recurrence
-// (Algorithm 5) and recurse into the conditional tree. The subtree ranges
-// already hold what Lemma 3's push-ups would gather, so nothing is pushed.
+// tree's items bottom-up; for each item, read the suffix pattern's
+// recurrence (Algorithm 5), folded when the tree was built, and recurse
+// into the conditional tree. The subtree ranges already hold what Lemma 3's
+// push-ups would gather, so nothing is pushed.
 //
 // Cancellation is observed once per rank — task granularity, so the check
-// never runs inside the ts-list merge or tree-walk hot loops.
+// never runs inside the ts-list fold or tree-walk hot loops.
 func (m *miner) mineTree(t *rpTree, suffix []tsdb.ItemID, depth int) {
 	if m.o.CollectStats && depth > m.res.Stats.MaxDepth {
 		m.res.Stats.MaxDepth = depth
@@ -205,37 +205,22 @@ func (m *miner) taskLabel(item tsdb.ItemID) string {
 }
 
 // mineRank evaluates the pattern beta = suffix + order[r] and recurses into
-// its conditional tree when the Erec bound allows supersets to recur. A
-// support too small for the bound prunes beta before its timestamp list is
-// built. The list lives in a pooled buffer that is released before the
-// recursion, and the conditional tree is carved from the miner's arena and
-// reclaimed (reset) as soon as its subtree has been mined.
+// its conditional tree. The rank already passed the Erec candidate check on
+// the very tid set it covers (the RP-list's, or the parent conditionalTree's
+// for a conditional tree), so beta is never pruned here, and its support and
+// interesting intervals are read from the rank, not recomputed. The
+// conditional tree is carved from the miner's arena and reclaimed (reset)
+// as soon as its subtree has been mined.
 func (m *miner) mineRank(t *rpTree, r int, suffix []tsdb.ItemID, depth int) {
-	support := t.stage(&m.ms, r)
-	if support == 0 {
-		return
-	}
-	if m.o.erecBound(support) < m.o.MinRec {
-		m.prune(1)
-		return
-	}
-	ts := m.ms.merge(t.ts, m.ms.getBuf())
-	if m.o.candidateErec(ts) < m.o.MinRec {
-		m.prune(1)
-		m.ms.putBuf(ts)
-		return
-	}
+	rk := &t.ranks[r]
 	if m.o.CollectStats {
 		m.res.Stats.PatternsExamined++
 	}
-	rec, ipi := Recurrence(ts, m.o.Per, m.o.MinPS)
-	m.ms.putBuf(ts)
-
 	beta := make([]tsdb.ItemID, 0, len(suffix)+1)
 	beta = append(beta, suffix...)
 	beta = append(beta, t.order[r])
-	if rec >= m.o.MinRec {
-		m.emit(beta, support, rec, ipi)
+	if len(rk.ipi) >= m.o.MinRec {
+		m.emit(beta, rk.sup, rk.ipi)
 		if m.stop {
 			return
 		}
@@ -268,16 +253,17 @@ func (m *miner) prune(n int) {
 	}
 }
 
-// emit delivers one recurring pattern to the miner's sink.
-func (m *miner) emit(beta []tsdb.ItemID, support, rec int, ipi []Interval) {
+// emit delivers one recurring pattern to the miner's sink. ipi is copied
+// out of the tree, whose interval slab the arena reclaims.
+func (m *miner) emit(beta []tsdb.ItemID, support int, ipi []Interval) {
 	items := make([]tsdb.ItemID, len(beta))
 	copy(items, beta)
 	slices.Sort(items)
 	p := Pattern{
 		Items:      items,
 		Support:    support,
-		Recurrence: rec,
-		Intervals:  ipi,
+		Recurrence: len(ipi),
+		Intervals:  slices.Clone(ipi),
 	}
 	if m.fn != nil {
 		if !m.fn(p) {

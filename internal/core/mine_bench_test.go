@@ -58,18 +58,27 @@ func BenchmarkBuildRPTreeShop14(b *testing.B) {
 	}
 }
 
-func BenchmarkCollectTS(b *testing.B) {
-	_, tree := benchWorkload()
-	var ms mergeScratch
+// BenchmarkMineShop14Cells mines the three Shop-14 cells of Table 7 (per
+// 360, 720 and 1440 at minPS 0.2% and minRec 2), one set per op, with one
+// worker: mines whose trees are far past the cache (see
+// BenchmarkBuildRPTreeShop14), where BenchmarkMineEndToEnd's fit in it.
+func BenchmarkMineShop14Cells(b *testing.B) {
+	db := gen.Shop(gen.DefaultShop(2))
+	var cells []Options
+	for _, per := range []int64{360, 720, 1440} {
+		cells = append(cells, Options{Per: per, MinPS: MinPSFromPercent(db, 0.2), MinRec: 2, Parallelism: 1})
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for r := len(tree.order) / 2; r >= 0; r-- {
-			ts := tree.collectTS(&ms, r, ms.getBuf())
-			if len(ts) == 0 {
-				b.Fatal("empty ts")
+		for _, o := range cells {
+			res, err := Mine(db, o)
+			if err != nil {
+				b.Fatal(err)
 			}
-			ms.putBuf(ts)
+			if len(res.Patterns) == 0 {
+				b.Fatal("no patterns")
+			}
 		}
 	}
 }

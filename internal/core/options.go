@@ -109,23 +109,14 @@ func MinPSForLen(n int, percent float64) int {
 	return ps
 }
 
-// candidateErec returns the Erec bound for a timestamp list under o,
-// honouring the pruning ablation switch: with pruning disabled, the bound
-// degenerates to "might recur if there are at least MinPS occurrences",
-// which only discards patterns that could never form a single interesting
-// interval.
-func (o Options) candidateErec(ts []int64) int {
-	if o.DisableErecPruning {
-		return o.erecBound(len(ts))
-	}
-	return Erec(ts, o.Per, o.MinPS)
-}
-
-// erecBound bounds candidateErec for any timestamp list of n occurrences,
-// so a caller can reject a candidate from its support before building the
-// list. Erec sums floor(ps_i / MinPS) over periodic intervals whose ps_i
-// sum to n, which is at most floor(n / MinPS); with pruning disabled the
-// bound is candidateErec itself, which depends on n alone.
+// erecBound bounds the Erec candidate check for any timestamp list of n
+// occurrences, so a caller can reject a candidate from its support before
+// building its union. Erec sums floor(ps_i / MinPS) over periodic intervals
+// whose ps_i sum to n, which is at most floor(n / MinPS). With pruning
+// disabled the check degenerates to "might recur if there are at least
+// MinPS occurrences", which only discards patterns that could never form a
+// single interesting interval; that depends on n alone, so the bound is the
+// whole check.
 func (o Options) erecBound(n int) int {
 	if o.DisableErecPruning {
 		if n >= o.MinPS {

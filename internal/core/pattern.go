@@ -65,8 +65,11 @@ type Result struct {
 // Options.CollectStats is set. The counters quantify the effect of the Erec
 // pruning bound for the ablation study.
 type MineStats struct {
-	CandidateItems   int // items surviving the RP-list scan (Algorithm 1)
-	PatternsExamined int // patterns whose recurrence was evaluated (getRecurrence calls)
+	CandidateItems int // items surviving the RP-list scan (Algorithm 1)
+	// PatternsExamined counts the patterns whose recurrence was evaluated
+	// (getRecurrence), each read from the fold made where the pattern's
+	// ts-list was gathered: the RP-list scan or a conditional Erec check.
+	PatternsExamined int
 	PatternsPruned   int // extensions cut by the Erec bound before evaluation
 	TreeNodes        int // prefix-tree nodes created across all conditional trees
 	MaxDepth         int // deepest recursion reached

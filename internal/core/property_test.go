@@ -107,9 +107,10 @@ func TestErecUpperBoundsRecurrence(t *testing.T) {
 }
 
 func TestErecBoundSound(t *testing.T) {
-	// The support bound the miner checks before building a list never
-	// rejects a list the candidate check would accept: in both pruning
-	// modes, candidateErec(ts) <= erecBound(len(ts)).
+	// The support bound the miner checks before building a union never
+	// rejects a list the candidate check would accept: with pruning on,
+	// Erec(ts) <= erecBound(len(ts)); with it off, the bound is the whole
+	// check, passing exactly the lists of at least MinPS occurrences.
 	f := func(seed uint64) bool {
 		local := rand.New(rand.NewPCG(seed, 29))
 		ts := randomTS(local, 80, 300)
@@ -120,7 +121,11 @@ func TestErecBoundSound(t *testing.T) {
 				MinRec:             local.IntN(4) + 1,
 				DisableErecPruning: disable,
 			}
-			if o.candidateErec(ts) > o.erecBound(len(ts)) {
+			bound := o.erecBound(len(ts))
+			if disable && (bound >= o.MinRec) != (len(ts) >= o.MinPS) {
+				return false
+			}
+			if !disable && Erec(ts, o.Per, o.MinPS) > bound {
 				return false
 			}
 		}

@@ -20,6 +20,11 @@ type RPList struct {
 	// item was pruned.
 	Rank []int
 
+	// ipi holds each candidate's interesting intervals (paper Definition
+	// 7), by rank: the scan closes every periodic run anyway, so the
+	// recurrence of each single-item pattern comes with it.
+	ipi [][]Interval
+
 	totalItems int // distinct items seen before pruning
 }
 
@@ -41,15 +46,35 @@ type itemState struct {
 	seen bool
 }
 
+// scanState is itemState plus what the RP-list scan keeps to give each
+// candidate its interesting intervals: the start of the current run and the
+// intervals closed so far.
+type scanState struct {
+	itemState
+	start int64
+	ipi   []Interval
+}
+
+// closeRun closes the current run: it contributes floor(ps/minPS) to erec
+// and, when it is interesting, its interval to ipi.
+func (st *scanState) closeRun(minPS int) {
+	st.erec += st.ps / minPS
+	if st.ps >= minPS {
+		st.ipi = append(st.ipi, Interval{Start: st.start, End: st.idl, PS: st.ps})
+	}
+}
+
 // BuildRPList performs the first database scan of RP-growth (Algorithm 1):
 // it computes every item's support and estimated maximum recurrence in a
 // single streaming pass, prunes items with Erec < minRec, and sorts the
-// survivors in support-descending order.
+// survivors in support-descending order. The runs the scan closes also
+// give every candidate its interesting intervals, which the RP-tree's ranks
+// carry into mining.
 //
 // With o.DisableErecPruning set, only items that could never fill a single
 // interesting interval (support < MinPS) are pruned.
 func BuildRPList(db *tsdb.DB, o Options) *RPList {
-	states := make([]itemState, db.Dict.Len())
+	states := make([]scanState, db.Dict.Len())
 	for _, tr := range db.Trans {
 		tscur := tr.TS
 		for _, item := range tr.Items {
@@ -62,6 +87,7 @@ func BuildRPList(db *tsdb.DB, o Options) *RPList {
 				st.erec = 0
 				st.idl = tscur
 				st.ps = 1
+				st.start = tscur
 				continue
 			}
 			if tscur-st.idl <= o.Per {
@@ -73,10 +99,11 @@ func BuildRPList(db *tsdb.DB, o Options) *RPList {
 			} else {
 				// Aperiodic gap: close the run, contribute
 				// floor(ps/minPS) to erec, start a new run (lines 10-11).
-				st.erec += st.ps / o.MinPS
+				st.closeRun(o.MinPS)
 				st.sup++
 				st.ps = 1
 				st.idl = tscur
+				st.start = tscur
 			}
 		}
 	}
@@ -92,7 +119,7 @@ func BuildRPList(db *tsdb.DB, o Options) *RPList {
 		}
 		list.totalItems++
 		// Close the final run (Algorithm 1 line 15).
-		st.erec += st.ps / o.MinPS
+		st.closeRun(o.MinPS)
 		keep := st.erec >= o.MinRec
 		if o.DisableErecPruning {
 			keep = st.sup >= o.MinPS
@@ -111,8 +138,10 @@ func BuildRPList(db *tsdb.DB, o Options) *RPList {
 		}
 		return cmp.Compare(a.Item, b.Item)
 	})
+	list.ipi = make([][]Interval, len(list.Candidates))
 	for rank, e := range list.Candidates {
 		list.Rank[e.Item] = rank
+		list.ipi[rank] = states[e.Item].ipi
 	}
 	return list
 }

@@ -7,23 +7,19 @@ import (
 	"github.com/recurpat/rp/internal/tsdb"
 )
 
-// nilNode is the null value of a node index: the slab equivalent of a nil
-// pointer for header links.
-const nilNode int32 = -1
-
 // rpNode is a node of the RP-tree prefix tree (paper Section 4.2.1), laid
 // out for slab allocation: nodes live in a nodeArena's []rpNode slice and
-// reference each other by int32 index, so the slab holds no pointers. Unlike
-// an FP-tree node it carries no support count; instead, the transactions
+// are addressed by int32 index, so the slab holds no pointers. Unlike an
+// FP-tree node it carries no support count; instead, the transactions
 // whose candidate projection ends at a node (its tail tids) are recorded in
 // the tree's tid array.
 //
-// Nodes are created in pre-order, and the tid array is filled in the same
-// order, so every node's subtree is one contiguous range tids[lo:hi], the
-// node's own tail tids first, then its children's ranges. The range is
-// exactly the ts-list that pushing every deeper node's list up to its
-// parent (Lemma 3) would accumulate at the node, so mining reads TS^beta
-// straight off the ranges and never mutates the tree.
+// The tid array is filled in pre-order, so every node's subtree is one
+// contiguous range tids[lo:hi], the node's own tail tids first, then its
+// children's ranges. The range is exactly the ts-list that pushing every
+// deeper node's list up to its parent (Lemma 3) would accumulate at the
+// node, so mining reads TS^beta straight off the ranges and never mutates
+// the tree. The root holds no node: its range is the whole tid array.
 //
 // A node's root path, the ranks from the root down to the node, is
 // paths[pathLo:pathHi] of the tree's path slab: the leading ranks of the
@@ -34,24 +30,25 @@ const nilNode int32 = -1
 // turns tids into timestamps, and every sorted view is a union of ranges
 // (see merge.go), so a range's tids are in no particular order.
 type rpNode struct {
-	link           int32 // next node carrying the same item (header chain)
 	lo, hi         int32 // subtree range in the tree's tids
 	pathLo, pathHi int32 // root path in the tree's paths
 }
 
-// nodeArena is a slab of RP-tree nodes plus slabs of their tids and rank
-// paths. Conditional trees are carved from a per-miner arena stack-wise:
-// mark() before building a conditional tree, reset(mark) once its
-// recursion returns, so every slab's capacity is reused across the entire
-// mining run instead of being reallocated per tree.
+// nodeArena is a slab of RP-tree nodes plus slabs of their tids, rank
+// paths and the interesting intervals of their ranks. Conditional trees are
+// carved from a per-miner arena stack-wise: mark() before building a
+// conditional tree, reset(mark) once its recursion returns, so every slab's
+// capacity is reused across the entire mining run instead of being
+// reallocated per tree.
 type nodeArena struct {
 	nodes []rpNode
 	tids  []int32
 	paths []int32
+	ivals []Interval
 }
 
 // arenaMark is a position in each of a nodeArena's slabs.
-type arenaMark struct{ nodes, tids, paths int }
+type arenaMark struct{ nodes, tids, paths, ivals int }
 
 // carve cuts n elements off the end of *slab. A tree keeps the returned
 // slice, so a later growth of the slab leaves its contents in place.
@@ -63,28 +60,50 @@ func carve(slab *[]int32, n int) []int32 {
 
 // mark returns the current slab positions for a later reset.
 func (a *nodeArena) mark() arenaMark {
-	return arenaMark{len(a.nodes), len(a.tids), len(a.paths)}
+	return arenaMark{len(a.nodes), len(a.tids), len(a.paths), len(a.ivals)}
 }
 
-// reset truncates the slabs back to a mark, reclaiming every node, tid and
-// path rank created since without freeing the slabs' backing arrays.
+// reset truncates the slabs back to a mark, reclaiming every node, tid,
+// path rank and interval created since without freeing the slabs' backing
+// arrays.
 func (a *nodeArena) reset(m arenaMark) {
 	a.nodes, a.tids, a.paths = a.nodes[:m.nodes], a.tids[:m.tids], a.paths[:m.paths]
+	a.ivals = a.ivals[:m.ivals]
 }
 
-// rpTree is a prefix tree plus the per-item header chains. The item order is
+// rpTree is a prefix tree plus what it knows per rank. The item order is
 // support-descending within the tree's own database (the full TDB for the
-// initial tree, the conditional pattern base for conditional trees). All
-// nodes, including the root, live in the referenced arena.
+// initial tree, the conditional pattern base for conditional trees). The
+// nodes live in the referenced arena, grouped by rank: each rank's nodes
+// are one block of the node slab, in pre-order.
 type rpTree struct {
-	arena   *nodeArena
-	root    int32
-	tids    []int32       // every node's subtree range, see rpNode
-	paths   []int32       // the rank paths the tree was built from
-	ts      []int64       // tid -> timestamp, shared by every tree of a mine
-	order   []tsdb.ItemID // tree item order, most frequent first
-	headers []int32       // last node created per rank, nilNode when none
-	nodes   int           // nodes created (stats)
+	arena *nodeArena
+	tids  []int32       // every node's subtree range, see rpNode
+	paths []int32       // the rank paths the tree was built from
+	ts    []int64       // tid -> timestamp, shared by every tree of a mine
+	order []tsdb.ItemID // tree item order, most frequent first
+	ranks []treeRank    // per rank, in order's order
+	nodes int           // nodes created (stats)
+}
+
+// treeRank is what a tree holds for one rank: the block of the node slab
+// holding the rank's nodes, and the periodic-run fold of the tid set those
+// nodes' ranges cover, the ts-list of the pattern the rank adds to the
+// tree's suffix. The fold is made where that set is first gathered, by the
+// RP-list scan for the initial tree and by conditionalTree's Erec check
+// for a conditional one, so mining only reads it: the support, and the
+// interesting intervals (paper Definition 7), whose count is the
+// recurrence.
+type treeRank struct {
+	nodes span
+	sup   int
+	ipi   []Interval
+}
+
+// rankNodes returns the nodes of rank r, in pre-order.
+func (t *rpTree) rankNodes(r int) []rpNode {
+	sp := t.ranks[r].nodes
+	return t.arena.nodes[sp.lo:sp.hi]
 }
 
 // rankPath is one rank path a tree is built from, with the tid bag of the
@@ -99,41 +118,50 @@ type rankPath struct {
 type treeBuild struct {
 	tmp   []rankPath // bucketing scatter target
 	keys  []uint64   // per grouped path: bucket key << 32 | position
-	cnt   []int32    // counting-sort buckets
+	cnt   []int32    // counting-sort buckets, then build's per-rank node cursors
 	ends  []int32    // stack of the bucket ends of the groups being sorted
 	lcp   []int32    // per sorted path: leading ranks shared with the previous
 	stack []int32    // the open nodes of the emit pass, root-most first
 }
 
 // build makes the tree of order's items from its rank paths ps, whose ranks
-// lie in paths and whose bags index src, carving nodes and tids from a. ps
-// is reordered.
+// lie in paths and whose bags index src, carving nodes and tids from a.
+// ranks carries each rank's fold; build lays out its node block. ps is
+// reordered.
 //
 // The paths are bucketed top-down (sort), which puts them in pre-order and
-// tells how many leading ranks each shares with the one before it. One pass
-// over them then emits the nodes: a path closes the open nodes below the
-// ranks it shares, opens one node per further rank and appends its tids at
-// the cursor. Nodes and tids thus come out in pre-order, a node's range
-// runs from the tid cursor at its opening to the cursor at its close, and
-// the node count, known before the pass, sizes the slab exactly.
-func (b *treeBuild) build(a *nodeArena, order []tsdb.ItemID, ts []int64, paths []int32, ps []rankPath, src []int32) *rpTree {
-	t := &rpTree{arena: a, paths: paths, ts: ts, order: order, headers: make([]int32, len(order))}
-	for i := range t.headers {
-		t.headers[i] = nilNode
-	}
+// tells how many leading ranks each shares with the one before it. Those
+// counts size every rank's block of the node slab exactly before any node
+// exists. One pass over the paths then emits the nodes: a path closes the
+// open nodes below the ranks it shares, opens one node per further rank at
+// the next slot of that rank's block, and appends its tids at the cursor.
+// Tids, and each rank's nodes, thus come out in pre-order, and a node's
+// range runs from the tid cursor at its opening to the cursor at its close.
+func (b *treeBuild) build(a *nodeArena, order []tsdb.ItemID, ranks []treeRank, ts []int64, paths []int32, ps []rankPath, src []int32) *rpTree {
+	t := &rpTree{arena: a, paths: paths, ts: ts, order: order, ranks: ranks}
 	lcp := growN(&b.lcp, len(ps))
 	if len(ps) > 0 {
 		lcp[0] = 0
 		b.sort(paths, ps, lcp, 0)
 	}
+	next := growN(&b.cnt, len(ranks)) // per rank: its node count, then its next free slot
+	clear(next)
 	ntids := 0
 	for i, p := range ps {
-		t.nodes += int(p.hi - p.lo - lcp[i])
+		for _, rank := range paths[p.lo+lcp[i] : p.hi] {
+			next[rank]++
+		}
 		ntids += int(p.thi - p.tlo)
 	}
+	at := int32(len(a.nodes))
+	for r, n := range next {
+		ranks[r].nodes = span{at, at + n}
+		next[r] = at
+		at += n
+	}
+	t.nodes = int(at) - len(a.nodes)
 	t.tids = carve(&a.tids, ntids)
-	t.root = int32(len(a.nodes))
-	nodes := append(slices.Grow(a.nodes, t.nodes+1), rpNode{link: nilNode, hi: int32(ntids)})
+	nodes := slices.Grow(a.nodes, t.nodes)[:at]
 	stack, cur := b.stack[:0], int32(0)
 	for i, p := range ps {
 		shared := lcp[i]
@@ -142,9 +170,9 @@ func (b *treeBuild) build(a *nodeArena, order []tsdb.ItemID, ts []int64, paths [
 		}
 		stack = stack[:shared]
 		for k := p.lo + shared; k < p.hi; k++ {
-			rank, n := paths[k], int32(len(nodes))
-			nodes = append(nodes, rpNode{link: t.headers[rank], lo: cur, pathLo: p.lo, pathHi: k + 1})
-			t.headers[rank] = n
+			n := next[paths[k]]
+			next[paths[k]]++
+			nodes[n] = rpNode{lo: cur, pathLo: p.lo, pathHi: k + 1}
 			stack = append(stack, n)
 		}
 		cur += int32(copy(t.tids[cur:], src[p.tlo:p.thi]))
@@ -240,17 +268,20 @@ func (b *treeBuild) bucket(paths []int32, ps []rankPath, d int32) {
 // every transaction's candidate item projection becomes one rank path, and
 // the prefix tree of those paths is built top-down, each transaction's
 // index landing at its projection's tail node. The tree owns a fresh arena
-// and the tid map every tree of the mine shares.
+// and the tid map every tree of the mine shares; its ranks take their folds
+// from the RP-list.
 //
 // The scan files each transaction under the ranks it holds, one list per
 // rank sized by the item's support; dealing the lists out makes the
 // projections, rank-sorted with no sort per transaction.
 func buildRPTree(db *tsdb.DB, list *RPList) *rpTree {
 	order := make([]tsdb.ItemID, len(list.Candidates))
+	ranks := make([]treeRank, len(list.Candidates))
 	spans := make([]span, len(list.Candidates)) // rank r's list: cols[lo:hi]
 	total := int32(0)
 	for r, e := range list.Candidates {
 		order[r] = e.Item
+		ranks[r] = treeRank{sup: e.Support, ipi: list.ipi[r]}
 		spans[r] = span{total, total}
 		total += int32(e.Support)
 	}
@@ -271,7 +302,7 @@ func buildRPTree(db *tsdb.DB, list *RPList) *rpTree {
 	a := &nodeArena{}
 	paths, ps := dealPaths(&a.paths, base, cols, spans)
 	var b treeBuild
-	return b.build(a, order, ts, paths, ps, tids)
+	return b.build(a, order, ranks, ts, paths, ps, tids)
 }
 
 // span is a range lo:hi of an index list.
@@ -313,29 +344,14 @@ func dealPaths(slab *[]int32, base []rankPath, idx []int32, spans []span) ([]int
 	return paths, ps
 }
 
-// stage puts the subtree ranges of every node carrying the item at rank r
-// on ms for the next merge, and returns how many tids they hold: the
-// support of the suffix pattern being processed. The ranges together are
-// TS^beta, what Lemma 3's push-ups would have gathered at those nodes.
-func (t *rpTree) stage(ms *mergeScratch, r int) int {
-	a := t.arena
-	bags := ms.bags[:0]
-	n := 0
-	for ni := t.headers[r]; ni != nilNode; ni = a.nodes[ni].link {
-		nd := &a.nodes[ni]
-		bags = append(bags, t.tids[nd.lo:nd.hi])
-		n += int(nd.hi - nd.lo)
-	}
-	ms.bags = bags
-	return n
-}
-
 // condKeep is one prefix item surviving the conditional Erec check, with its
-// conditional support and the base paths holding it as a span of pathIdx.
+// conditional support, the base paths holding it as a span of pathIdx, and
+// its interesting intervals as a span of the destination arena's ivals.
 type condKeep struct {
 	item  tsdb.ItemID
 	sup   int
 	paths span
+	ipi   span
 }
 
 // growN resizes *s to n elements (growing the backing as needed, contents
@@ -348,27 +364,29 @@ func growN[T any](s *[]T, n int) []T {
 
 // conditionalTree builds the conditional RP-tree for the item at rank r
 // (Algorithm 4 line 4): the prefix paths of the item's nodes, restricted to
-// items whose conditional Erec passes the candidate check (computed from
-// the per-item ts-list unions — the "temporary array" of Section 4.2.3),
-// re-sorted by conditional support. nil is returned when no item survives.
-// Every item the check drops is counted in ms.pruned; an item whose
-// conditional support alone bounds its Erec below MinRec is dropped before
-// its union is built.
+// items whose conditional Erec passes the candidate check (computed by one
+// fused scan of the per-item tid union, which stands in for the "temporary
+// array" of Section 4.2.3), re-sorted by conditional support. nil is
+// returned when no item survives. Every item the check drops is counted in
+// ms.pruned; an item whose conditional support alone bounds its Erec below
+// MinRec is dropped before its union is built.
 //
-// The new tree, tids and paths included, is carved from dst (the caller's
-// arena), so t is never mutated — the workers of a parallel run all read
-// the shared initial tree concurrently while building their own
-// conditional trees.
+// The scan that decides a kept item also folds its recurrence: the union is
+// exactly the tid set the item's rank in the new tree covers, so the rank
+// stores its support and interesting intervals, and mining never gathers
+// that set again.
+//
+// The new tree, tids, paths and intervals included, is carved from dst
+// (the caller's arena), so t is never mutated — the workers of a parallel
+// run all read the shared initial tree concurrently while building their
+// own conditional trees.
 func (t *rpTree) conditionalTree(dst *nodeArena, ms *mergeScratch, o Options, r int) *rpTree {
-	a := t.arena
-
 	// First pass: one base path per node carrying rank r — its candidate
 	// ancestors, the node's root path less its last rank, and its tids, the
 	// node's subtree range. Both are ranges of t's own slabs, so the pass
 	// copies nothing.
 	base := ms.base[:0]
-	for ni := t.headers[r]; ni != nilNode; ni = a.nodes[ni].link {
-		n := &a.nodes[ni]
+	for _, n := range t.rankNodes(r) {
 		if n.pathHi-n.pathLo > 1 {
 			base = append(base, rankPath{lo: n.pathLo, hi: n.pathHi - 1, tlo: n.lo, thi: n.hi})
 		}
@@ -407,7 +425,6 @@ func (t *rpTree) conditionalTree(dst *nodeArena, ms *mergeScratch, o Options, r 
 	// Keep items whose conditional Erec passes the candidate check
 	// (Properties 1-2 make this safe), order them by conditional support.
 	keep := ms.keep[:0]
-	merged := ms.getBuf()
 	start := 0
 	for pr := 0; pr < r; pr++ {
 		lo, hi := start, cur[pr]
@@ -419,20 +436,15 @@ func (t *rpTree) conditionalTree(dst *nodeArena, ms *mergeScratch, o Options, r 
 			ms.pruned++
 			continue
 		}
-		bags := ms.bags[:0]
-		for _, bi := range pathIdx[lo:hi] {
-			bp := &base[bi]
-			bags = append(bags, t.tids[bp.tlo:bp.thi])
-		}
-		ms.bags = bags
-		merged = ms.merge(t.ts, merged[:0])
-		if o.candidateErec(merged) >= o.MinRec {
-			keep = append(keep, condKeep{item: t.order[pr], sup: sup[pr], paths: span{int32(lo), int32(hi)}})
+		at := len(dst.ivals)
+		erec := ms.fold(t, base, pathIdx[lo:hi], o, &dst.ivals)
+		if o.DisableErecPruning || erec >= o.MinRec {
+			keep = append(keep, condKeep{item: t.order[pr], sup: sup[pr], paths: span{int32(lo), int32(hi)}, ipi: span{int32(at), int32(len(dst.ivals))}})
 		} else {
+			dst.ivals = dst.ivals[:at]
 			ms.pruned++
 		}
 	}
-	ms.putBuf(merged)
 	ms.keep = keep
 	if len(keep) == 0 {
 		return nil
@@ -450,14 +462,16 @@ func (t *rpTree) conditionalTree(dst *nodeArena, ms *mergeScratch, o Options, r 
 		return 0
 	})
 	order := make([]tsdb.ItemID, len(keep))
+	ranks := make([]treeRank, len(keep))
 	spans := growN(&ms.spans, len(keep))
 	for i, k := range keep {
 		order[i], spans[i] = k.item, k.paths
+		ranks[i] = treeRank{sup: k.sup, ipi: dst.ivals[k.ipi.lo:k.ipi.hi:k.ipi.hi]}
 	}
 
 	// Second pass: the base paths' kept ancestors, re-ranked, are the new
 	// tree's rank paths, dealt out through the CSR index; their bags stay
 	// ranges of t's tids.
 	paths, ps := dealPaths(&dst.paths, base, pathIdx, spans)
-	return ms.build.build(dst, order, t.ts, paths, ps, t.tids)
+	return ms.build.build(dst, order, ranks, t.ts, paths, ps, t.tids)
 }

@@ -11,16 +11,30 @@ import (
 	"github.com/recurpat/rp/internal/tsdb"
 )
 
-// collectTS is TS^beta for the item at rank r as the miner reads it: the
-// union of the subtree ranges of the rank's nodes, through the tid ->
-// timestamp map.
-func (t *rpTree) collectTS(ms *mergeScratch, r int, dst []int64) []int64 {
-	t.stage(ms, r)
-	return ms.merge(t.ts, dst)
+// collectTS is TS^beta for the item at rank r: the union of the subtree
+// ranges of the rank's nodes, through the tid -> timestamp map, sorted.
+func (t *rpTree) collectTS(r int) []int64 {
+	var ts []int64
+	for _, nd := range t.rankNodes(r) {
+		for _, tid := range t.tids[nd.lo:nd.hi] {
+			ts = append(ts, t.ts[tid])
+		}
+	}
+	slices.Sort(ts)
+	return ts
+}
+
+// nodeIdx is the block of the arena's node slab holding the tree's nodes,
+// rank by rank.
+func (t *rpTree) nodeIdx() (lo, hi int32) {
+	if len(t.ranks) == 0 {
+		return 0, 0
+	}
+	return t.ranks[0].nodes.lo, t.ranks[len(t.ranks)-1].nodes.hi
 }
 
 // rootPath is node n's root path read from the tree's path slab: the
-// ranks from the root down to n, empty for the root.
+// ranks from the root down to n.
 func (t *rpTree) rootPath(n int32) []int32 {
 	nd := t.arena.nodes[n]
 	return t.paths[nd.pathLo:nd.pathHi]
@@ -42,7 +56,8 @@ func (t *rpTree) isChild(c, n int32) bool {
 // its children's ranges.
 func (t *rpTree) ownLen(n int32) int32 {
 	own := t.arena.nodes[n].hi - t.arena.nodes[n].lo
-	for c := t.root + 1; c < int32(len(t.arena.nodes)); c++ {
+	lo, hi := t.nodeIdx()
+	for c := lo; c < hi; c++ {
 		if t.isChild(c, n) {
 			own -= t.arena.nodes[c].hi - t.arena.nodes[c].lo
 		}
@@ -72,22 +87,25 @@ func buildPaperTree(t *testing.T) (*tsdb.DB, *RPList, *rpTree) {
 
 func TestRPTreeStructurePaperExample(t *testing.T) {
 	db, list, tree := buildPaperTree(t)
-	// Six candidate items -> six header chains.
-	if len(tree.headers) != 6 {
-		t.Fatalf("headers = %d, want 6", len(tree.headers))
+	// Six candidate items -> six ranks, whose node blocks tile the slab.
+	if len(tree.ranks) != 6 {
+		t.Fatalf("ranks = %d, want 6", len(tree.ranks))
+	}
+	at := int32(0)
+	for rank, rk := range tree.ranks {
+		if rk.nodes.lo != at || rk.nodes.hi <= rk.nodes.lo {
+			t.Fatalf("rank %d nodes [%d, %d), want a non-empty block from %d", rank, rk.nodes.lo, rk.nodes.hi, at)
+		}
+		at = rk.nodes.hi
+	}
+	if int(at) != len(tree.arena.nodes) {
+		t.Fatalf("rank blocks end at %d, the slab holds %d nodes", at, len(tree.arena.nodes))
 	}
 	// Every transaction's full candidate projection timestamps must be
 	// recoverable: the ranges of each item's nodes cover exactly the
 	// transactions containing that item.
 	for rank, item := range tree.order {
-		var ts []int64
-		for n := tree.headers[rank]; n != nilNode; n = tree.arena.nodes[n].link {
-			nd := tree.arena.nodes[n]
-			for _, tid := range tree.tids[nd.lo:nd.hi] {
-				ts = append(ts, tree.ts[tid])
-			}
-		}
-		slices.Sort(ts)
+		ts := tree.collectTS(rank)
 		want := db.TSList([]tsdb.ItemID{item})
 		if !reflect.DeepEqual(ts, want) {
 			t.Errorf("item %s range ts = %v, want %v", db.Dict.Name(item), ts, want)
@@ -105,21 +123,32 @@ func TestRPTreeStructurePaperExample(t *testing.T) {
 		}
 	}
 	got := map[tsdb.ItemID]bool{}
-	for n := tree.root + 1; n < int32(len(tree.arena.nodes)); n++ {
-		if tree.isChild(n, tree.root) {
+	var kids [][2]int32
+	for n := range int32(len(tree.arena.nodes)) {
+		if len(tree.rootPath(n)) == 1 {
 			item := tree.order[tree.rank(n)]
 			if got[item] {
 				t.Errorf("root has two children for item %s", db.Dict.Name(item))
 			}
 			got[item] = true
+			kids = append(kids, [2]int32{tree.arena.nodes[n].lo, tree.arena.nodes[n].hi})
 		}
 	}
 	if !reflect.DeepEqual(got, roots) {
 		t.Errorf("root children = %v, want %v", got, roots)
 	}
-	// The root's range spans every transaction with a candidate item.
-	if nd := tree.arena.nodes[tree.root]; nd.lo != 0 || int(nd.hi) != len(tree.tids) {
-		t.Errorf("root range [%d, %d), want [0, %d)", nd.lo, nd.hi, len(tree.tids))
+	// The root holds no node: its range is implicitly every tid, which its
+	// children's ranges tile, every transaction here having a candidate.
+	slices.SortFunc(kids, func(x, y [2]int32) int { return int(x[0] - y[0]) })
+	end := int32(0)
+	for _, k := range kids {
+		if k[0] != end {
+			t.Fatalf("root children's ranges %v do not tile the tids", kids)
+		}
+		end = k[1]
+	}
+	if int(end) != len(tree.tids) {
+		t.Errorf("root children's ranges end at %d, want %d", end, len(tree.tids))
 	}
 }
 
@@ -160,11 +189,10 @@ func TestRPTreeNoSupportCountsOnlyTailTS(t *testing.T) {
 
 func TestCollectTSMatchesScan(t *testing.T) {
 	db, _, tree := buildPaperTree(t)
-	var ms mergeScratch
 	// Every item's collectTS, read from its nodes' ranges, equals its
 	// scan ts-list: the ranges hold what push-ups would gather.
 	for r, item := range tree.order {
-		got := tree.collectTS(&ms, r, nil)
+		got := tree.collectTS(r)
 		want := db.TSList([]tsdb.ItemID{item})
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("collectTS(%s) = %v, want %v", db.Dict.Name(item), got, want)
@@ -201,10 +229,14 @@ func TestConditionalTreePaperExample(t *testing.T) {
 		}
 		t.Fatalf("CT_f items = %v, want [e]", names)
 	}
-	ts := cond.collectTS(&ms, 0, nil)
+	ts := cond.collectTS(0)
 	want := []int64{3, 5, 6, 10, 11, 12}
 	if !reflect.DeepEqual(ts, want) {
 		t.Errorf("TS^ef = %v, want %v", ts, want)
+	}
+	// The check that kept e folded TS^ef's runs as Table 2 lists them.
+	if rk := cond.ranks[0]; rk.sup != 6 || !slices.Equal(rk.ipi, []Interval{{3, 6, 3}, {10, 12, 3}}) {
+		t.Errorf("CT_f rank e holds sup %d, intervals %v; want 6, [{3 6 3} {10 12 3}]", rk.sup, rk.ipi)
 	}
 }
 
@@ -331,9 +363,9 @@ func TestLemma2TreeSizeBound(t *testing.T) {
 	if tree.nodes >= bound {
 		t.Errorf("no prefix sharing: %d nodes vs bound %d", tree.nodes, bound)
 	}
-	// The slab holds exactly the created nodes plus the root.
-	if len(tree.arena.nodes) != tree.nodes+1 {
-		t.Errorf("slab has %d entries, want %d nodes + 1 root", len(tree.arena.nodes), tree.nodes)
+	// The slab holds exactly the created nodes; the root is implicit.
+	if len(tree.arena.nodes) != tree.nodes {
+		t.Errorf("slab has %d entries, want %d nodes", len(tree.arena.nodes), tree.nodes)
 	}
 }
 
@@ -344,8 +376,10 @@ func TestLemma2TreeSizeBound(t *testing.T) {
 // (brute force); a node's children's ranges are disjoint and nested in its
 // range, after the node's own tail tids; every node's root path, read from
 // the path slab, is distinct and is the projection prefix of each member in
-// its range; and nodes are in pre-order: a node's descendants are exactly
-// the block of node indices that follows it.
+// its range; and the nodes are laid out by rank: each rank's nodes are one
+// block of the slab, the blocks in rank order, and within a block the nodes
+// are in pre-order and their ranges together hold exactly the members
+// carrying the rank's item.
 func checkRanges(t *testing.T, db *tsdb.DB, tree *rpTree, members []int32) {
 	t.Helper()
 	inTree := map[tsdb.ItemID]bool{}
@@ -388,17 +422,50 @@ func checkRanges(t *testing.T, db *tsdb.DB, tree *rpTree, members []int32) {
 	}
 
 	nodes := tree.arena.nodes
+	first, end := tree.nodeIdx()
+	if int(end-first) != tree.nodes || int(end) != len(nodes) {
+		t.Fatalf("the tree's nodes are slab block [%d, %d) of %d, want %d nodes ending the slab", first, end, len(nodes), tree.nodes)
+	}
+	at := first
+	for r, rk := range tree.ranks {
+		if rk.nodes.lo != at {
+			t.Fatalf("rank %d's block starts at %d, want %d", r, rk.nodes.lo, at)
+		}
+		at = rk.nodes.hi
+		var got, want []int32
+		for i, nd := range tree.rankNodes(r) {
+			n := rk.nodes.lo + int32(i)
+			if int(tree.rank(n)) != r {
+				t.Fatalf("node %d in rank %d's block has rank %d", n, r, tree.rank(n))
+			}
+			if i > 0 && slices.Compare(tree.rootPath(n-1), tree.rootPath(n)) >= 0 {
+				t.Fatalf("rank %d: node %d (path %v) after node %d (path %v) is out of pre-order",
+					r, n, tree.rootPath(n), n-1, tree.rootPath(n-1))
+			}
+			got = append(got, tree.tids[nd.lo:nd.hi]...)
+		}
+		for tid, p := range proj {
+			if slices.Contains(p, tree.order[r]) {
+				want = append(want, tid)
+			}
+		}
+		slices.Sort(got)
+		slices.Sort(want)
+		if !slices.Equal(got, want) {
+			t.Fatalf("rank %d's ranges hold %v, want the members carrying its item, %v", r, got, want)
+		}
+	}
 	paths := map[string]int32{}
-	for n := tree.root; n < int32(len(nodes)); n++ {
+	for n := first; n < end; n++ {
 		nd := nodes[n]
 		if nd.lo < 0 || nd.lo > nd.hi || int(nd.hi) > len(tree.tids) {
 			t.Fatalf("node %d range [%d, %d) outside tids[0:%d]", n, nd.lo, nd.hi, len(tree.tids))
 		}
-		if n != tree.root && nd.lo == nd.hi {
+		if nd.lo == nd.hi {
 			t.Fatalf("node %d has an empty range", n)
 		}
 		ranks := tree.rootPath(n)
-		if n != tree.root && len(ranks) == 0 {
+		if len(ranks) == 0 {
 			t.Fatalf("node %d has an empty root path", n)
 		}
 		for i := 1; i < len(ranks); i++ {
@@ -416,17 +483,6 @@ func checkRanges(t *testing.T, db *tsdb.DB, tree *rpTree, members []int32) {
 			if p := proj[tid]; len(p) < len(path) || !slices.Equal(p[:len(path)], path) {
 				t.Fatalf("node %d root path %v is not the projection prefix of tid %d in its range, %v", n, path, tid, p)
 			}
-		}
-		// Pre-order: the nodes whose root path properly extends this one's
-		// are exactly the block of nodes n+1 .. n+len(desc).
-		var desc []int32
-		for c := tree.root; c < int32(len(nodes)); c++ {
-			if pc := tree.rootPath(c); len(pc) > len(ranks) && slices.Equal(pc[:len(ranks)], ranks) {
-				desc = append(desc, c)
-			}
-		}
-		if len(desc) > 0 && (desc[0] != n+1 || desc[len(desc)-1] != n+int32(len(desc))) {
-			t.Fatalf("node %d (path %v): its descendants %v are not the block of nodes after it", n, path, desc)
 		}
 		var want, wantOwn []int32
 		for tid, p := range proj {
@@ -451,7 +507,7 @@ func checkRanges(t *testing.T, db *tsdb.DB, tree *rpTree, members []int32) {
 		}
 		// Children tile the rest of the range without overlap.
 		var kids [][2]int32
-		for c := n + 1; c < int32(len(nodes)); c++ {
+		for c := first; c < end; c++ {
 			if tree.isChild(c, n) {
 				kids = append(kids, [2]int32{nodes[c].lo, nodes[c].hi})
 			}
@@ -529,6 +585,78 @@ func TestTreeRanges(t *testing.T) {
 	}
 	if conditional < 100 {
 		t.Fatalf("only %d conditional trees checked; the random DBs are too sparse", conditional)
+	}
+}
+
+// checkRankStats checks that every rank of tree, whose patterns extend
+// suffix, stores the fold of its pattern's ts-list: the support, and the
+// recurrence and interesting intervals Recurrence computes from
+// db.TSList(suffix + item), and that the list passed the Erec candidate
+// check the rank was kept by. It recurses, depth first, into the
+// conditional tree a mine builds for every rank, and returns how many
+// trees it checked.
+func checkRankStats(t *testing.T, db *tsdb.DB, o Options, tree *rpTree, suffix []tsdb.ItemID, a *nodeArena, ms *mergeScratch) int {
+	t.Helper()
+	checked := 1
+	for r := len(tree.order) - 1; r >= 0; r-- {
+		beta := append(slices.Clone(suffix), tree.order[r])
+		items := slices.Clone(beta)
+		slices.Sort(items)
+		ts := db.TSList(items)
+		rk := tree.ranks[r]
+		rec, ipi := Recurrence(ts, o.Per, o.MinPS)
+		if rk.sup != len(ts) || len(rk.ipi) != rec || !slices.Equal(rk.ipi, ipi) {
+			t.Fatalf("%+v: pattern %v stores sup %d, intervals %v; its ts-list %v has sup %d, rec %d, intervals %v",
+				o, beta, rk.sup, rk.ipi, ts, len(ts), rec, ipi)
+		}
+		if erec := Erec(ts, o.Per, o.MinPS); o.erecBound(len(ts)) < o.MinRec || !o.DisableErecPruning && erec < o.MinRec {
+			t.Fatalf("%+v: pattern %v is a rank, but its Erec %d (support %d) fails the candidate check", o, beta, erec, len(ts))
+		}
+		mark := a.mark()
+		if ct := tree.conditionalTree(a, ms, o, r); ct != nil {
+			checked += checkRankStats(t, db, o, ct, beta, a, ms)
+		}
+		ms.pruned = 0
+		a.reset(mark)
+	}
+	return checked
+}
+
+// TestRankStatsMatchTSList checks the folds mining reads instead of
+// gathering ts-lists: for the initial tree and every conditional tree a
+// mine builds, under both item orders and with Erec pruning on and off.
+func TestRankStatsMatchTSList(t *testing.T) {
+	check := func(db *tsdb.DB, o Options) int {
+		checked := 0
+		for _, order := range []ItemOrder{SupportDescending, Lexicographic} {
+			for _, off := range []bool{false, true} {
+				o.ItemOrder, o.DisableErecPruning = order, off
+				list := BuildRPList(db, o)
+				if len(list.Candidates) == 0 {
+					continue
+				}
+				var a nodeArena
+				var ms mergeScratch
+				checked += checkRankStats(t, db, o, buildRPTree(db, list), nil, &a, &ms)
+				if len(a.ivals) != 0 {
+					t.Fatalf("%+v: %d intervals left in the arena after the walk", o, len(a.ivals))
+				}
+			}
+		}
+		return checked
+	}
+	if n := check(paperDB(t), paperOptions()); n < 8 {
+		t.Fatalf("paper example: only %d trees checked", n)
+	}
+	rng := rand.New(rand.NewPCG(23, 5))
+	trees := 0
+	for trial := 0; trial < 25; trial++ {
+		db := randomDB(rng, 3+rng.IntN(6), 20+rng.IntN(60), 0.2+0.4*rng.Float64())
+		o := Options{Per: 1 + rng.Int64N(4), MinPS: 1 + rng.IntN(3), MinRec: 1 + rng.IntN(3)}
+		trees += check(db, o)
+	}
+	if trees < 400 {
+		t.Fatalf("only %d trees checked; the random DBs are too sparse", trees)
 	}
 }
 

@@ -83,7 +83,7 @@ func (v *verticalMiner) dfs(prefix []tsdb.ItemID, ts []int64, idx int, depth int
 		if len(ext) == 0 {
 			continue
 		}
-		if v.o.candidateErec(ext) < v.o.MinRec {
+		if v.o.erecBound(len(ext)) < v.o.MinRec || !v.o.DisableErecPruning && Erec(ext, v.o.Per, v.o.MinPS) < v.o.MinRec {
 			if v.o.CollectStats {
 				v.res.Stats.PatternsPruned++
 			}

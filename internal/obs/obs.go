@@ -52,9 +52,13 @@ const (
 	// adds to the coordinator's top-level coverage sum. Labeled timeline
 	// spans put each shard on its own flight-recorder lane.
 	PhaseShard
-	// PhaseMerge counts and times the ts-list unions (Section 4.2.2's
-	// TS-list construction), one observation per sorted list built from
-	// the RP-tree's transaction bags. Nested inside PhaseMine.
+	// PhaseMerge counts and times the tid-list unions of the conditional
+	// Erec check (Section 4.2.3's temporary array), one observation per
+	// prefix item whose union is built from the RP-tree's transaction
+	// bags; the time includes the fold of the union's periodic runs into
+	// Erec, recurrence and intervals. Each pattern's ts-list is gathered
+	// once: mining reads the folds, so it builds no unions of its own.
+	// Nested inside PhaseMine.
 	PhaseMerge
 	// PhasePrune counts pattern extensions cut by the Erec candidate
 	// bound before recurrence evaluation (Property 2). Nested inside
