@@ -12,8 +12,8 @@ help:
 	@echo "  check          full gate: gofmt, go vet, rpvet, build, race tests (CI runs this)"
 	@echo "  bench          end-to-end table benchmarks (root package)"
 	@echo "  bench-core     core hot-path benchmarks; updates BENCH_core.json via cmd/benchfmt"
-	@echo "  bench-ingest   ingest-path benchmarks (streaming and one-pass text parse, v2 mapped); updates BENCH_ingest.json"
-	@echo "  bench-diff     fresh core-benchmark run vs BENCH_core.json, Mann-Whitney per benchmark (exit 1 on regression)"
+	@echo "  bench-ingest   ingest-path benchmarks (streaming and one-pass text parse, Table 7 texts, v2 mapped); updates BENCH_ingest.json"
+	@echo "  bench-diff     fresh core and ingest benchmark runs vs BENCH_core.json and BENCH_ingest.json, Mann-Whitney per benchmark (exit 1 on regression)"
 	@echo "  fmt            gofmt -w ."
 	@echo "  vet            go vet ./..."
 	@echo "  rpvet          custom static-analysis passes"
@@ -37,19 +37,23 @@ bench-core:
 	set -o pipefail; $(GO) test -run '^$$' -bench . -benchmem -count 3 ./internal/core/ | $(GO) run ./cmd/benchfmt -out BENCH_core.json
 
 # Tracked baseline for the ingest path: the streaming and the one-pass
-# text parsers, plus the v2 mapped-view and mapped-file loads, over the
-# shared 16MB corpus.
+# text parsers over the shared 16MB corpus, the one-pass parser over one
+# Table 7 batch pass's texts, and the v2 mapped-view and mapped-file loads.
 bench-ingest:
 	set -o pipefail; $(GO) test -run '^$$' -bench Ingest -benchmem -count 3 ./internal/tsdb/ | $(GO) run ./cmd/benchfmt -out BENCH_ingest.json
 
-# Statistical comparison of a fresh core-benchmark run against the tracked
-# baseline (Mann-Whitney per benchmark; see cmd/rpbenchdiff). Exits 1 when
-# a benchmark regressed significantly. BENCH_COUNT samples per benchmark.
+# Statistical comparison of fresh core and ingest benchmark runs against
+# their tracked baselines (Mann-Whitney per benchmark; see
+# cmd/rpbenchdiff). Both comparisons run; exits 1 when a benchmark of
+# either regressed significantly. BENCH_COUNT samples per benchmark.
 BENCH_COUNT ?= 5
 bench-diff:
-	set -o pipefail; \
-	$(GO) test -run '^$$' -bench . -benchmem -count $(BENCH_COUNT) ./internal/core/ > /tmp/rpbenchdiff-new.txt; \
-	$(GO) run ./cmd/rpbenchdiff BENCH_core.json /tmp/rpbenchdiff-new.txt
+	status=0; \
+	$(GO) test -run '^$$' -bench . -benchmem -count $(BENCH_COUNT) ./internal/core/ > /tmp/rpbenchdiff-core.txt && \
+	$(GO) run ./cmd/rpbenchdiff BENCH_core.json /tmp/rpbenchdiff-core.txt || status=1; \
+	$(GO) test -run '^$$' -bench Ingest -benchmem -count $(BENCH_COUNT) ./internal/tsdb/ > /tmp/rpbenchdiff-ingest.txt && \
+	$(GO) run ./cmd/rpbenchdiff BENCH_ingest.json /tmp/rpbenchdiff-ingest.txt || status=1; \
+	exit $$status
 
 fmt:
 	gofmt -w .

@@ -131,7 +131,6 @@ func run(args []string, logDst io.Writer) error {
 		maxUpload    = fs.Int64("max-upload", 0, "dataset upload size limit in bytes (0 = 64 MiB, <0 = unlimited)")
 		regBytes     = fs.Int64("registry-bytes", 0, "dataset registry memory budget in bytes (0 = 256 MiB, <0 = unbounded)")
 		regEntries   = fs.Int("registry-entries", 0, "dataset registry entry cap (0 = 64, <0 = unbounded)")
-		spillDir     = fs.String("spill-dir", "", "directory for upload spill files (default: the system temp dir)")
 		journalSize  = fs.Int("journal-size", 0, "request journal entries behind /debug/requests (0 = 64, <0 = disabled)")
 		slowThresh   = fs.Duration("slow-threshold", 0, "elapsed time that puts a request in the journal's slow bucket (0 = 500ms, <0 = none)")
 		traceSpans   = fs.Int("trace-spans", 0, "span retention cap per recorded mine (0 = default, <0 = no timelines)")
@@ -169,7 +168,6 @@ func run(args []string, logDst io.Writer) error {
 		MaxUpload:          *maxUpload,
 		RegistryMaxBytes:   *regBytes,
 		RegistryMaxEntries: *regEntries,
-		SpillDir:           *spillDir,
 		JournalSize:        *journalSize,
 		SlowThreshold:      *slowThresh,
 		TimelineSpans:      *traceSpans,

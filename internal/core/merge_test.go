@@ -218,7 +218,7 @@ func TestMinerArenaReuse(t *testing.T) {
 	// does rank after rank) must produce identical results: the arena reset
 	// and scratch recycling may not leak state between runs.
 	rng := rand.New(rand.NewPCG(21, 4))
-	slabbed := 0 // trials whose mine carved conditional nodes, tids and paths
+	slabbed := 0 // trials whose mine carved conditional trees into every slab
 	for trial := 0; trial < 20; trial++ {
 		db := randomDB(rng, 6, 40, 0.35)
 		o := Options{Per: 3, MinPS: 2, MinRec: 2}
@@ -235,30 +235,46 @@ func TestMinerArenaReuse(t *testing.T) {
 		var m miner
 		m.o = o
 		var results []*Result
-		var slabCap [3]int // nodes, tids, paths
+		var slabCap [6]int // nodes, tids, paths, trees, orders, ranks
 		for round := 0; round < 2; round++ {
 			tree := buildRPTree(db, list)
 			res := &Result{}
 			m.res = res
-			m.mineTree(tree, nil, 1)
+			m.stack = make([]tsdb.ItemID, 0, len(tree.order))
+			stack := m.stack[:cap(m.stack)]
+			for i := range stack {
+				stack[i] = ^tsdb.ItemID(0)
+			}
+			m.mineTree(tree, m.stack[:0], 1)
 			res.Canonicalize()
 			results = append(results, res)
-			// Every conditional tree's nodes, tids, paths and intervals are
-			// reclaimed, and the second identical run reuses the first
-			// one's slabs.
+			// Every conditional tree's nodes, tids, paths, intervals,
+			// header, order and rank table are reclaimed, the second
+			// identical run reuses the first one's slabs, and every
+			// pattern is built in the one pattern stack.
 			a := &m.arena
-			if len(a.nodes) != 0 || len(a.tids) != 0 || len(a.paths) != 0 || len(a.ivals) != 0 {
-				t.Fatalf("trial %d round %d: arena holds %d nodes, %d tids, %d path ranks, %d intervals after the mine",
-					trial, round, len(a.nodes), len(a.tids), len(a.paths), len(a.ivals))
+			if len(a.nodes) != 0 || len(a.tids) != 0 || len(a.paths) != 0 || len(a.ivals) != 0 ||
+				len(a.trees) != 0 || len(a.orders) != 0 || len(a.ranks) != 0 {
+				t.Fatalf("trial %d round %d: arena holds %d nodes, %d tids, %d path ranks, %d intervals, %d trees, %d order items, %d ranks after the mine",
+					trial, round, len(a.nodes), len(a.tids), len(a.paths), len(a.ivals), len(a.trees), len(a.orders), len(a.ranks))
 			}
-			caps := [3]int{cap(a.nodes), cap(a.tids), cap(a.paths)}
+			caps := [6]int{cap(a.nodes), cap(a.tids), cap(a.paths), cap(a.trees), cap(a.orders), cap(a.ranks)}
 			if round == 1 && caps != slabCap {
-				t.Fatalf("trial %d: slab capacities (nodes, tids, paths) grew from %v to %v on an identical rerun",
+				t.Fatalf("trial %d: slab capacities (nodes, tids, paths, trees, orders, ranks) grew from %v to %v on an identical rerun",
 					trial, slabCap, caps)
 			}
 			slabCap = caps
+			longest := 0
+			for _, p := range res.Patterns {
+				longest = max(longest, len(p.Items))
+			}
+			for depth := range longest {
+				if stack[depth] == ^tsdb.ItemID(0) {
+					t.Fatalf("trial %d round %d: no pattern was built in slot %d of the pattern stack", trial, round, depth)
+				}
+			}
 		}
-		if slabCap[0] > 0 && slabCap[1] > 0 && slabCap[2] > 0 {
+		if slabCap[0] > 0 && slabCap[1] > 0 && slabCap[2] > 0 && slabCap[3] > 0 && slabCap[4] > 0 && slabCap[5] > 0 {
 			slabbed++
 		}
 		for i, res := range results {

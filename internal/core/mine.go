@@ -153,6 +153,7 @@ type miner struct {
 	cancelled bool               // set once done fired (distinguishes fn stop)
 	arena     nodeArena          // conditional-tree slab
 	ms        mergeScratch
+	stack     []tsdb.ItemID // the pattern being mined, one item per level
 
 	// tr is the run's shared phase tracer (nil when untraced); lc batches
 	// this miner's observations between flushes, which happen once per
@@ -205,20 +206,22 @@ func (m *miner) taskLabel(item tsdb.ItemID) string {
 }
 
 // mineRank evaluates the pattern beta = suffix + order[r] and recurses into
-// its conditional tree. The rank already passed the Erec candidate check on
-// the very tid set it covers (the RP-list's, or the parent conditionalTree's
-// for a conditional tree), so beta is never pruned here, and its support and
-// interesting intervals are read from the rank, not recomputed. The
-// conditional tree is carved from the miner's arena and reclaimed (reset)
-// as soon as its subtree has been mined.
+// its conditional tree. beta is appended in place: suffix is a prefix of
+// the miner's pattern stack, whose capacity covers every candidate item,
+// so the patterns of one recursion share one array, each level writing
+// its own slot, and emit copies what it keeps. The rank already passed the
+// Erec candidate check on the very tid set it covers (the RP-list's, or
+// the parent conditionalTree's for a conditional tree), so beta is never
+// pruned here, and its support and interesting intervals are read from
+// the rank, not recomputed. The conditional tree is carved from the
+// miner's arena and reclaimed (reset) as soon as its subtree has been
+// mined.
 func (m *miner) mineRank(t *rpTree, r int, suffix []tsdb.ItemID, depth int) {
 	rk := &t.ranks[r]
 	if m.o.CollectStats {
 		m.res.Stats.PatternsExamined++
 	}
-	beta := make([]tsdb.ItemID, 0, len(suffix)+1)
-	beta = append(beta, suffix...)
-	beta = append(beta, t.order[r])
+	beta := append(suffix, t.order[r])
 	if len(rk.ipi) >= m.o.MinRec {
 		m.emit(beta, rk.sup, rk.ipi)
 		if m.stop {
@@ -335,6 +338,7 @@ func mineRanks(ctx context.Context, t *rpTree, o Options, res *Result, ranks []i
 // slot, and stop once ctx fired, the sink asked to stop, or the queue
 // drains.
 func mineWorker(m *miner, t *rpTree, ranks []int, partial []Result, next *atomic.Int64, stopped *atomic.Bool) {
+	m.stack = make([]tsdb.ItemID, 0, len(t.order))
 	for !m.stop {
 		if m.checkCancel() {
 			break
@@ -352,7 +356,7 @@ func mineWorker(m *miner, t *rpTree, ranks []int, partial []Result, next *atomic
 		if m.tr != nil {
 			sp = m.tr.StartTask(m.taskLabel(t.order[r]), &m.lc)
 		}
-		m.mineRank(t, r, nil, 1)
+		m.mineRank(t, r, m.stack[:0], 1)
 		if m.tr != nil {
 			// One subtree task per rank: time it (retaining the
 			// span when a timeline is attached) and publish the

@@ -35,24 +35,29 @@ type rpNode struct {
 }
 
 // nodeArena is a slab of RP-tree nodes plus slabs of their tids, rank
-// paths and the interesting intervals of their ranks. Conditional trees are
-// carved from a per-miner arena stack-wise: mark() before building a
-// conditional tree, reset(mark) once its recursion returns, so every slab's
-// capacity is reused across the entire mining run instead of being
-// reallocated per tree.
+// paths and the interesting intervals of their ranks, and of the trees
+// themselves: each tree's header, item order and per-rank table.
+// Conditional trees are carved from a per-miner arena stack-wise: mark()
+// before building a conditional tree, reset(mark) once its recursion
+// returns, so every slab's capacity is reused across the entire mining
+// run instead of being reallocated per tree.
 type nodeArena struct {
-	nodes []rpNode
-	tids  []int32
-	paths []int32
-	ivals []Interval
+	nodes  []rpNode
+	tids   []int32
+	paths  []int32
+	ivals  []Interval
+	trees  []rpTree
+	orders []tsdb.ItemID
+	ranks  []treeRank
 }
 
 // arenaMark is a position in each of a nodeArena's slabs.
-type arenaMark struct{ nodes, tids, paths, ivals int }
+type arenaMark struct{ nodes, tids, paths, ivals, trees, orders, ranks int }
 
-// carve cuts n elements off the end of *slab. A tree keeps the returned
-// slice, so a later growth of the slab leaves its contents in place.
-func carve(slab *[]int32, n int) []int32 {
+// carve cuts n elements off the end of *slab; their contents are
+// unspecified. A tree keeps the returned slice (or a pointer into it), so
+// a later growth of the slab leaves its contents in place.
+func carve[T any](slab *[]T, n int) []T {
 	lo := len(*slab)
 	*slab = slices.Grow(*slab, n)[:lo+n]
 	return (*slab)[lo : lo+n : lo+n]
@@ -60,15 +65,16 @@ func carve(slab *[]int32, n int) []int32 {
 
 // mark returns the current slab positions for a later reset.
 func (a *nodeArena) mark() arenaMark {
-	return arenaMark{len(a.nodes), len(a.tids), len(a.paths), len(a.ivals)}
+	return arenaMark{len(a.nodes), len(a.tids), len(a.paths), len(a.ivals), len(a.trees), len(a.orders), len(a.ranks)}
 }
 
 // reset truncates the slabs back to a mark, reclaiming every node, tid,
-// path rank and interval created since without freeing the slabs' backing
-// arrays.
+// path rank, interval and tree created since without freeing the slabs'
+// backing arrays.
 func (a *nodeArena) reset(m arenaMark) {
 	a.nodes, a.tids, a.paths = a.nodes[:m.nodes], a.tids[:m.tids], a.paths[:m.paths]
-	a.ivals = a.ivals[:m.ivals]
+	a.ivals, a.trees = a.ivals[:m.ivals], a.trees[:m.trees]
+	a.orders, a.ranks = a.orders[:m.orders], a.ranks[:m.ranks]
 }
 
 // rpTree is a prefix tree plus what it knows per rank. The item order is
@@ -138,7 +144,8 @@ type treeBuild struct {
 // Tids, and each rank's nodes, thus come out in pre-order, and a node's
 // range runs from the tid cursor at its opening to the cursor at its close.
 func (b *treeBuild) build(a *nodeArena, order []tsdb.ItemID, ranks []treeRank, ts []int64, paths []int32, ps []rankPath, src []int32) *rpTree {
-	t := &rpTree{arena: a, paths: paths, ts: ts, order: order, ranks: ranks}
+	t := &carve(&a.trees, 1)[0]
+	*t = rpTree{arena: a, paths: paths, ts: ts, order: order, ranks: ranks}
 	lcp := growN(&b.lcp, len(ps))
 	if len(ps) > 0 {
 		lcp[0] = 0
@@ -376,10 +383,10 @@ func growN[T any](s *[]T, n int) []T {
 // stores its support and interesting intervals, and mining never gathers
 // that set again.
 //
-// The new tree, tids, paths and intervals included, is carved from dst
-// (the caller's arena), so t is never mutated — the workers of a parallel
-// run all read the shared initial tree concurrently while building their
-// own conditional trees.
+// The new tree, its header, order, rank table, tids, paths and intervals
+// included, is carved from dst (the caller's arena), so t is never
+// mutated — the workers of a parallel run all read the shared initial
+// tree concurrently while building their own conditional trees.
 func (t *rpTree) conditionalTree(dst *nodeArena, ms *mergeScratch, o Options, r int) *rpTree {
 	// First pass: one base path per node carrying rank r — its candidate
 	// ancestors, the node's root path less its last rank, and its tids, the
@@ -461,8 +468,8 @@ func (t *rpTree) conditionalTree(dst *nodeArena, ms *mergeScratch, o Options, r 
 		}
 		return 0
 	})
-	order := make([]tsdb.ItemID, len(keep))
-	ranks := make([]treeRank, len(keep))
+	order := carve(&dst.orders, len(keep))
+	ranks := carve(&dst.ranks, len(keep))
 	spans := growN(&ms.spans, len(keep))
 	for i, k := range keep {
 		order[i], spans[i] = k.item, k.paths

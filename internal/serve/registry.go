@@ -1,5 +1,5 @@
 // The dataset registry is the "upload once, mine many" half of the
-// service: POST /v1/datasets streams a TDB (any format) to a spill file,
+// service: POST /v1/datasets reads a TDB (any format) into memory,
 // parses it through the one-pass ingest path, and registers the database
 // under its content fingerprint; POST /v1/mine then addresses it as
 // {"dataset": "<fp>"} with no body re-parse. Registry memory is bounded
@@ -9,12 +9,12 @@
 package serve
 
 import (
+	"bytes"
 	"container/list"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
-	"os"
 	"strconv"
 	"sync"
 	"time"
@@ -224,9 +224,9 @@ type listDatasetsResponse struct {
 	Datasets []datasetInfo `json:"datasets"`
 }
 
-// handleDatasetUpload ingests one dataset: the body streams to a spill
-// file (bounded by MaxUpload with the same JSON 413 as /v1/mine), parses
-// through the one-pass ingest path, and registers under its fingerprint.
+// handleDatasetUpload ingests one dataset: the body is read into memory
+// (bounded by MaxUpload with the same JSON 413 as /v1/mine), parsed
+// through the one-pass ingest path, and registered under its fingerprint.
 // The ingest is phase-attributed and journalled like a mine, so
 // /debug/requests shows upload requests with an "ingest" phase and
 // mine-by-fingerprint requests without one.
@@ -240,21 +240,7 @@ func (s *Server) handleDatasetUpload(w http.ResponseWriter, r *http.Request) {
 	if s.cfg.MaxUpload > 0 {
 		body = http.MaxBytesReader(w, r.Body, s.cfg.MaxUpload)
 	}
-	tmp, err := os.CreateTemp(s.cfg.SpillDir, "rpserved-spill-*")
-	if err != nil {
-		s.refuse(w, r, rec, &requestError{"spill-error", http.StatusInternalServerError,
-			fmt.Errorf("creating spill file: %w", err)})
-		return
-	}
-	spill := tmp.Name()
-	defer func() {
-		// Best effort: the spill file is temporary by construction.
-		_ = os.Remove(spill)
-	}()
-	n, err := io.Copy(tmp, body)
-	if cerr := tmp.Close(); err == nil && cerr != nil {
-		err = cerr
-	}
+	data, err := readUpload(body, r.ContentLength, s.cfg.MaxUpload)
 	if err != nil {
 		// refuse answers an over-MaxUpload body with the same 413 as an
 		// over-MaxBody mine.
@@ -262,14 +248,14 @@ func (s *Server) handleDatasetUpload(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("reading upload: %w", err)})
 		return
 	}
-
+	n := int64(len(data))
 	rec.opts = fmt.Sprintf("bytes=%d", n)
 
 	// Parse in one pass, attributing the wall time (and the
 	// byte count: time + count = throughput) to the ingest phase.
 	trace := obs.NewTrace()
 	begin := now()
-	db, err := tsdb.ReadFile(spill)
+	db, err := tsdb.ReadAnyBytes(data)
 	ingest := time.Since(begin)
 	trace.Observe(obs.PhaseIngest, int64(ingest), n)
 	trace.ObserveTotal(int64(ingest))
@@ -314,6 +300,20 @@ func (s *Server) handleDatasetUpload(w http.ResponseWriter, r *http.Request) {
 		IngestMS:     float64(ingest) / 1e6,
 		Evicted:      evicted,
 	})
+}
+
+// readUpload reads an upload body to EOF into one buffer, presized from
+// the request's Content-Length when the server caps uploads (and to at
+// most the cap), so a body that states its length is read without
+// regrowing; an uncapped server does not trust the stated length.
+func readUpload(body io.Reader, contentLength, maxUpload int64) ([]byte, error) {
+	var buf bytes.Buffer
+	if maxUpload > 0 && contentLength > 0 {
+		// ReadFrom keeps MinRead bytes free to see EOF.
+		buf.Grow(int(min(contentLength, maxUpload)) + bytes.MinRead)
+	}
+	_, err := buf.ReadFrom(body)
+	return buf.Bytes(), err
 }
 
 func (s *Server) handleDatasetList(w http.ResponseWriter, r *http.Request) {

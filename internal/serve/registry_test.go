@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"strings"
 	"testing"
 
@@ -206,6 +205,36 @@ func TestDatasetUploadErrors(t *testing.T) {
 	}
 }
 
+func TestReadUploadPresizes(t *testing.T) {
+	body := bytes.Repeat([]byte("1\ta b\n"), 1000)
+	cases := []struct {
+		name                     string
+		contentLength, maxUpload int64
+		wantCap                  int // 0: any
+	}{
+		{"stated length", int64(len(body)), 1 << 20, len(body) + bytes.MinRead},
+		{"length over the cap", 1 << 40, int64(len(body)), len(body) + bytes.MinRead},
+		{"unknown length", -1, 1 << 20, 0},
+		{"uncapped server", 1 << 40, 0, 0},
+	}
+	for _, c := range cases {
+		data, err := readUpload(bytes.NewReader(body), c.contentLength, c.maxUpload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(data, body) {
+			t.Fatalf("%s: read %d bytes, want the %d-byte body", c.name, len(data), len(body))
+		}
+		// An allocation rounds up to its size class, at most 1/8 more.
+		if c.wantCap > 0 && (cap(data) < c.wantCap || cap(data) > c.wantCap+c.wantCap/8) {
+			t.Errorf("%s: buffer capacity %d, want %d (presized, no regrowth)", c.name, cap(data), c.wantCap)
+		}
+		if c.wantCap == 0 && cap(data) > 4*len(body) {
+			t.Errorf("%s: buffer capacity %d for a %d-byte body", c.name, cap(data), len(body))
+		}
+	}
+}
+
 func TestRegistryLRUEviction(t *testing.T) {
 	s, hs := registryTestServer(t, Config{RegistryMaxEntries: 2})
 
@@ -319,7 +348,7 @@ func mustFP(t *testing.T, s string) uint64 {
 // handler must agree with tsdb.ReadAnyBytes: a body within MaxUpload gets a
 // 2xx carrying that DB's fingerprint exactly when ReadAnyBytes accepts it,
 // and a 4xx otherwise; a larger body gets a 413. No input yields a 5xx or a
-// panic, and no spill file outlives its request.
+// panic.
 func FuzzDatasetUpload(f *testing.F) {
 	const maxUpload = 4 << 10
 	b := tsdb.NewBuilder()
@@ -340,17 +369,13 @@ func FuzzDatasetUpload(f *testing.F) {
 	f.Add([]byte("\n\n \t\n# only a comment\n\n"))
 	f.Add(mapped.Bytes()[:mapped.Len()/2])
 	f.Fuzz(func(t *testing.T, body []byte) {
-		spill := t.TempDir()
-		s, err := NewServer(Config{SpillDir: spill, MaxUpload: maxUpload}, nil)
+		s, err := NewServer(Config{MaxUpload: maxUpload}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		w := httptest.NewRecorder()
 		s.Handler().ServeHTTP(w, httptest.NewRequest("POST", "/v1/datasets", bytes.NewReader(body)))
 
-		if left, err := os.ReadDir(spill); err != nil || len(left) != 0 {
-			t.Fatalf("spill dir after the request: %d entries, err %v", len(left), err)
-		}
 		if w.Code >= 500 {
 			t.Fatalf("status %d: %s", w.Code, w.Body)
 		}

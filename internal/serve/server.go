@@ -83,9 +83,6 @@ type Config struct {
 	// RegistryMaxEntries bounds the number of registered datasets. 0 → 64,
 	// negative → unbounded.
 	RegistryMaxEntries int
-	// SpillDir is where uploads are spilled before parsing. "" →
-	// os.TempDir() (via os.CreateTemp's convention).
-	SpillDir string
 	// JournalSize caps the request journal backing /debug/requests, in
 	// entries. 0 → 64, negative → journal (and the /debug/requests
 	// endpoints) disabled.

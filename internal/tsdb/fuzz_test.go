@@ -81,6 +81,19 @@ func FuzzReadBytes(f *testing.F) {
 	f.Add([]byte("9223372036854775807\tx\n9223372036854775808\ty\n"))
 	f.Add([]byte("1\ta\n3\tb\n5\tc\n3\td a\n5\te\n2\tf\n2\tg\n5 h\n"))
 	f.Add([]byte("1\ta b\n1\tb c\n1 a\n2\tc\n2\td d\n"))
+	// Names sharing their first 8 and 16 bytes, the intern table's inline
+	// words; non-ASCII names; control bytes that are not whitespace.
+	f.Add([]byte("1\tabcdefgh1 abcdefgh2 abcdefgh\n2\tabcdefghijklmnopA abcdefghijklmnopB abcdefghijklmnop abcdefghijklmnopA\n"))
+	f.Add([]byte("1\tcafé naïve 名前 café\n2\tabcdefghijklmnoé\n"))
+	f.Add([]byte("1\ta\x01b \x1f c\x00 a\x01b\n2\t\x7f\n"))
+	// A token that ends exactly at the end of the buffer, short and long.
+	f.Add([]byte("1\ta bcdefghij"))
+	f.Add([]byte("1\tx\n2\tabcdefgh"))
+	// U+00A0 and U+2003 between items.
+	f.Add([]byte("1\ta\u00a0b\u2003c\n2\tb\u2003\u00a0a\n"))
+	// An item repeated on a line and across lines of one timestamp, in
+	// order and out of it.
+	f.Add([]byte("1\ta b a\n1\tb a c\n2\tc c\n1\tc a d\n2\tc\n"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		seqDB, seqErr := readSequential(bytes.NewReader(data))
 		db, err := ReadBytes(data)

@@ -11,6 +11,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"unicode/utf8"
 )
 
 // genText produces a deterministic, deliberately messy TDB text input:
@@ -303,6 +304,127 @@ func TestNextFieldMatchesStringsFields(t *testing.T) {
 		}
 		if !reflect.DeepEqual(got, want) && !(len(got) == 0 && len(want) == 0) {
 			t.Errorf("nextField(%q) = %q, want %q", c, got, want)
+		}
+	}
+}
+
+// internNames are names of 1–40 bytes meant to stress the intern table:
+// families sharing their first 8 and 16 bytes (one or two identical
+// table words), non-ASCII names, and names holding control bytes that
+// are not whitespace.
+func internNames() []string {
+	var names []string
+	for n := 1; n <= 40; n++ {
+		for _, prefix := range []string{"", "abcdefgh", "abcdefghijklmnop"} {
+			if len(prefix) >= n {
+				continue
+			}
+			for k := 0; k < 60; k++ {
+				tail := fmt.Sprintf("%0*d", n-len(prefix), k)
+				names = append(names, prefix+tail[len(tail)-(n-len(prefix)):])
+			}
+		}
+	}
+	names = append(names, "é", "café", "naïve-name", "名前", "abécdefghijklmnopq", "\x01", "a\x01b",
+		"\x1fcontrol", "nul\x00byte", "abcdefgh\x7f", "abcdefghijklmnop\x02")
+	slices.Sort(names)
+	return slices.Compact(names)
+}
+
+func TestInternTableMatchesMap(t *testing.T) {
+	names := internNames()
+	rng := rand.New(rand.NewPCG(5, 8))
+	var tab internTable
+	tab.init()
+	want := make(map[string]ItemID)
+	slots := len(tab.slots)
+	for i := 0; i < 20*len(names); i++ {
+		name := names[rng.IntN(len(names))]
+		if i < len(names) && i%3 == 0 {
+			name = names[i] // every name appears, some early
+		}
+		id, ok := want[name]
+		if !ok {
+			id = ItemID(len(want))
+			want[name] = id
+		}
+		tok := []byte(name)
+		h, w0, w1 := hashToken(tok)
+		s := tab.home(h, w0, w1, len(tok))
+		if s == nil {
+			s = tab.intern(h, w0, w1, tok)
+		}
+		if s.id != id {
+			t.Fatalf("token %d %q: ID %d, map says %d", i, name, s.id, id)
+		}
+	}
+	if tab.len() != len(want) {
+		t.Fatalf("table holds %d names, map %d", tab.len(), len(want))
+	}
+	if len(tab.slots) <= slots {
+		t.Fatalf("table never grew past %d slots", slots)
+	}
+	d := tab.dictionary()
+	for name, id := range want {
+		if got := d.Name(id); got != name {
+			t.Fatalf("dictionary names %q as %d, map says %q", got, id, name)
+		}
+		if got, ok := d.Lookup(name); !ok || got != id {
+			t.Fatalf("dictionary looks %q up as %d (%v), map says %d", name, got, ok, id)
+		}
+	}
+
+	// scanToken, reading the input a word at a time, must agree with
+	// hashToken on every name the word path takes, wherever it ends: at a
+	// space, at a newline, and at the end of the input.
+	for _, name := range names {
+		if strings.IndexFunc(name, func(r rune) bool { return r <= ' ' || r >= utf8.RuneSelf }) >= 0 {
+			continue
+		}
+		h, w0, w1 := hashToken([]byte(name))
+		for _, text := range []string{"x " + name + " y", "x " + name + "\n", "x " + name} {
+			gh, gw0, gw1, q := scanToken([]byte(text), 2)
+			if q != 2+len(name) || gh != h || gw0 != w0 || gw1 != w1 {
+				t.Fatalf("scanToken(%q) = %x %x %x end %d, hashToken gives %x %x %x end %d",
+					text, gh, gw0, gw1, q, h, w0, w1, 2+len(name))
+			}
+		}
+	}
+
+	// Through ReadBytes, every name interns as the streaming parser does.
+	var sb strings.Builder
+	for i := 0; i < 2000; i++ {
+		fmt.Fprintf(&sb, "%d\t%s %s %s\n", i/3, names[rng.IntN(len(names))], names[rng.IntN(len(names))], names[rng.IntN(len(names))])
+	}
+	text := []byte(sb.String())
+	seq, err := readSequential(bytes.NewReader(text))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadBytes(text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameDB(t, got, seq)
+}
+
+func TestReadBytesStopsAtInputEnd(t *testing.T) {
+	// A parse of a prefix must not see the bytes past it, though a word
+	// load near the end could reach them through the slice's capacity.
+	full := []byte("1\ta bcdefghij\n2\tklmnopqrstuvwxyz")
+	for k := len("1\ta b"); k <= len(full); k++ {
+		want, wantErr := ReadBytes(bytes.Clone(full[:k]))
+		got, err := ReadBytes(full[:k])
+		if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
+			t.Fatalf("prefix %q: error %v, on a copy %v", full[:k], err, wantErr)
+		}
+		if err != nil {
+			continue
+		}
+		requireSameDB(t, got, want)
+		last := got.Dict.Names()[got.Dict.Len()-1]
+		if !strings.HasSuffix(strings.TrimSpace(string(full[:k])), last) {
+			t.Fatalf("prefix %q: last name %q", full[:k], last)
 		}
 	}
 }
