@@ -9,7 +9,6 @@
 package serve
 
 import (
-	"bytes"
 	"container/list"
 	"errors"
 	"fmt"
@@ -240,7 +239,9 @@ func (s *Server) handleDatasetUpload(w http.ResponseWriter, r *http.Request) {
 	if s.cfg.MaxUpload > 0 {
 		body = http.MaxBytesReader(w, r.Body, s.cfg.MaxUpload)
 	}
-	data, err := readUpload(body, r.ContentLength, s.cfg.MaxUpload)
+	// The buffer grows only as bytes arrive, never from the length a
+	// client states.
+	data, err := io.ReadAll(body)
 	if err != nil {
 		// refuse answers an over-MaxUpload body with the same 413 as an
 		// over-MaxBody mine.
@@ -300,20 +301,6 @@ func (s *Server) handleDatasetUpload(w http.ResponseWriter, r *http.Request) {
 		IngestMS:     float64(ingest) / 1e6,
 		Evicted:      evicted,
 	})
-}
-
-// readUpload reads an upload body to EOF into one buffer, presized from
-// the request's Content-Length when the server caps uploads (and to at
-// most the cap), so a body that states its length is read without
-// regrowing; an uncapped server does not trust the stated length.
-func readUpload(body io.Reader, contentLength, maxUpload int64) ([]byte, error) {
-	var buf bytes.Buffer
-	if maxUpload > 0 && contentLength > 0 {
-		// ReadFrom keeps MinRead bytes free to see EOF.
-		buf.Grow(int(min(contentLength, maxUpload)) + bytes.MinRead)
-	}
-	_, err := buf.ReadFrom(body)
-	return buf.Bytes(), err
 }
 
 func (s *Server) handleDatasetList(w http.ResponseWriter, r *http.Request) {

@@ -205,36 +205,6 @@ func TestDatasetUploadErrors(t *testing.T) {
 	}
 }
 
-func TestReadUploadPresizes(t *testing.T) {
-	body := bytes.Repeat([]byte("1\ta b\n"), 1000)
-	cases := []struct {
-		name                     string
-		contentLength, maxUpload int64
-		wantCap                  int // 0: any
-	}{
-		{"stated length", int64(len(body)), 1 << 20, len(body) + bytes.MinRead},
-		{"length over the cap", 1 << 40, int64(len(body)), len(body) + bytes.MinRead},
-		{"unknown length", -1, 1 << 20, 0},
-		{"uncapped server", 1 << 40, 0, 0},
-	}
-	for _, c := range cases {
-		data, err := readUpload(bytes.NewReader(body), c.contentLength, c.maxUpload)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(data, body) {
-			t.Fatalf("%s: read %d bytes, want the %d-byte body", c.name, len(data), len(body))
-		}
-		// An allocation rounds up to its size class, at most 1/8 more.
-		if c.wantCap > 0 && (cap(data) < c.wantCap || cap(data) > c.wantCap+c.wantCap/8) {
-			t.Errorf("%s: buffer capacity %d, want %d (presized, no regrowth)", c.name, cap(data), c.wantCap)
-		}
-		if c.wantCap == 0 && cap(data) > 4*len(body) {
-			t.Errorf("%s: buffer capacity %d for a %d-byte body", c.name, cap(data), len(body))
-		}
-	}
-}
-
 func TestRegistryLRUEviction(t *testing.T) {
 	s, hs := registryTestServer(t, Config{RegistryMaxEntries: 2})
 

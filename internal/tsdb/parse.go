@@ -5,6 +5,7 @@ import (
 	"cmp"
 	"encoding/binary"
 	"fmt"
+	"hash/maphash"
 	"math/bits"
 	"slices"
 	"unicode"
@@ -53,7 +54,7 @@ func ReadBytes(data []byte) (*DB, error) {
 	// capacity, and no word load can reach past the input.
 	data = data[:len(data):len(data)]
 	var tab internTable
-	tab.init()
+	tab.init(newSeed())
 	// Reserve from byte counts, which fit the files Write emits exactly
 	// (items are one more than the spaces on a line whose timestamp ends
 	// at a tab), but never more than about the input's own size per array:
@@ -88,9 +89,16 @@ func ReadBytes(data []byte) (*DB, error) {
 		if len(line) == 0 || line[0] == '#' {
 			continue
 		}
-		ts, rest, err := splitTimestamp(line)
+		tsb, rest, ok := cutByte(line, '\t')
+		if !ok {
+			tsb, rest, ok = cutByte(line, ' ')
+			if !ok {
+				return nil, fmt.Errorf("tsdb: line %d: missing item list", lineNo)
+			}
+		}
+		ts, err := parseTimestamp(bytes.TrimSpace(tsb))
 		if err != nil {
-			return nil, fmt.Errorf("tsdb: line %d: %v", lineNo, err)
+			return nil, fmt.Errorf("tsdb: line %d: bad timestamp %q: %v", lineNo, tsb, err)
 		}
 
 		// Pick the row: the last one, a new one, or (out of order) an
@@ -135,17 +143,7 @@ func ReadBytes(data []byte) (*DB, error) {
 				continue
 			}
 			if c < utf8.RuneSelf {
-				// Most names fit one word: hash it here, and take
-				// scanToken's loop for the rest.
-				var h, w0, w1 uint64
-				w := loadWord(data, p)
-				q := p + bits.TrailingZeros64(stopBytes(w))>>3
-				if q-p < 8 {
-					w0 = w & (1<<(8*(q-p)) - 1)
-					h = finishHash(mixWord(0, w0), q-p)
-				} else {
-					h, w0, w1, q = scanToken(data, p)
-				}
+				h, w0, w1, q := scanToken(tab.seed, data, p)
 				if q == end || asciiSpace[data[q]] {
 					tokens++
 					s := tab.home(h, w0, w1, q-p)
@@ -166,7 +164,7 @@ func ReadBytes(data []byte) (*DB, error) {
 					break
 				}
 				tokens++
-				h, w0, w1 := hashToken(tok)
+				h, w0, w1 := hashToken(tab.seed, tok)
 				if s := tab.intern(h, w0, w1, tok); s.row != row {
 					s.row = row
 					arena = append(arena, s.id)
@@ -237,33 +235,6 @@ func compact(trans []Transaction, arenaCap int) []Transaction {
 	return trans
 }
 
-// splitTimestamp cuts a trimmed, non-empty line into its timestamp and
-// its item list: at the first tab or, failing that, the first space. A
-// line that opens with at most 18 digits and a tab, as Write emits it, is
-// read in one scan (18 digits cannot overflow an int64); any other line
-// takes the general cut and parseTimestamp.
-func splitTimestamp(line []byte) (int64, []byte, error) {
-	var v int64
-	i := 0
-	for ; i < len(line) && i < 19 && line[i]-'0' < 10; i++ {
-		v = v*10 + int64(line[i]-'0')
-	}
-	if i > 0 && i < 19 && i < len(line) && line[i] == '\t' {
-		return v, line[i+1:], nil
-	}
-	tsb, rest, ok := cutByte(line, '\t')
-	if !ok {
-		if tsb, rest, ok = cutByte(line, ' '); !ok {
-			return 0, nil, fmt.Errorf("missing item list")
-		}
-	}
-	ts, err := parseTimestamp(bytes.TrimSpace(tsb))
-	if err != nil {
-		return 0, nil, fmt.Errorf("bad timestamp %q: %v", tsb, err)
-	}
-	return ts, rest, nil
-}
-
 // cutByte is strings.Cut for a byte separator on a []byte, allocation-free.
 func cutByte(b []byte, sep byte) (before, after []byte, found bool) {
 	if i := bytes.IndexByte(b, sep); i >= 0 {
@@ -317,15 +288,30 @@ func nextField(rest *[]byte) []byte {
 }
 
 // Token words. A name is hashed as the sequence of its little-endian
-// 8-byte words, the last one partial (0–7 bytes, zero-padded), so a
-// name's hash does not depend on how it was found: scanToken, reading the
-// input a word at a time, and hashToken, over a name's bytes, agree.
+// 8-byte words, the last one partial (0–7 bytes, zero-padded, the name's
+// length in its top byte), so a name's hash does not depend on how it was
+// found: scanToken, reading the input a word at a time, and hashToken,
+// over a name's bytes, agree. Names with the same words have lengths
+// that differ by less than 8, so the length's low byte tells them apart.
+//
+// The hash starts from a seed drawn afresh for each table, as Go's maps
+// do, and folds each word in through the xor of a 128-bit product's
+// halves, which also carries every bit into the low bits that pick a
+// table slot: with a multiply alone, names that differ only past their
+// first few bytes ("cat1xx", "cat2xx") would share one probe chain. The
+// input may come from a client, and with a public hash or a word mix
+// that a seed cannot hide, anyone could build millions of names with
+// one hash: a plain xor-multiply, seeded or not, lets a flip of a
+// word's top bit be cancelled by the same flip in the next word. IDs
+// follow first-seen order, so no output depends on the seed.
 const (
 	lowBytes  = 0x0101010101010101
 	highBytes = 0x8080808080808080
-	wordMul   = 0x9e3779b97f4a7c15 // odd, so each word's mix is a bijection
-	finishMul = 0xbf58476d1ce4e5b9 // splitmix64's first multiplier
+	wordMul   = 0x9e3779b97f4a7c15
 )
+
+// newSeed returns a random hash seed.
+func newSeed() uint64 { return maphash.Bytes(maphash.MakeSeed(), nil) }
 
 // stopBytes flags, in each byte's high bit, the bytes of w that stop a
 // token on the word path: ≤ 0x20 (whitespace and control bytes) or
@@ -350,30 +336,26 @@ func loadWord(data []byte, p int) uint64 {
 	return w
 }
 
-// mixWord folds one word into a running name hash.
-func mixWord(h, w uint64) uint64 { return (h ^ w) * wordMul }
-
-// finishHash folds a name's length into its running hash and finalizes
-// it: the 128-bit product's halves, xored, let every bit of every word
-// reach the low bits that pick a table slot. With the word multiply
-// alone, names that differ only past their first few bytes ("cat1xx",
-// "cat2xx") share low bits and one probe chain.
-func finishHash(h uint64, n int) uint64 {
-	hi, lo := bits.Mul64(h^uint64(n), finishMul)
+// fold returns the xor of the halves of a's and b's 128-bit product, so
+// every bit of a reaches every bit of the result.
+func fold(a, b uint64) uint64 {
+	hi, lo := bits.Mul64(a, b)
 	return hi ^ lo
 }
 
+// mixWord folds one word into a running name hash.
+func mixWord(h, w uint64) uint64 { return fold(h^w, wordMul) }
+
 // scanToken reads data from p a word at a time up to the first byte
-// ≤ 0x20 or ≥ 0x80, or the end of data, at q. It returns the hash and the
-// first two words, zero-padded, of the token data[p:q], as hashToken
-// does.
-func scanToken(data []byte, p int) (h, w0, w1 uint64, q int) {
-	q = p
+// ≤ 0x20 or ≥ 0x80, or the end of data, at q. It returns the hash under
+// seed and the first two words, zero-padded, of the token data[p:q], as
+// hashToken does.
+func scanToken(seed uint64, data []byte, p int) (h, w0, w1 uint64, q int) {
+	h, q = seed, p
 	for k := 0; ; k++ {
 		w := loadWord(data, q)
 		n := bits.TrailingZeros64(stopBytes(w)) >> 3 // 8 when no byte stops
 		w &= 1<<(8*n) - 1                            // all ones for n == 8
-		h = mixWord(h, w)
 		switch k {
 		case 0:
 			w0 = w
@@ -382,15 +364,16 @@ func scanToken(data []byte, p int) (h, w0, w1 uint64, q int) {
 		}
 		q += n
 		if n < 8 {
-			return finishHash(h, q-p), w0, w1, q
+			return mixWord(h, w|uint64(q-p)<<56), w0, w1, q
 		}
+		h = mixWord(h, w)
 	}
 }
 
-// hashToken returns the hash and the first two words, zero-padded, of a
-// token, as scanToken computes them while scanning it.
-func hashToken(tok []byte) (h, w0, w1 uint64) {
-	b := tok
+// hashToken returns the hash under seed and the first two words,
+// zero-padded, of a token, as scanToken computes them while scanning it.
+func hashToken(seed uint64, tok []byte) (h, w0, w1 uint64) {
+	h, b := seed, tok
 	for k := 0; ; k++ {
 		var w uint64
 		if len(b) >= 8 {
@@ -402,7 +385,6 @@ func hashToken(tok []byte) (h, w0, w1 uint64) {
 			}
 			b = nil
 		}
-		h = mixWord(h, w)
 		switch k {
 		case 0:
 			w0 = w
@@ -410,8 +392,9 @@ func hashToken(tok []byte) (h, w0, w1 uint64) {
 			w1 = w
 		}
 		if b == nil {
-			return finishHash(h, len(tok)), w0, w1
+			return mixWord(h, w|uint64(len(tok))<<56), w0, w1
 		}
+		h = mixWord(h, w)
 	}
 }
 
@@ -422,6 +405,7 @@ func hashToken(tok []byte) (h, w0, w1 uint64) {
 // those match. IDs are handed out in first-seen order, as
 // Dictionary.Intern does.
 type internTable struct {
+	seed  uint64       // the names' hash seed
 	slots []internSlot // len is a power of two
 	mask  uint64       // len(slots) - 1
 	names []byte       // every name's bytes, in ID order
@@ -437,8 +421,9 @@ type internSlot struct {
 	row    int // the last row the item joined, -1 for none
 }
 
-// init makes an empty table of 256 slots.
-func (t *internTable) init() {
+// init makes an empty table of 256 slots that hashes under seed.
+func (t *internTable) init(seed uint64) {
+	t.seed = seed
 	t.slots = make([]internSlot, 256)
 	t.mask = 255
 	t.ends = []int{0}
@@ -499,7 +484,7 @@ func (t *internTable) grow() {
 		if s.n == 0 {
 			continue
 		}
-		h, _, _ := hashToken(t.names[t.ends[s.id]:t.ends[s.id+1]])
+		h, _, _ := hashToken(t.seed, t.names[t.ends[s.id]:t.ends[s.id+1]])
 		i := h & t.mask
 		for t.slots[i].n != 0 {
 			i = (i + 1) & t.mask

@@ -3,6 +3,7 @@ package tsdb
 import (
 	"bytes"
 	"cmp"
+	"encoding/binary"
 	"fmt"
 	"math/rand/v2"
 	"reflect"
@@ -335,7 +336,7 @@ func TestInternTableMatchesMap(t *testing.T) {
 	names := internNames()
 	rng := rand.New(rand.NewPCG(5, 8))
 	var tab internTable
-	tab.init()
+	tab.init(newSeed())
 	want := make(map[string]ItemID)
 	slots := len(tab.slots)
 	for i := 0; i < 20*len(names); i++ {
@@ -349,7 +350,7 @@ func TestInternTableMatchesMap(t *testing.T) {
 			want[name] = id
 		}
 		tok := []byte(name)
-		h, w0, w1 := hashToken(tok)
+		h, w0, w1 := hashToken(tab.seed, tok)
 		s := tab.home(h, w0, w1, len(tok))
 		if s == nil {
 			s = tab.intern(h, w0, w1, tok)
@@ -381,9 +382,9 @@ func TestInternTableMatchesMap(t *testing.T) {
 		if strings.IndexFunc(name, func(r rune) bool { return r <= ' ' || r >= utf8.RuneSelf }) >= 0 {
 			continue
 		}
-		h, w0, w1 := hashToken([]byte(name))
+		h, w0, w1 := hashToken(tab.seed, []byte(name))
 		for _, text := range []string{"x " + name + " y", "x " + name + "\n", "x " + name} {
-			gh, gw0, gw1, q := scanToken([]byte(text), 2)
+			gh, gw0, gw1, q := scanToken(tab.seed, []byte(text), 2)
 			if q != 2+len(name) || gh != h || gw0 != w0 || gw1 != w1 {
 				t.Fatalf("scanToken(%q) = %x %x %x end %d, hashToken gives %x %x %x end %d",
 					text, gh, gw0, gw1, q, h, w0, w1, 2+len(name))
@@ -406,6 +407,89 @@ func TestInternTableMatchesMap(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireSameDB(t, got, seq)
+}
+
+// maxProbe returns the longest distance of a name from its home slot.
+func maxProbe(tab *internTable) int {
+	longest := 0
+	for i, s := range tab.slots {
+		if s.n == 0 {
+			continue
+		}
+		h, _, _ := hashToken(tab.seed, tab.names[tab.ends[s.id]:tab.ends[s.id+1]])
+		longest = max(longest, int((uint64(i)-h)&tab.mask))
+	}
+	return longest
+}
+
+func TestInternTableResistsCollisions(t *testing.T) {
+	const count = 4096
+	rng := rand.New(rand.NewPCG(9, 2))
+	le := binary.LittleEndian
+
+	// Names that collide under seed 0: the second word cancels the
+	// first's mix, so every name enters its last mix in the same state.
+	const target = 0x5eed
+	atZero := make([][]byte, count)
+	for i := range atZero {
+		w0 := rng.Uint64()
+		atZero[i] = le.AppendUint64(le.AppendUint64(nil, w0), mixWord(0, w0)^target)
+	}
+	// Names that would collide under every seed were a word mixed in by
+	// xor and a multiply alone: each pair of words either keeps or flips
+	// the top bit of both, and the multiply carries the first flip into
+	// the top bit where the second cancels it.
+	flips := make([][]byte, count)
+	base := make([]uint64, 24)
+	for i := range base {
+		base[i] = rng.Uint64()
+	}
+	for i := range flips {
+		var name []byte
+		for j, w := range base {
+			if i>>(j/2)&1 == 1 {
+				w ^= 1 << 63
+			}
+			name = le.AppendUint64(name, w)
+		}
+		flips[i] = name
+	}
+	xorMul := func(seed uint64, name []byte) uint64 {
+		h := seed
+		for ; len(name) > 0; name = name[8:] {
+			h = (h ^ le.Uint64(name)) * wordMul
+		}
+		return h
+	}
+	seed := rng.Uint64()
+	for _, name := range flips {
+		if xorMul(seed, name) != xorMul(seed, flips[0]) {
+			t.Fatal("the flip family does not collide under xor-multiply")
+		}
+	}
+
+	fill := func(seed uint64, names [][]byte) *internTable {
+		tab := new(internTable)
+		tab.init(seed)
+		for i, name := range names {
+			h, w0, w1 := hashToken(seed, name)
+			if s := tab.intern(h, w0, w1, name); s.id != ItemID(i) {
+				t.Fatalf("name %d interned as %d", i, s.id)
+			}
+		}
+		return tab
+	}
+	if p := maxProbe(fill(0, atZero)); p < count/2 {
+		t.Fatalf("names built to collide at seed 0 probe at most %d slots", p)
+	}
+	if newSeed() == newSeed() {
+		t.Fatal("two seeds are equal")
+	}
+	for _, names := range [][][]byte{atZero, flips} {
+		if p := maxProbe(fill(newSeed(), names)); p > 64 {
+			t.Errorf("a name sits %d slots past its home under a fresh seed", p)
+		}
+	}
 }
 
 func TestReadBytesStopsAtInputEnd(t *testing.T) {
