@@ -100,13 +100,14 @@ var importRestrictions = []importRestriction{
 }
 
 // coreMeasureAPI is the part of internal/core the baselines may use: the
-// shared recurrence measures and their types, nothing of the miner.
+// shared recurrence measures and their types, nothing of the miner. The
+// vertical search they run on (ts-list intersection and the depth-first
+// walk) lives below core, in internal/tsdb, and needs no entry here.
 var coreMeasureAPI = map[string]bool{
 	"Recurrence":          true,
 	"Erec":                true,
 	"PeriodicAppearances": true,
 	"MaxPeriodicity":      true,
-	"IntersectTS":         true,
 	"Interval":            true,
 	"MinPSFromPercent":    true,
 }

@@ -14,7 +14,6 @@
 package pfgrowth
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 
@@ -89,77 +88,26 @@ func Mine(db *tsdb.DB, o Options) (*Result, error) {
 		return res, nil
 	}
 	first, last := db.Span()
-	all := db.ItemTSLists()
-
-	// Candidate 1-patterns: support and periodicity both within bounds.
-	type entry struct {
-		item tsdb.ItemID
-		ts   []int64
+	periodicFrequent := func(ts []int64) bool {
+		return len(ts) >= o.MinSup && core.MaxPeriodicity(ts, first, last) <= o.MaxPer
 	}
-	var items []entry
-	for id, ts := range all {
-		if len(ts) >= o.MinSup && core.MaxPeriodicity(ts, first, last) <= o.MaxPer {
-			items = append(items, entry{item: tsdb.ItemID(id), ts: ts})
-		}
-	}
-	// Support-descending exploration order, ties by item ID.
-	slices.SortFunc(items, func(a, b entry) int {
-		if len(a.ts) != len(b.ts) {
-			return len(b.ts) - len(a.ts)
-		}
-		return cmp.Compare(a.item, b.item)
-	})
-
-	var dfs func(prefix []tsdb.ItemID, ts []int64, idx int)
-	dfs = func(prefix []tsdb.ItemID, ts []int64, idx int) {
+	// Both measures are anti-monotone, so the one test picks the candidate
+	// items and prunes every extension.
+	db.VerticalBySupport(periodicFrequent).Walk(o.MaxLen, func(items []tsdb.ItemID, ts []int64) bool {
 		if res.Truncated {
-			return
+			return false
 		}
-		per := core.MaxPeriodicity(ts, first, last)
-		sorted := make([]tsdb.ItemID, len(prefix))
-		copy(sorted, prefix)
-		slices.Sort(sorted)
-		res.Patterns = append(res.Patterns, Pattern{Items: sorted, Support: len(ts), Periodicity: per})
-		if o.Limit > 0 && len(res.Patterns) >= o.Limit {
-			res.Truncated = true
-			return
-		}
-		if o.MaxLen > 0 && len(prefix) >= o.MaxLen {
-			return
-		}
-		n := len(prefix)
-		for j := idx + 1; j < len(items); j++ {
-			ext := core.IntersectTS(nil, ts, items[j].ts)
-			if len(ext) < o.MinSup || core.MaxPeriodicity(ext, first, last) > o.MaxPer {
-				continue
-			}
-			dfs(append(prefix[:n:n], items[j].item), ext, j)
-		}
-	}
-	for i := range items {
-		dfs([]tsdb.ItemID{items[i].item}, items[i].ts, i)
-	}
+		res.Patterns = append(res.Patterns, Pattern{
+			Items:       tsdb.SortedItems(items),
+			Support:     len(ts),
+			Periodicity: core.MaxPeriodicity(ts, first, last),
+		})
+		res.Truncated = o.Limit > 0 && len(res.Patterns) >= o.Limit
+		return !res.Truncated
+	}, periodicFrequent)
 
 	slices.SortFunc(res.Patterns, func(a, b Pattern) int {
-		return comparePatterns(a.Items, b.Items)
+		return tsdb.CompareItemsets(a.Items, b.Items)
 	})
 	return res, nil
-}
-
-func comparePatterns(a, b []tsdb.ItemID) int {
-	if len(a) != len(b) {
-		if len(a) < len(b) {
-			return -1
-		}
-		return 1
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			if a[i] < b[i] {
-				return -1
-			}
-			return 1
-		}
-	}
-	return 0
 }

@@ -1,6 +1,7 @@
 package pfgrowth
 
 import (
+	"fmt"
 	"math/rand/v2"
 	"reflect"
 	"sort"
@@ -112,7 +113,7 @@ func bruteForce(db *tsdb.DB, o Options) []Pattern {
 			if len(prefix) == 0 {
 				ext = all[items[i]]
 			} else {
-				ext = core.IntersectTS(nil, ts, all[items[i]])
+				ext = tsdb.IntersectTS(nil, ts, all[items[i]])
 			}
 			next := append(prefix[:len(prefix):len(prefix)], items[i])
 			if len(ext) >= o.MinSup && core.MaxPeriodicity(ext, first, last) <= o.MaxPer {
@@ -129,7 +130,7 @@ func bruteForce(db *tsdb.DB, o Options) []Pattern {
 		}
 	}
 	grow(0, nil, nil)
-	sort.Slice(out, func(i, j int) bool { return comparePatterns(out[i].Items, out[j].Items) < 0 })
+	sort.Slice(out, func(i, j int) bool { return tsdb.CompareItemsets(out[i].Items, out[j].Items) < 0 })
 	return out
 }
 
@@ -178,5 +179,41 @@ func TestMaxLenBound(t *testing.T) {
 	}
 	if full.MaxLen() != 3 {
 		t.Errorf("unbounded longest = %d, want 3", full.MaxLen())
+	}
+}
+
+// TestLimitKeepsExplorationPrefix pins which patterns a truncated run
+// keeps: the first Limit found by the depth-first search over items in
+// support-descending order, ties by ItemID. Here b, c and d tie at support
+// 4 ahead of a, so the search visits b, bc, bcd (periodicity 4, cut), abc,
+// bd, ab, ... in that order.
+func TestLimitKeepsExplorationPrefix(t *testing.T) {
+	db := mustDB(t, "1\ta b c d\n2\ta b c\n3\tb d\n4\ta c d\n5\tb c d\n")
+	for _, c := range []struct {
+		limit int
+		want  string
+	}{
+		{3, "b:4:2 b,c:3:3 a,b,c:2:3"},
+		{4, "b:4:2 b,c:3:3 b,d:3:2 a,b,c:2:3"},
+		{5, "b:4:2 a,b:2:3 b,c:3:3 b,d:3:2 a,b,c:2:3"},
+	} {
+		res, err := Mine(db, Options{MinSup: 2, MaxPer: 3, Limit: c.limit})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for _, p := range res.Patterns {
+			got = append(got, fmt.Sprintf("%s:%d:%d", strings.Join(db.PatternNames(p.Items), ","), p.Support, p.Periodicity))
+		}
+		if !res.Truncated || strings.Join(got, " ") != c.want {
+			t.Errorf("Limit=%d: truncated=%v kept %q, want %q", c.limit, res.Truncated, strings.Join(got, " "), c.want)
+		}
+	}
+	full, err := Mine(db, Options{MinSup: 2, MaxPer: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if full.Truncated || len(full.Patterns) != 12 {
+		t.Errorf("unlimited: truncated=%v count=%d, want 12", full.Truncated, len(full.Patterns))
 	}
 }

@@ -1,7 +1,6 @@
 package ppattern
 
 import (
-	"cmp"
 	"slices"
 
 	"github.com/recurpat/rp/internal/core"
@@ -25,62 +24,27 @@ func MineAssociationFirst(db *tsdb.DB, o Options) (*Result, error) {
 	}
 	res := &Result{}
 	bound := o.Per + o.Window
-	all := db.ItemTSLists()
 
 	// Phase 1: frequent items by support (a p-pattern needs more than
 	// minSup occurrences to have minSup periodic gaps).
-	type entry struct {
-		item tsdb.ItemID
-		ts   []int64
-	}
-	var items []entry
-	for id, ts := range all {
-		if len(ts) > o.MinSup {
-			items = append(items, entry{item: tsdb.ItemID(id), ts: ts})
-		}
-	}
-	slices.SortFunc(items, func(a, b entry) int {
-		if len(a.ts) != len(b.ts) {
-			return len(b.ts) - len(a.ts)
-		}
-		return cmp.Compare(a.item, b.item)
-	})
+	frequent := func(ts []int64) bool { return len(ts) > o.MinSup }
+	items := db.VerticalBySupport(frequent)
 
 	// Phase 2: grow frequent itemsets by support; Phase 3: filter by
 	// periodic appearances at emission time.
-	var dfs func(prefix []tsdb.ItemID, ts []int64, idx int)
-	dfs = func(prefix []tsdb.ItemID, ts []int64, idx int) {
+	items.Walk(o.MaxLen, func(prefix []tsdb.ItemID, ts []int64) bool {
 		if res.Truncated {
-			return
+			return false
 		}
 		if p := core.PeriodicAppearances(ts, bound); p >= o.MinSup {
-			sorted := make([]tsdb.ItemID, len(prefix))
-			copy(sorted, prefix)
-			slices.Sort(sorted)
-			res.Patterns = append(res.Patterns, Pattern{Items: sorted, Support: len(ts), Periodic: p})
-			if o.Limit > 0 && len(res.Patterns) >= o.Limit {
-				res.Truncated = true
-				return
-			}
+			res.Patterns = append(res.Patterns, Pattern{Items: tsdb.SortedItems(prefix), Support: len(ts), Periodic: p})
+			res.Truncated = o.Limit > 0 && len(res.Patterns) >= o.Limit
 		}
-		if o.MaxLen > 0 && len(prefix) >= o.MaxLen {
-			return
-		}
-		n := len(prefix)
-		for j := idx + 1; j < len(items); j++ {
-			ext := core.IntersectTS(nil, ts, items[j].ts)
-			if len(ext) <= o.MinSup { // support pruning only
-				continue
-			}
-			dfs(append(prefix[:n:n], items[j].item), ext, j)
-		}
-	}
-	for i := range items {
-		dfs([]tsdb.ItemID{items[i].item}, items[i].ts, i)
-	}
+		return !res.Truncated
+	}, frequent)
 
 	slices.SortFunc(res.Patterns, func(a, b Pattern) int {
-		return comparePatterns(a.Items, b.Items)
+		return tsdb.CompareItemsets(a.Items, b.Items)
 	})
 	return res, nil
 }

@@ -19,7 +19,6 @@
 package ppattern
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 
@@ -98,84 +97,34 @@ func Mine(db *tsdb.DB, o Options) (*Result, error) {
 	}
 	res := &Result{}
 	bound := o.Per + o.Window
-	all := db.ItemTSLists()
 
 	// Phase 1: periodic items.
-	type entry struct {
-		item tsdb.ItemID
-		ts   []int64
-	}
-	var items []entry
-	for id, ts := range all {
-		if core.PeriodicAppearances(ts, bound) >= o.MinSup {
-			items = append(items, entry{item: tsdb.ItemID(id), ts: ts})
-		}
-	}
-	slices.SortFunc(items, func(a, b entry) int {
-		if len(a.ts) != len(b.ts) {
-			return len(b.ts) - len(a.ts)
-		}
-		return cmp.Compare(a.item, b.item)
+	items := db.VerticalBySupport(func(ts []int64) bool {
+		return core.PeriodicAppearances(ts, bound) >= o.MinSup
 	})
 
 	// Phase 2+3: grow itemsets over the periodic items; candidates are kept
 	// alive by support (a p-pattern trivially has support > minSup periodic
 	// gaps), and emitted when their periodic-appearance count qualifies.
-	var dfs func(prefix []tsdb.ItemID, ts []int64, idx int)
-	dfs = func(prefix []tsdb.ItemID, ts []int64, idx int) {
+	items.Walk(o.MaxLen, func(prefix []tsdb.ItemID, ts []int64) bool {
 		if res.Truncated {
-			return
+			return false
 		}
-		if p := core.PeriodicAppearances(ts, bound); p >= o.MinSup {
-			sorted := make([]tsdb.ItemID, len(prefix))
-			copy(sorted, prefix)
-			slices.Sort(sorted)
-			res.Patterns = append(res.Patterns, Pattern{Items: sorted, Support: len(ts), Periodic: p})
-			if o.Limit > 0 && len(res.Patterns) >= o.Limit {
-				res.Truncated = true
-				return
-			}
-		} else {
+		p := core.PeriodicAppearances(ts, bound)
+		if p < o.MinSup {
 			// Periodic appearances are anti-monotone for gap periodicity, so
 			// no superset can qualify either.
-			return
+			return false
 		}
-		if o.MaxLen > 0 && len(prefix) >= o.MaxLen {
-			return
-		}
-		n := len(prefix)
-		for j := idx + 1; j < len(items); j++ {
-			ext := core.IntersectTS(nil, ts, items[j].ts)
-			if len(ext) <= o.MinSup { // need minSup inter-arrival times
-				continue
-			}
-			dfs(append(prefix[:n:n], items[j].item), ext, j)
-		}
-	}
-	for i := range items {
-		dfs([]tsdb.ItemID{items[i].item}, items[i].ts, i)
-	}
+		res.Patterns = append(res.Patterns, Pattern{Items: tsdb.SortedItems(prefix), Support: len(ts), Periodic: p})
+		res.Truncated = o.Limit > 0 && len(res.Patterns) >= o.Limit
+		return !res.Truncated
+	}, func(ts []int64) bool {
+		return len(ts) > o.MinSup // need minSup inter-arrival times
+	})
 
 	slices.SortFunc(res.Patterns, func(a, b Pattern) int {
-		return comparePatterns(a.Items, b.Items)
+		return tsdb.CompareItemsets(a.Items, b.Items)
 	})
 	return res, nil
-}
-
-func comparePatterns(a, b []tsdb.ItemID) int {
-	if len(a) != len(b) {
-		if len(a) < len(b) {
-			return -1
-		}
-		return 1
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			if a[i] < b[i] {
-				return -1
-			}
-			return 1
-		}
-	}
-	return 0
 }

@@ -1,6 +1,7 @@
 package ppattern
 
 import (
+	"fmt"
 	"math/rand/v2"
 	"reflect"
 	"sort"
@@ -82,7 +83,7 @@ func bruteForce(db *tsdb.DB, o Options) []Pattern {
 			if len(prefix) == 0 {
 				ext = all[items[i]]
 			} else {
-				ext = core.IntersectTS(nil, ts, all[items[i]])
+				ext = tsdb.IntersectTS(nil, ts, all[items[i]])
 			}
 			next := append(prefix[:len(prefix):len(prefix)], items[i])
 			if p := core.PeriodicAppearances(ext, bound); p >= o.MinSup {
@@ -98,7 +99,7 @@ func bruteForce(db *tsdb.DB, o Options) []Pattern {
 		}
 	}
 	grow(0, nil, nil)
-	sort.Slice(out, func(i, j int) bool { return comparePatterns(out[i].Items, out[j].Items) < 0 })
+	sort.Slice(out, func(i, j int) bool { return tsdb.CompareItemsets(out[i].Items, out[j].Items) < 0 })
 	return out
 }
 
@@ -200,6 +201,40 @@ func TestLimitTruncates(t *testing.T) {
 	}
 	if full.Truncated || len(full.Patterns) != 15 {
 		t.Errorf("unlimited: truncated=%v count=%d, want all 15 subsets", full.Truncated, len(full.Patterns))
+	}
+}
+
+// TestLimitKeepsExplorationPrefix pins which patterns a truncated run
+// keeps: the first Limit found by the depth-first search over items in
+// support-descending order, ties by ItemID. Here b, c and d tie at support
+// 4 ahead of a, so the search visits b, bc, bcd (not periodic), abc, bd,
+// ab, ... in that order.
+func TestLimitKeepsExplorationPrefix(t *testing.T) {
+	db := mustDB(t, "1\ta b c d\n2\ta b c\n3\tb d\n4\ta c d\n5\tb c d\n")
+	for _, algo := range []struct {
+		name string
+		mine func(*tsdb.DB, Options) (*Result, error)
+	}{{"periodic-first", Mine}, {"association-first", MineAssociationFirst}} {
+		for _, c := range []struct {
+			limit int
+			want  string
+		}{
+			{3, "b:4:3 b,c:3:1 a,b,c:2:1"},
+			{4, "b:4:3 b,c:3:1 b,d:3:2 a,b,c:2:1"},
+			{5, "b:4:3 a,b:2:1 b,c:3:1 b,d:3:2 a,b,c:2:1"},
+		} {
+			res, err := algo.mine(db, Options{Per: 2, MinSup: 1, Limit: c.limit})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got []string
+			for _, p := range res.Patterns {
+				got = append(got, fmt.Sprintf("%s:%d:%d", strings.Join(db.PatternNames(p.Items), ","), p.Support, p.Periodic))
+			}
+			if !res.Truncated || strings.Join(got, " ") != c.want {
+				t.Errorf("%s Limit=%d: truncated=%v kept %q, want %q", algo.name, c.limit, res.Truncated, strings.Join(got, " "), c.want)
+			}
+		}
 	}
 }
 

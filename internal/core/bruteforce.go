@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"slices"
 
 	"github.com/recurpat/rp/internal/tsdb"
 )
@@ -40,7 +39,7 @@ func MineBruteForce(db *tsdb.DB, o Options) (*Result, error) {
 			if len(prefix) == 0 {
 				ext = all[items[i]]
 			} else {
-				ext = IntersectTS(nil, ts, all[items[i]])
+				ext = tsdb.IntersectTS(nil, ts, all[items[i]])
 			}
 			if len(ext) == 0 {
 				continue
@@ -49,11 +48,8 @@ func MineBruteForce(db *tsdb.DB, o Options) (*Result, error) {
 			if o.MaxLen == 0 || len(next) <= o.MaxLen {
 				rec, ipi := Recurrence(ext, o.Per, o.MinPS)
 				if rec >= o.MinRec {
-					cp := make([]tsdb.ItemID, len(next))
-					copy(cp, next)
-					slices.Sort(cp)
 					res.Patterns = append(res.Patterns, Pattern{
-						Items:      cp,
+						Items:      tsdb.SortedItems(next),
 						Support:    len(ext),
 						Recurrence: rec,
 						Intervals:  ipi,

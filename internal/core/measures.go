@@ -143,22 +143,3 @@ func PeriodicAppearances(ts []int64, per int64) int {
 	}
 	return n
 }
-
-// IntersectTS intersects two sorted timestamp lists, appending the result to
-// dst (which may be nil). Used by the vertical miner and the baselines.
-func IntersectTS(dst, a, b []int64) []int64 {
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			dst = append(dst, a[i])
-			i++
-			j++
-		}
-	}
-	return dst
-}

@@ -83,35 +83,6 @@ func TestPeriodicAppearances(t *testing.T) {
 	}
 }
 
-func TestIntersectTS(t *testing.T) {
-	cases := []struct {
-		a, b, want []int64
-	}{
-		{nil, nil, nil},
-		{[]int64{1, 2, 3}, nil, nil},
-		{[]int64{1, 2, 3}, []int64{2, 3, 4}, []int64{2, 3}},
-		{[]int64{1, 5, 9}, []int64{2, 6, 10}, nil},
-		{[]int64{1, 2, 3}, []int64{1, 2, 3}, []int64{1, 2, 3}},
-	}
-	for _, c := range cases {
-		got := IntersectTS(nil, c.a, c.b)
-		if !reflect.DeepEqual(got, c.want) {
-			t.Errorf("IntersectTS(%v, %v) = %v, want %v", c.a, c.b, got, c.want)
-		}
-		// Symmetry.
-		rev := IntersectTS(nil, c.b, c.a)
-		if !reflect.DeepEqual(rev, c.want) {
-			t.Errorf("IntersectTS not symmetric on %v, %v", c.a, c.b)
-		}
-	}
-	// dst is appended to.
-	dst := []int64{99}
-	got := IntersectTS(dst, []int64{1, 2}, []int64{2, 3})
-	if !reflect.DeepEqual(got, []int64{99, 2}) {
-		t.Errorf("append semantics: %v", got)
-	}
-}
-
 func TestPatternStringAndFormat(t *testing.T) {
 	dict := tsdb.NewDictionary()
 	a := dict.Intern("alpha")

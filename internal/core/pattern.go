@@ -92,26 +92,8 @@ func (r *Result) MaxLen() int {
 // miners return canonicalized results so they can be compared directly.
 func (r *Result) Canonicalize() {
 	slices.SortFunc(r.Patterns, func(a, b Pattern) int {
-		return comparePatterns(a.Items, b.Items)
+		return tsdb.CompareItemsets(a.Items, b.Items)
 	})
-}
-
-func comparePatterns(a, b []tsdb.ItemID) int {
-	if len(a) != len(b) {
-		if len(a) < len(b) {
-			return -1
-		}
-		return 1
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			if a[i] < b[i] {
-				return -1
-			}
-			return 1
-		}
-	}
-	return 0
 }
 
 // Equal reports whether two results contain the same patterns with the same

@@ -3,7 +3,7 @@ package ext
 import (
 	"math/rand/v2"
 	"reflect"
-	"sort"
+	"slices"
 	"strings"
 	"testing"
 
@@ -105,7 +105,7 @@ func noisyBruteForce(db *tsdb.DB, o NoiseOptions) []core.Pattern {
 			if len(prefix) == 0 {
 				ext = all[items[i]]
 			} else {
-				ext = core.IntersectTS(nil, ts, all[items[i]])
+				ext = tsdb.IntersectTS(nil, ts, all[items[i]])
 			}
 			if len(ext) == 0 {
 				continue
@@ -242,7 +242,7 @@ func shiftBruteForce(db *tsdb.DB, o ShiftOptions) []core.Pattern {
 			if len(prefix) == 0 {
 				ext = all[items[i]]
 			} else {
-				ext = core.IntersectTS(nil, ts, all[items[i]])
+				ext = tsdb.IntersectTS(nil, ts, all[items[i]])
 			}
 			if len(ext) == 0 {
 				continue
@@ -299,23 +299,29 @@ func TestTopK(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Oracle: mine everything at minRec=1, sort by the top-k order.
+		// Oracle: mine everything at minRec=1 and rank by recurrence, then
+		// support, both descending, then items lexicographically.
 		all, err := core.MineBruteForce(db, core.Options{Per: per, MinPS: minPS, MinRec: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
 		want := append([]core.Pattern(nil), all.Patterns...)
-		sort.Slice(want, func(i, j int) bool { return better(want[i], want[j]) })
+		slices.SortFunc(want, func(a, b core.Pattern) int {
+			if a.Recurrence != b.Recurrence {
+				return b.Recurrence - a.Recurrence
+			}
+			if a.Support != b.Support {
+				return b.Support - a.Support
+			}
+			return slices.Compare(a.Items, b.Items)
+		})
 		if len(want) > k {
 			want = want[:k]
 		}
-		if len(got) != len(want) {
-			t.Fatalf("run %d: got %d patterns, want %d", run, len(got), len(want))
-		}
-		for i := range want {
-			if got[i].Recurrence != want[i].Recurrence {
-				t.Fatalf("run %d rank %d: rec %d, want %d", run, i, got[i].Recurrence, want[i].Recurrence)
-			}
+		// Whole patterns in rank order: items, support, recurrence and
+		// intervals, with ties broken as the top-k order documents.
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("run %d (per=%d minPS=%d k=%d):\ngot  %v\nwant %v", run, per, minPS, k, got, want)
 		}
 	}
 }

@@ -6,9 +6,7 @@
 package ext
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 
 	"github.com/recurpat/rp/internal/core"
 	"github.com/recurpat/rp/internal/tsdb"
@@ -99,50 +97,15 @@ func MineNoisy(db *tsdb.DB, o NoiseOptions) (*core.Result, error) {
 	}
 	relaxed := o.relaxedPer()
 	res := &core.Result{}
-	all := db.ItemTSLists()
-	type entry struct {
-		item tsdb.ItemID
-		ts   []int64
-	}
-	var items []entry
-	for id, ts := range all {
-		if core.Erec(ts, relaxed, o.MinPS) >= o.MinRec {
-			items = append(items, entry{item: tsdb.ItemID(id), ts: ts})
-		}
-	}
-	slices.SortFunc(items, func(a, b entry) int {
-		if len(a.ts) != len(b.ts) {
-			return len(b.ts) - len(a.ts)
-		}
-		return cmp.Compare(a.item, b.item)
-	})
-
-	var dfs func(prefix []tsdb.ItemID, ts []int64, idx int)
-	dfs = func(prefix []tsdb.ItemID, ts []int64, idx int) {
-		rec, ipi := NoisyRecurrence(ts, o)
-		if rec >= o.MinRec {
-			sorted := make([]tsdb.ItemID, len(prefix))
-			copy(sorted, prefix)
-			slices.Sort(sorted)
+	candidate := func(ts []int64) bool { return core.Erec(ts, relaxed, o.MinPS) >= o.MinRec }
+	db.VerticalBySupport(candidate).Walk(o.MaxLen, func(items []tsdb.ItemID, ts []int64) bool {
+		if rec, ipi := NoisyRecurrence(ts, o); rec >= o.MinRec {
 			res.Patterns = append(res.Patterns, core.Pattern{
-				Items: sorted, Support: len(ts), Recurrence: rec, Intervals: ipi,
+				Items: tsdb.SortedItems(items), Support: len(ts), Recurrence: rec, Intervals: ipi,
 			})
 		}
-		if o.MaxLen > 0 && len(prefix) >= o.MaxLen {
-			return
-		}
-		n := len(prefix)
-		for j := idx + 1; j < len(items); j++ {
-			ext := core.IntersectTS(nil, ts, items[j].ts)
-			if len(ext) == 0 || core.Erec(ext, relaxed, o.MinPS) < o.MinRec {
-				continue
-			}
-			dfs(append(prefix[:n:n], items[j].item), ext, j)
-		}
-	}
-	for i := range items {
-		dfs([]tsdb.ItemID{items[i].item}, items[i].ts, i)
-	}
+		return true
+	}, candidate)
 	res.Canonicalize()
 	return res, nil
 }

@@ -1,7 +1,6 @@
 package ext
 
 import (
-	"cmp"
 	"slices"
 
 	"github.com/recurpat/rp/internal/core"
@@ -63,7 +62,7 @@ func filterBySuperset(res *core.Result, suppresses func(sub, super core.Pattern)
 			out = append(out, p)
 		}
 	}
-	slices.SortFunc(out, func(a, b core.Pattern) int { return compareCanonical(a.Items, b.Items) })
+	slices.SortFunc(out, func(a, b core.Pattern) int { return tsdb.CompareItemsets(a.Items, b.Items) })
 	return out
 }
 
@@ -79,16 +78,4 @@ func isSubset(a, b []tsdb.ItemID) bool {
 		i++
 	}
 	return true
-}
-
-func compareCanonical(a, b []tsdb.ItemID) int {
-	if len(a) != len(b) {
-		return len(a) - len(b)
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return cmp.Compare(a[i], b[i])
-		}
-	}
-	return 0
 }

@@ -1,10 +1,8 @@
 package ext
 
 import (
-	"cmp"
 	"container/heap"
 	"fmt"
-	"slices"
 
 	"github.com/recurpat/rp/internal/core"
 	"github.com/recurpat/rp/internal/tsdb"
@@ -30,24 +28,6 @@ func TopK(db *tsdb.DB, per int64, minPS, k int) ([]core.Pattern, error) {
 		return nil, fmt.Errorf("ext: k must be positive, got %d", k)
 	}
 
-	all := db.ItemTSLists()
-	type entry struct {
-		item tsdb.ItemID
-		ts   []int64
-	}
-	var items []entry
-	for id, ts := range all {
-		if core.Erec(ts, per, minPS) >= 1 {
-			items = append(items, entry{item: tsdb.ItemID(id), ts: ts})
-		}
-	}
-	slices.SortFunc(items, func(a, b entry) int {
-		if len(a.ts) != len(b.ts) {
-			return len(b.ts) - len(a.ts)
-		}
-		return cmp.Compare(a.item, b.item)
-	})
-
 	h := &patternHeap{}
 	threshold := func() int {
 		if h.Len() < k {
@@ -55,15 +35,17 @@ func TopK(db *tsdb.DB, per int64, minPS, k int) ([]core.Pattern, error) {
 		}
 		return (*h)[0].Recurrence
 	}
+	beatsThreshold := func(ts []int64) bool { return core.Erec(ts, per, minPS) >= threshold() }
 
-	var dfs func(prefix []tsdb.ItemID, ts []int64, idx int)
-	dfs = func(prefix []tsdb.ItemID, ts []int64, idx int) {
+	roots := db.VerticalBySupport(func(ts []int64) bool { return core.Erec(ts, per, minPS) >= 1 })
+	roots.Walk(0, func(prefix []tsdb.ItemID, ts []int64) bool {
+		// Single items skip extend, so they meet the rising threshold here.
+		if len(prefix) == 1 && !beatsThreshold(ts) {
+			return false
+		}
 		rec, ipi := core.Recurrence(ts, per, minPS)
 		if rec >= threshold() {
-			sorted := make([]tsdb.ItemID, len(prefix))
-			copy(sorted, prefix)
-			slices.Sort(sorted)
-			p := core.Pattern{Items: sorted, Support: len(ts), Recurrence: rec, Intervals: ipi}
+			p := core.Pattern{Items: tsdb.SortedItems(prefix), Support: len(ts), Recurrence: rec, Intervals: ipi}
 			if h.Len() < k {
 				heap.Push(h, p)
 			} else if better(p, (*h)[0]) {
@@ -71,21 +53,8 @@ func TopK(db *tsdb.DB, per int64, minPS, k int) ([]core.Pattern, error) {
 				heap.Fix(h, 0)
 			}
 		}
-		n := len(prefix)
-		for j := idx + 1; j < len(items); j++ {
-			ext := core.IntersectTS(nil, ts, items[j].ts)
-			if len(ext) == 0 || core.Erec(ext, per, minPS) < threshold() {
-				continue
-			}
-			dfs(append(prefix[:n:n], items[j].item), ext, j)
-		}
-	}
-	for i := range items {
-		if core.Erec(items[i].ts, per, minPS) < threshold() {
-			continue
-		}
-		dfs([]tsdb.ItemID{items[i].item}, items[i].ts, i)
-	}
+		return true
+	}, beatsThreshold)
 
 	out := make([]core.Pattern, h.Len())
 	for i := len(out) - 1; i >= 0; i-- {

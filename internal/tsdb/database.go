@@ -200,6 +200,23 @@ func (db *DB) InternPattern(names []string) ([]ItemID, error) {
 	return ids, nil
 }
 
+// CompareItemsets orders itemsets canonically: by length, then
+// lexicographically by item IDs. Every miner returns its patterns in this
+// order so results can be compared directly.
+func CompareItemsets(a, b []ItemID) int {
+	if len(a) != len(b) {
+		return cmp.Compare(len(a), len(b))
+	}
+	return slices.Compare(a, b)
+}
+
+// SortedItems returns a sorted copy of items.
+func SortedItems(items []ItemID) []ItemID {
+	out := slices.Clone(items)
+	slices.Sort(out)
+	return out
+}
+
 // PatternNames renders a sorted ItemID pattern back into item names.
 func (db *DB) PatternNames(pattern []ItemID) []string {
 	names := make([]string, len(pattern))
