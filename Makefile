@@ -11,7 +11,7 @@ help:
 	@echo "  test           go test ./..."
 	@echo "  check          full gate: gofmt, go vet, rpvet, build, race tests (CI runs this)"
 	@echo "  bench          end-to-end table benchmarks (root package)"
-	@echo "  bench-core     core hot-path benchmarks; updates BENCH_core.json via cmd/benchfmt"
+	@echo "  bench-core     core hot-path benchmarks; updates BENCH_core.json via cmd/rpbenchdiff -out"
 	@echo "  bench-ingest   ingest-path benchmarks (streaming and one-pass text parse, Table 7 texts, v2 mapped); updates BENCH_ingest.json"
 	@echo "  bench-diff     fresh core and ingest benchmark runs vs BENCH_core.json and BENCH_ingest.json, Mann-Whitney per benchmark (exit 1 on regression)"
 	@echo "  fmt            gofmt -w ."
@@ -34,13 +34,13 @@ bench:
 # Tracked baseline for the internal/core hot path: run the micro-benchmarks
 # and refresh the committed JSON report.
 bench-core:
-	set -o pipefail; $(GO) test -run '^$$' -bench . -benchmem -count 3 ./internal/core/ | $(GO) run ./cmd/benchfmt -out BENCH_core.json
+	set -o pipefail; $(GO) test -run '^$$' -bench . -benchmem -count 3 ./internal/core/ | $(GO) run ./cmd/rpbenchdiff -out BENCH_core.json
 
 # Tracked baseline for the ingest path: the streaming and the one-pass
 # text parsers over the shared 16MB corpus, the one-pass parser over one
 # Table 7 batch pass's texts, and the v2 mapped-view and mapped-file loads.
 bench-ingest:
-	set -o pipefail; $(GO) test -run '^$$' -bench Ingest -benchmem -count 3 ./internal/tsdb/ | $(GO) run ./cmd/benchfmt -out BENCH_ingest.json
+	set -o pipefail; $(GO) test -run '^$$' -bench Ingest -benchmem -count 3 ./internal/tsdb/ | $(GO) run ./cmd/rpbenchdiff -out BENCH_ingest.json
 
 # Statistical comparison of fresh core and ingest benchmark runs against
 # their tracked baselines (Mann-Whitney per benchmark; see

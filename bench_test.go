@@ -9,7 +9,6 @@ package rp
 import (
 	"testing"
 
-	"github.com/recurpat/rp/internal/baseline/partial"
 	"github.com/recurpat/rp/internal/baseline/ppattern"
 	"github.com/recurpat/rp/internal/bench"
 	"github.com/recurpat/rp/internal/core"
@@ -277,20 +276,6 @@ func BenchmarkPPatternAssociationFirst(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := ppattern.MineAssociationFirst(d.DB, o); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkPartialPeriodic covers the symbolic-sequence comparator (Han et
-// al. max-subpattern hit set) on the clickstream data with a daily period.
-
-func BenchmarkPartialPeriodic(b *testing.B) {
-	d := benchDataset(b, "shop14", 0.25)
-	o := partial.Options{Period: 24, MinSup: d.DB.Len() / 24 / 4, MaxSlotItems: 3}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := partial.Mine(d.DB, o); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -180,7 +180,7 @@ func runOne(exp string, datasets []string, scale float64, seed uint64, from, to,
 				fmt.Fprint(out, bench.FormatTable7(rows))
 				continue
 			}
-			// -json: trace every grid cell and keep the benchfmt-shaped
+			// -json: trace every grid cell and keep the report-shaped
 			// rows with per-phase attribution for the report file.
 			rows, bms, err := bench.Table7Traced(d)
 			if err != nil {

@@ -17,9 +17,8 @@ import (
 //	internal/obs/prof  → internal/obs (the cost readout rides on the substrate)
 //	internal/core      → internal/tsdb, internal/obs
 //	internal/gen       → internal/tsdb
-//	internal/seq       → internal/tsdb
 //	internal/baseline  → internal/tsdb, internal/core (measure API only)
-//	internal/ext       → internal/core, internal/tsdb, internal/seq
+//	internal/ext       → internal/core, internal/tsdb
 //	internal/analysis  → nothing internal (stdlib-only by construction)
 //	internal/cliio     → internal/obs
 //	internal/api       → internal/core, internal/tsdb, internal/obs (the wire schema: no transport, no miner internals; obs for the trace-context payload types)
@@ -65,9 +64,8 @@ var layerRules = []layerRule{
 	{Prefix: "internal/obs/prof", Allow: []string{"internal/obs"}},
 	{Prefix: "internal/core", Allow: []string{"internal/tsdb", "internal/obs"}},
 	{Prefix: "internal/gen", Allow: []string{"internal/tsdb"}},
-	{Prefix: "internal/seq", Allow: []string{"internal/tsdb"}},
 	{Prefix: "internal/baseline", Allow: []string{"internal/tsdb", "internal/core"}},
-	{Prefix: "internal/ext", Allow: []string{"internal/core", "internal/tsdb", "internal/seq"}},
+	{Prefix: "internal/ext", Allow: []string{"internal/core", "internal/tsdb"}},
 	{Prefix: "internal/analysis", Allow: []string{}},
 	{Prefix: "internal/cliio", Allow: []string{"internal/obs"}},
 	{Prefix: "internal/api", Allow: []string{"internal/core", "internal/tsdb", "internal/obs"}},

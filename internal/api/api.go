@@ -1,9 +1,8 @@
 // Package api is the versioned wire schema of the rpserved HTTP surface:
 // the request and response bodies of POST /v1/mine and POST /v1/shard/mine,
-// shared by the rpserved handlers, the shard HTTP client, and the CLI
-// clients (rpmonitor -remote). It holds the one copy of request→Options
-// validation so a remote shard peer can never mine under different
-// semantics than its coordinator.
+// shared by the rpserved handlers and the shard HTTP client. It holds the
+// one copy of request→Options validation so a remote shard peer can never
+// mine under different semantics than its coordinator.
 //
 // Versioning rules:
 //

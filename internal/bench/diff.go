@@ -25,7 +25,7 @@ import (
 
 // ParseBenchLine parses one `go test -bench` result line
 // ("BenchmarkName-8   123   456 ns/op   7 B/op ...") into a record;
-// ok=false for any other line. Shared by cmd/benchfmt and the sample
+// ok=false for any other line. Shared by cmd/rpbenchdiff -out and the sample
 // collection below.
 func ParseBenchLine(line string) (Benchmark, bool) {
 	fields := strings.Fields(line)

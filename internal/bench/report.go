@@ -7,7 +7,7 @@ import (
 	"github.com/recurpat/rp/internal/obs"
 )
 
-// Benchmark is one benchmark result row: the shape cmd/benchfmt parses out
+// Benchmark is one benchmark result row: the shape cmd/rpbenchdiff parses out
 // of `go test -bench` text, and the shape rpbench -json emits for the timed
 // Table 7 cells. Metrics holds every reported unit (ns/op, B/op, and the
 // tracer's "<phase>-ns/op" / "<phase>-count/op" attribution keys).
@@ -17,7 +17,7 @@ type Benchmark struct {
 	Metrics    map[string]float64 `json:"metrics"`
 }
 
-// Report is the benchmark report file (BENCH_*.json) shared by cmd/benchfmt
+// Report is the benchmark report file (BENCH_*.json) shared by cmd/rpbenchdiff
 // and rpbench -json: run context plus one record per benchmark, with
 // records in input order and metric keys sorted by encoding/json so
 // committed reports diff cleanly.

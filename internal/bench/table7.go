@@ -27,7 +27,7 @@ func Table7(d *Dataset) ([]Table7Row, error) {
 }
 
 // Table7Traced is Table7 with phase tracing on: alongside the paper-layout
-// rows it returns one benchfmt-shaped Benchmark per grid cell whose metrics
+// rows it returns one report-shaped Benchmark per grid cell whose metrics
 // carry the cell's total runtime and the tracer's per-phase attribution,
 // the raw material of rpbench -json.
 func Table7Traced(d *Dataset) ([]Table7Row, []Benchmark, error) {

@@ -1,6 +1,7 @@
 package ext
 
 import (
+	"math"
 	"math/rand/v2"
 	"reflect"
 	"slices"
@@ -335,91 +336,49 @@ func TestTopKValidation(t *testing.T) {
 	}
 }
 
-func TestRulesAndRecommender(t *testing.T) {
-	// Seasonal co-purchase: jackets+gloves recur in two winter windows;
-	// sunscreen sells in summer.
+func TestOptionsValidate(t *testing.T) {
+	// Eleven rows of {a,b}: valid options find a, b and ab, so an option
+	// rejected here cannot pass for one that merely mines nothing.
 	b := tsdb.NewBuilder()
-	for ts := int64(1); ts <= 10; ts++ {
-		b.Add("jackets", ts)
-		if ts%2 == 0 {
-			b.Add("gloves", ts)
-		} else {
-			b.Add("scarf", ts)
-		}
-	}
-	for ts := int64(30); ts <= 40; ts++ {
-		b.Add("sunscreen", ts)
-	}
-	for ts := int64(60); ts <= 70; ts++ {
-		b.Add("jackets", ts)
-		b.Add("gloves", ts)
+	for ts := int64(1); ts <= 11; ts++ {
+		b.Add("a", ts)
+		b.Add("b", ts)
 	}
 	db := b.Build()
-	o := RuleOptions{
-		Options:       core.Options{Per: 2, MinPS: 3, MinRec: 2},
-		MinConfidence: 0.5,
+	base := core.Options{Per: 2, MinPS: 3, MinRec: 1}
+	for _, c := range []struct {
+		name, field string
+		mine        func() (*core.Result, error)
+	}{
+		{"negative budget", "MaxViolations", func() (*core.Result, error) {
+			return MineNoisy(db, NoiseOptions{Options: base, MaxViolations: -1})
+		}},
+		{"NaN factor", "NoiseFactor", func() (*core.Result, error) {
+			return MineNoisy(db, NoiseOptions{Options: base, MaxViolations: 2, NoiseFactor: math.NaN()})
+		}},
+		{"infinite factor", "NoiseFactor", func() (*core.Result, error) {
+			return MineNoisy(db, NoiseOptions{Options: base, MaxViolations: 2, NoiseFactor: math.Inf(1)})
+		}},
+		{"factor overflows int64", "NoiseFactor", func() (*core.Result, error) {
+			return MineNoisy(db, NoiseOptions{Options: base, MaxViolations: 2, NoiseFactor: 1e30})
+		}},
+		{"negative tolerance", "ShiftTolerance", func() (*core.Result, error) {
+			return MineShifted(db, ShiftOptions{Options: base, ShiftTolerance: -1})
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			res, err := c.mine()
+			if err == nil {
+				t.Fatalf("accepted, found %d patterns", len(res.Patterns))
+			}
+			if !strings.Contains(err.Error(), c.field) {
+				t.Errorf("error %q does not name %s", err, c.field)
+			}
+		})
 	}
-	rules, err := Rules(db, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rules) == 0 {
-		t.Fatal("no rules derived")
-	}
-	var jg *Rule
-	for i := range rules {
-		names := db.PatternNames(rules[i].Antecedent)
-		if len(names) == 1 && names[0] == "gloves" && db.Dict.Name(rules[i].Consequent) == "jackets" {
-			jg = &rules[i]
-		}
-	}
-	if jg == nil {
-		t.Fatal("rule gloves => jackets not found")
-	}
-	if jg.Confidence != 1.0 {
-		t.Errorf("gloves => jackets confidence = %f, want 1.0", jg.Confidence)
-	}
-
-	rec := NewRecommender(db, rules)
-	// In winter window: jackets recommended with gloves in the basket.
-	got := rec.Recommend([]string{"gloves"}, 65, 5)
-	found := false
-	for _, r := range got {
-		if r.Item == "jackets" {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("in-season recommendation missing jackets: %+v", got)
-	}
-	// Out of season (summer): the winter rule must not fire.
-	got = rec.Recommend([]string{"gloves"}, 35, 5)
-	for _, r := range got {
-		if r.Item == "jackets" {
-			t.Errorf("out-of-season recommendation leaked: %+v", got)
-		}
-	}
-	// Items already held are not recommended.
-	got = rec.Recommend([]string{"gloves", "jackets"}, 65, 5)
-	for _, r := range got {
-		if r.Item == "jackets" || r.Item == "gloves" {
-			t.Errorf("recommended an item already in the basket: %+v", got)
-		}
-	}
-}
-
-func TestRuleOptionsValidate(t *testing.T) {
-	bad := RuleOptions{Options: core.Options{Per: 1, MinPS: 1, MinRec: 1}, MinConfidence: 1.5}
-	if err := bad.Validate(); err == nil {
-		t.Error("MinConfidence > 1 should fail validation")
-	}
-	if _, err := Rules(mustDB(t, "1\ta\n"), bad); err == nil {
-		t.Error("Rules must reject invalid options")
-	}
-	if _, err := MineNoisy(mustDB(t, "1\ta\n"), NoiseOptions{MaxViolations: -1, Options: core.Options{Per: 1, MinPS: 1, MinRec: 1}}); err == nil {
-		t.Error("MineNoisy must reject negative budget")
-	}
-	if _, err := MineShifted(mustDB(t, "1\ta\n"), ShiftOptions{ShiftTolerance: -1, Options: core.Options{Per: 1, MinPS: 1, MinRec: 1}}); err == nil {
-		t.Error("MineShifted must reject negative tolerance")
+	// The same rows at a representable factor do mine.
+	res, err := MineNoisy(db, NoiseOptions{Options: base, MaxViolations: 2, NoiseFactor: 2})
+	if err != nil || len(res.Patterns) == 0 {
+		t.Fatalf("NoiseFactor 2: %d patterns, err %v", len(res.Patterns), err)
 	}
 }

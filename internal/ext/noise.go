@@ -1,12 +1,11 @@
-// Package ext implements extensions to the recurring pattern model that the
-// paper's Section 6 leaves as future work — noise-tolerant recurrence and
-// phase-shift tolerance — plus two utilities built on the model: top-k
-// recurring pattern mining and recurring association rules for
-// recommendation.
+// Package ext implements the recurring pattern models the paper's Section 6
+// leaves as future work: noise-tolerant recurrence, phase-shift tolerance
+// and top-k recurring pattern mining. Each runs on tsdb.Vertical.Walk.
 package ext
 
 import (
 	"fmt"
+	"math"
 
 	"github.com/recurpat/rp/internal/core"
 	"github.com/recurpat/rp/internal/tsdb"
@@ -35,6 +34,14 @@ func (o NoiseOptions) Validate() error {
 	}
 	if o.MaxViolations < 0 {
 		return fmt.Errorf("ext: MaxViolations must be non-negative, got %d", o.MaxViolations)
+	}
+	// relaxedPer converts NoiseFactor*Per to int64; a NaN, infinite or
+	// out-of-range product would convert to garbage and prune everything.
+	if math.IsNaN(o.NoiseFactor) || math.IsInf(o.NoiseFactor, 0) {
+		return fmt.Errorf("ext: NoiseFactor must be finite, got %v", o.NoiseFactor)
+	}
+	if o.NoiseFactor*float64(o.Per) >= math.MaxInt64 {
+		return fmt.Errorf("ext: NoiseFactor*Per must fit in int64, got %v*%d", o.NoiseFactor, o.Per)
 	}
 	return nil
 }

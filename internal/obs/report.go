@@ -117,7 +117,7 @@ func formatNanos(n int64) string {
 // BenchMetrics flattens the report into benchmark metric keys, per-run:
 // "<phase>-ns/op" for phase wall time and "<phase>-count/op" for phase work
 // counts, the shape `go test -bench` reports via b.ReportMetric and
-// benchfmt records into BENCH_*.json. Runs must be positive.
+// rpbenchdiff -out records into BENCH_*.json. Runs must be positive.
 func (r PhaseReport) BenchMetrics() map[string]float64 {
 	if r.Runs <= 0 {
 		return nil

@@ -56,8 +56,9 @@ type (
 type (
 	// Options holds the Per / MinPS / MinRec thresholds and execution
 	// knobs. Options.Validate reports the first violated constraint; every
-	// entry point (Mine, MineFunc, NewIncremental, the CLIs, rpserved)
-	// validates with it and reports the same error text. The constraints:
+	// entry point (the Mine and MineFunc families, NewIncremental, rpmine,
+	// rpbench, rpserved) validates with it and reports the same error
+	// text. The constraints:
 	//
 	//	Field        Constraint        Meaning when violated
 	//	Per          > 0               no inter-arrival time could be periodic
