@@ -38,7 +38,7 @@ func BenchmarkBuildRPTree(b *testing.B) {
 
 // BenchmarkBuildRPTreeShop14 builds the initial trees of the three Shop-14
 // cells of Table 7 (per 360, 720 and 1440 at minPS 0.2% and minRec 2), one
-// set per op: 59,040 transactions over 138 items, a tree far past the
+// set per op: 54,111 transactions over 138 items, a tree far past the
 // cache, where BenchmarkBuildRPTree's fits in it.
 func BenchmarkBuildRPTreeShop14(b *testing.B) {
 	db := gen.Shop(gen.DefaultShop(2))

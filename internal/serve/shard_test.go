@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -12,6 +13,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"github.com/recurpat/rp/internal/api"
 	"github.com/recurpat/rp/internal/core"
 	"github.com/recurpat/rp/internal/obs"
 	"github.com/recurpat/rp/internal/tsdb"
@@ -172,6 +174,44 @@ func TestShardMineTraceOptIn(t *testing.T) {
 	}
 	if !found {
 		t.Error("untraced shard task missing from the journal")
+	}
+}
+
+// TestWireBodiesCompact pins the response format: a /v1/mine and a
+// /v1/shard/mine body is encoding/json's compact encoding of the response
+// and a newline, one line with no indentation.
+func TestWireBodiesCompact(t *testing.T) {
+	_, hs := newTestServer(t, Config{}, nil)
+	fp := fmt.Sprintf("%016x", testDB().Fingerprint())
+	for _, tc := range []struct {
+		path, body string
+		resp       any
+	}{
+		{"/v1/mine", `{"db":"shop","per":4,"minPS":3,"minRec":1,"collectStats":true}`, new(api.MineResponse)},
+		{"/v1/shard/mine", fmt.Sprintf(`{"v":1,"fingerprint":%q,"per":4,"minPS":3,"minRec":1,"shard":0,"shards":2,"collectStats":true,"trace":true}`, fp), new(api.ShardMineResponse)},
+	} {
+		resp, err := http.Post(hs.URL+tc.path, "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d, body %s", tc.path, resp.StatusCode, got)
+		}
+		if err := json.Unmarshal(got, tc.resp); err != nil {
+			t.Fatalf("%s: decoding: %v", tc.path, err)
+		}
+		want, err := json.Marshal(tc.resp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want = append(want, '\n'); !bytes.Equal(got, want) {
+			t.Errorf("%s body is not json.Marshal of its response plus a newline:\n got %q\nwant %q", tc.path, got, want)
+		}
 	}
 }
 

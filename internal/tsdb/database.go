@@ -131,6 +131,16 @@ func (db *DB) Span() (first, last int64) {
 	return db.Trans[0].TS, db.Trans[len(db.Trans)-1].TS
 }
 
+// Rebase returns a copy of db with all timestamps shifted by delta.
+// Useful for aligning datasets collected against different epochs.
+func (db *DB) Rebase(delta int64) *DB {
+	out := &DB{Dict: db.Dict, Trans: make([]Transaction, len(db.Trans))}
+	for i, tr := range db.Trans {
+		out.Trans[i] = Transaction{TS: tr.TS + delta, Items: tr.Items}
+	}
+	return out
+}
+
 // TSList returns the ordered set of timestamps at which every item of
 // pattern occurs together, i.e. TS^X from paper Definition 2/Example 2.
 // The pattern must be sorted ascending. This is the reference (scan-based)

@@ -335,3 +335,24 @@ func TestFormatPatternAndInternPattern(t *testing.T) {
 		t.Error("InternPattern must reject unknown items")
 	}
 }
+
+func TestRebase(t *testing.T) {
+	db, err := Read(strings.NewReader("1\ta b\n5\tb c\n9\ta c\n12\tc\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	shifted := db.Rebase(100)
+	if shifted.Trans[0].TS != 101 || shifted.Trans[3].TS != 112 {
+		t.Errorf("Rebase failed: %v", shifted.Trans)
+	}
+	if err := shifted.Validate(); err != nil {
+		t.Errorf("rebased DB invalid: %v", err)
+	}
+	// Negative shifts work too.
+	back := shifted.Rebase(-100)
+	for i := range db.Trans {
+		if back.Trans[i].TS != db.Trans[i].TS {
+			t.Fatal("round trip shift failed")
+		}
+	}
+}

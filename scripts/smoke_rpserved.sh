@@ -50,16 +50,16 @@ grep -q ok <<<"$(curl -sf "http://$addr/healthz")"
 echo "== mine (cold)"
 req='{"db":"shop","per":60,"minPSPercent":2,"minRec":1,"maxLen":2}'
 cold=$(curl -sf "http://$addr/v1/mine" -d "$req")
-grep -q '"cached": false' <<<"$cold" || { echo "first mine was unexpectedly cached: $cold"; exit 1; }
+grep -q '"cached":false' <<<"$cold" || { echo "first mine was unexpectedly cached: $cold"; exit 1; }
 
 echo "== mine (cached)"
 warm=$(curl -sf "http://$addr/v1/mine" -d "$req")
-grep -q '"cached": true' <<<"$warm" || { echo "second mine missed the cache: $warm"; exit 1; }
+grep -q '"cached":true' <<<"$warm" || { echo "second mine missed the cache: $warm"; exit 1; }
 
 echo "== stats record the hit"
 stats=$(curl -sf "http://$addr/v1/stats")
-grep -q '"cacheHits": 1' <<<"$stats" || { echo "stats missing cacheHits=1: $stats"; exit 1; }
-grep -q '"mined": 1' <<<"$stats" || { echo "stats missing mined=1: $stats"; exit 1; }
+grep -q '"cacheHits":1' <<<"$stats" || { echo "stats missing cacheHits=1: $stats"; exit 1; }
+grep -q '"mined":1' <<<"$stats" || { echo "stats missing mined=1: $stats"; exit 1; }
 
 echo "== stats expose histogram bucket bounds"
 grep -q '"leNanos"' <<<"$stats" || { echo "stats buckets missing leNanos bounds: $stats"; exit 1; }
@@ -81,10 +81,10 @@ grep -q '^go_heap_inuse_bytes ' <<<"$metrics" \
 
 echo "== request journal (JSON)"
 journal=$(curl -sf "http://$addr/debug/requests?format=json")
-grep -q '"total": 2' <<<"$journal" || { echo "journal total != 2: $journal"; exit 1; }
-grep -q '"outcome": "ok"' <<<"$journal" || { echo "journal missing ok entry: $journal"; exit 1; }
-grep -q '"outcome": "cache-hit"' <<<"$journal" || { echo "journal missing cache-hit entry: $journal"; exit 1; }
-grep -q '"phase": "mine"' <<<"$journal" || { echo "journal entries lack phase breakdowns: $journal"; exit 1; }
+grep -q '"total":2' <<<"$journal" || { echo "journal total != 2: $journal"; exit 1; }
+grep -q '"outcome":"ok"' <<<"$journal" || { echo "journal missing ok entry: $journal"; exit 1; }
+grep -q '"outcome":"cache-hit"' <<<"$journal" || { echo "journal missing cache-hit entry: $journal"; exit 1; }
+grep -q '"phase":"mine"' <<<"$journal" || { echo "journal entries lack phase breakdowns: $journal"; exit 1; }
 
 echo "== request journal (HTML)"
 html=$(curl -sf "http://$addr/debug/requests")
@@ -93,13 +93,13 @@ grep -q '<title>rpserved request journal</title>' <<<"$html" \
 grep -q 'cache-hit' <<<"$html" || { echo "journal HTML missing the cache-hit row: $html"; exit 1; }
 
 echo "== per-request trace validates"
-rid=$(grep -o '"id": "[^"]*"' <<<"$journal" | head -1 | sed 's/"id": "\(.*\)"/\1/')
+rid=$(grep -o '"id":"[^"]*"' <<<"$journal" | head -1 | sed 's/"id":"\(.*\)"/\1/')
 [ -n "$rid" ] || { echo "no request id found in journal: $journal"; exit 1; }
 curl -sf "http://$addr/debug/requests/trace?id=$rid" -o "$workdir/run.json"
 "$workdir/rptrace" "$workdir/run.json"
 
 echo "== journal reports per-request cost"
-grep -q '"allocBytes": [1-9]' <<<"$journal" \
+grep -q '"allocBytes":[1-9]' <<<"$journal" \
     || { echo "no journal row reports nonzero alloc bytes: $journal"; exit 1; }
 
 echo "== on-demand CPU profile"
@@ -113,15 +113,15 @@ grep -q 'outcome=cache-hit' "$workdir/serve.log" || { echo "missing cache-hit ac
 
 echo "== dataset upload"
 up=$(curl -sf "http://$addr/v1/datasets" --data-binary @"$workdir/shop.tdb")
-fp=$(grep -o '"fingerprint": "[0-9a-f]*"' <<<"$up" | head -1 | sed 's/.*"\([0-9a-f]*\)"$/\1/')
+fp=$(grep -o '"fingerprint":"[0-9a-f]*"' <<<"$up" | head -1 | sed 's/.*"\([0-9a-f]*\)"$/\1/')
 [ ${#fp} -eq 16 ] || { echo "upload returned no fingerprint: $up"; exit 1; }
-grep -q '"existing": false' <<<"$up" || { echo "fresh upload marked existing: $up"; exit 1; }
+grep -q '"existing":false' <<<"$up" || { echo "fresh upload marked existing: $up"; exit 1; }
 echo "   registered $fp"
 
 echo "== dataset listing"
 ls_json=$(curl -sf "http://$addr/v1/datasets")
-grep -q "\"fingerprint\": \"$fp\"" <<<"$ls_json" || { echo "listing missing $fp: $ls_json"; exit 1; }
-grep -q '"count": 1' <<<"$ls_json" || { echo "listing count != 1: $ls_json"; exit 1; }
+grep -q "\"fingerprint\":\"$fp\"" <<<"$ls_json" || { echo "listing missing $fp: $ls_json"; exit 1; }
+grep -q '"count":1' <<<"$ls_json" || { echo "listing count != 1: $ls_json"; exit 1; }
 
 echo "== mine by fingerprint hits the named mine's cache entry"
 # The uploaded file is the same content as the preloaded "shop" database,
@@ -129,24 +129,24 @@ echo "== mine by fingerprint hits the named mine's cache entry"
 # dataset with the options already mined under the name is a cache hit
 # across the two addressing schemes.
 xnaming=$(curl -sf "http://$addr/v1/mine" -d "{\"dataset\":\"$fp\",\"per\":60,\"minPSPercent\":2,\"minRec\":1,\"maxLen\":2}")
-grep -q '"cached": true' <<<"$xnaming" || { echo "fp mine of identical content+options missed the cache: $xnaming"; exit 1; }
-cold_count=$(grep -o '"count": [0-9]*' <<<"$cold" | head -1)
-fp_count=$(grep -o '"count": [0-9]*' <<<"$xnaming" | head -1)
+grep -q '"cached":true' <<<"$xnaming" || { echo "fp mine of identical content+options missed the cache: $xnaming"; exit 1; }
+cold_count=$(grep -o '"count":[0-9]*' <<<"$cold" | head -1)
+fp_count=$(grep -o '"count":[0-9]*' <<<"$xnaming" | head -1)
 [ "$cold_count" = "$fp_count" ] || { echo "fp mine found $fp_count, named mine $cold_count"; exit 1; }
 
 echo "== mine by fingerprint (cold: new options)"
 fpreq="{\"dataset\":\"$fp\",\"per\":60,\"minPSPercent\":2,\"minRec\":1,\"maxLen\":3}"
 fpcold=$(curl -sf "http://$addr/v1/mine" -d "$fpreq")
-grep -q '"cached": false' <<<"$fpcold" || { echo "first fp mine with new options was cached: $fpcold"; exit 1; }
+grep -q '"cached":false' <<<"$fpcold" || { echo "first fp mine with new options was cached: $fpcold"; exit 1; }
 
 echo "== mine by fingerprint (cached: no body, no parse)"
 fpwarm=$(curl -sf "http://$addr/v1/mine" -d "$fpreq")
-grep -q '"cached": true' <<<"$fpwarm" || { echo "repeat fp mine missed the cache: $fpwarm"; exit 1; }
+grep -q '"cached":true' <<<"$fpwarm" || { echo "repeat fp mine missed the cache: $fpwarm"; exit 1; }
 
 echo "== ingest phase attributed to the upload only"
 journal2=$(curl -sf "http://$addr/debug/requests?format=json")
-grep -q '"outcome": "uploaded"' <<<"$journal2" || { echo "journal missing the upload: $journal2"; exit 1; }
-n_ingest=$(grep -c '"phase": "ingest"' <<<"$journal2" || true)
+grep -q '"outcome":"uploaded"' <<<"$journal2" || { echo "journal missing the upload: $journal2"; exit 1; }
+n_ingest=$(grep -o '"phase":"ingest"' <<<"$journal2" | wc -l || true)
 [ "$n_ingest" -eq 1 ] || { echo "want exactly 1 ingest phase entry (the upload), got $n_ingest: $journal2"; exit 1; }
 
 echo "== registry metrics"

@@ -83,12 +83,12 @@ echo "   coordinator on $coord"
 echo "== scattered /v1/mine matches the single-box response"
 req='{"db":"shop","per":60,"minPSPercent":2,"minRec":1}'
 # elapsedMS/miningMS are wall times and cached flips on repeats; everything
-# else — count, patterns, intervals — must match byte for byte (writeJSON
-# indents, so each field sits on its own line).
+# else — count, patterns, intervals — must match byte for byte. Bodies are
+# one compact line, and none of the three fields is the last one.
 curl -sf "http://$coord/v1/mine" -d "$req" \
-    | grep -vE '"(elapsedMS|miningMS|cached)":' >"$workdir/scattered.json"
+    | sed -E 's/"(elapsedMS|miningMS|cached)":[^,]*,//g' >"$workdir/scattered.json"
 curl -sf "http://$p1/v1/mine" -d "$req" \
-    | grep -vE '"(elapsedMS|miningMS|cached)":' >"$workdir/singlebox.json"
+    | sed -E 's/"(elapsedMS|miningMS|cached)":[^,]*,//g' >"$workdir/singlebox.json"
 diff "$workdir/scattered.json" "$workdir/singlebox.json" \
     || { echo "scattered response diverges from single-box"; exit 1; }
 grep -q '"partial"' "$workdir/scattered.json" \
@@ -107,7 +107,7 @@ grep -q '^rpserved_shard_peer_phase_seconds{' <<<"$metrics" \
 
 echo "== fleet trace: the scattered mine left one merged flight record"
 id=$(curl -sf "http://$coord/debug/requests?format=json" \
-    | grep -o '"id": "[^"]*"' | head -1 | cut -d'"' -f4)
+    | grep -o '"id":"[^"]*"' | head -1 | cut -d'"' -f4)
 [ -n "$id" ] || { echo "coordinator journal has no request entries"; exit 1; }
 curl -sf "http://$coord/debug/requests/trace?id=$id" >"$workdir/fleet.json"
 "$workdir/rptrace" -by-lane "$workdir/fleet.json" \
@@ -118,7 +118,7 @@ grep -q '"peer http://' "$workdir/fleet.json" \
 echo "== peer journals join on the coordinator's request id"
 joined=0
 for host in "$p1" "$p2"; do
-    curl -sf "http://$host/debug/requests?format=json" | grep -q "\"id\": \"$id\"" \
+    curl -sf "http://$host/debug/requests?format=json" | grep -q "\"id\":\"$id\"" \
         && joined=$((joined + 1))
 done
 [ "$joined" -ge 1 ] || { echo "no peer journalled shard tasks under id $id"; exit 1; }
@@ -126,7 +126,7 @@ done
 echo "== /v1/fleet/stats fans out to both peers"
 fleet=$(curl -sf "http://$coord/v1/fleet/stats")
 for peer in "http://$p1" "http://$p2"; do
-    grep -q "\"url\": \"$peer\"" <<<"$fleet" \
+    grep -q "\"url\":\"$peer\"" <<<"$fleet" \
         || { echo "fleet stats missing peer $peer: $fleet"; exit 1; }
 done
 grep -q '"error"' <<<"$fleet" && { echo "fleet stats reported a peer error: $fleet"; exit 1; }
@@ -138,7 +138,7 @@ echo "== peers recorded the shard requests"
 peer_shards=0
 for log in peer1 peer2; do
     s=$(curl -sf "http://$([ "$log" = peer1 ] && echo "$p1" || echo "$p2")/v1/stats" \
-        | grep -o '"shardRequests": [0-9]*' | grep -o '[0-9]*$')
+        | grep -o '"shardRequests":[0-9]*' | grep -o '[0-9]*$')
     peer_shards=$((peer_shards + s))
 done
 [ "$peer_shards" = "3" ] || { echo "peers saw $peer_shards shard requests, want 3"; exit 1; }
@@ -170,7 +170,7 @@ wait_log 'msg=shard-mine .*outcome=body-too-large ' "$workdir/peer1.log"
 
 echo "== repeat scattered mine is a coordinator cache hit"
 warm=$(curl -sf "http://$coord/v1/mine" -d "$req")
-grep -q '"cached": true' <<<"$warm" || { echo "repeat scattered mine missed the cache: $warm"; exit 1; }
+grep -q '"cached":true' <<<"$warm" || { echo "repeat scattered mine missed the cache: $warm"; exit 1; }
 
 echo "== graceful shutdown"
 for pid in "${pids[@]}"; do
