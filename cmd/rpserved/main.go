@@ -21,7 +21,7 @@
 //	                      addressed by content fingerprint; what a
 //	                      coordinator (-peers) sends its peers
 //	POST /v1/datasets     upload a database body (any format); it is parsed
-//	                      in parallel, registered under its content
+//	                      in one pass, registered under its content
 //	                      fingerprint, and the fingerprint returned.
 //	                      Bounded by -max-upload; the registry evicts least
 //	                      recently mined datasets past -registry-bytes /
@@ -55,9 +55,10 @@
 //
 // With -peers, this server becomes a scatter-gather coordinator: each
 // executed mine splits into -shards tasks POSTed to the peers'
-// /v1/shard/mine endpoints (consistent-hash routed, retried with backoff;
-// see -shard-*) and the merged result is byte-identical to a single-box
-// mine. Peers must serve the same database bytes — tasks pin the content
+// /v1/shard/mine endpoints (placed in plan order, so each peer homes an
+// even share of every mine's tasks; retried with backoff, see -shard-*)
+// and the merged result is byte-identical to a single-box mine. Peers
+// must serve the same database bytes — tasks pin the content
 // fingerprint. Shard RPCs carry the coordinator's request
 // id (X-Request-Id and the requestID body field), so every server's
 // /debug/requests journal joins on it, and traced mines collect each
@@ -250,7 +251,7 @@ func loadDatabases(dbSpecs, datasetSpecs []string) (map[string]*tsdb.DB, error) 
 		if _, dup := dbs[name]; dup {
 			return nil, fmt.Errorf("duplicate database name %q", name)
 		}
-		db, err := readDBFile(path)
+		db, err := tsdb.ReadFile(path)
 		if err != nil {
 			return nil, fmt.Errorf("-db %s: %w", spec, err)
 		}
@@ -271,13 +272,6 @@ func loadDatabases(dbSpecs, datasetSpecs []string) (map[string]*tsdb.DB, error) 
 		dbs[name] = d.DB
 	}
 	return dbs, nil
-}
-
-// readDBFile loads any on-disk format: text parses through the parallel
-// ingest path, v2 mapped files build their view without a per-item decode
-// loop. The database is heap-backed (no mmap lifetime to manage).
-func readDBFile(path string) (*tsdb.DB, error) {
-	return tsdb.ReadFile(path)
 }
 
 // parseDatasetSpec splits "name[:scale[:seed]]", defaulting to the paper's

@@ -108,13 +108,15 @@ type Config struct {
 
 	// Peers, when non-empty, turns this server into a scatter-gather
 	// coordinator: each executed /v1/mine splits into Shards tasks POSTed
-	// to the peers' /v1/shard/mine endpoints (consistent-hash routed on
-	// the database fingerprint and shard index) and the partials merge
-	// into a result byte-identical to a single-box mine. Peers must serve
-	// the same database bytes; tasks pin the content fingerprint.
+	// to the peers' /v1/shard/mine endpoints (placed in plan order, so
+	// each peer homes an even share of every mine's tasks) and the
+	// partials merge into a result byte-identical to a single-box mine.
+	// Peers must serve the same database bytes; tasks pin the content
+	// fingerprint.
 	Peers []string
 	// Shards is the number of shard tasks per mine in peers mode.
-	// 0 → len(Peers).
+	// 0 → len(Peers). NewServer rejects a negative value, and a non-zero
+	// value without Peers.
 	Shards int
 	// ShardTimeout, ShardRetries and ShardBackoff tune the shard HTTP
 	// client; zero values resolve per shard.ClientConfig (30s timeout, 2
@@ -241,6 +243,12 @@ type Server struct {
 // may be empty: a registry-only server starts with no preloaded databases
 // and serves whatever clients upload to POST /v1/datasets.
 func NewServer(cfg Config, dbs map[string]*tsdb.DB) (*Server, error) {
+	if cfg.Shards < 0 {
+		return nil, fmt.Errorf("serve: Config.Shards must not be negative, got %d", cfg.Shards)
+	}
+	if cfg.Shards != 0 && len(cfg.Peers) == 0 {
+		return nil, fmt.Errorf("serve: Config.Shards is %d but Config.Peers is empty; shards are scattered only over peers", cfg.Shards)
+	}
 	cfg = cfg.withDefaults()
 	s := &Server{
 		cfg:      cfg,

@@ -286,6 +286,37 @@ func TestMineRejectsFutureVersion(t *testing.T) {
 	}
 }
 
+// TestNewServerValidatesShards: a negative shard count, or a shard count
+// with no peers to scatter over, is a startup error naming the field, not
+// a failure of every later mine or a silently ignored setting.
+func TestNewServerValidatesShards(t *testing.T) {
+	peers := []string{"http://127.0.0.1:1", "http://127.0.0.1:2"}
+	for _, c := range []struct {
+		name    string
+		cfg     Config
+		wantErr string // "" → NewServer must succeed
+	}{
+		{"no peers, no shards", Config{}, ""},
+		{"peers, default shards", Config{Peers: peers}, ""},
+		{"peers, 3 shards", Config{Peers: peers, Shards: 3}, ""},
+		{"peers, negative shards", Config{Peers: peers, Shards: -1}, "Shards"},
+		{"no peers, negative shards", Config{Shards: -1}, "Shards"},
+		{"no peers, 3 shards", Config{Shards: 3}, "Peers"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			_, err := NewServer(c.cfg, nil)
+			switch {
+			case c.wantErr == "" && err != nil:
+				t.Fatalf("NewServer: %v", err)
+			case c.wantErr != "" && err == nil:
+				t.Fatalf("NewServer accepted %+v", c.cfg)
+			case c.wantErr != "" && !strings.Contains(err.Error(), "Config."+c.wantErr):
+				t.Fatalf("error %q does not name Config.%s", err, c.wantErr)
+			}
+		})
+	}
+}
+
 // TestPeersModeCoordinator stands up two real peer servers and a
 // coordinator configured with -peers semantics, and pins the gathered
 // /v1/mine response against a single-box server over the same database.
@@ -393,8 +424,7 @@ func TestFleetTraceAndStats(t *testing.T) {
 	}
 	p1, p2 := newPeer(), newPeer()
 
-	// 16 tasks over 2 peers: the consistent-hash ring homes every task
-	// independently, so both peers end up serving some.
+	// 16 tasks over 2 peers: plan-order placement homes 8 on each.
 	coord, err := NewServer(Config{Peers: []string{p1.URL, p2.URL}, Shards: 16},
 		map[string]*tsdb.DB{"shop": db})
 	if err != nil {

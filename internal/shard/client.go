@@ -23,8 +23,8 @@ import (
 // resolves to the documented default.
 type ClientConfig struct {
 	// Peers are the base URLs of the rpserved peers ("http://host:port").
-	// At least one is required; order does not matter (the ring hashes
-	// them).
+	// At least one is required; order, duplicates and trailing slashes do
+	// not matter.
 	Peers []string
 	// Timeout bounds one POST attempt, connection and body included.
 	// 0 → 30s, negative → no per-attempt bound (the request context still
@@ -37,10 +37,6 @@ type ClientConfig struct {
 	// Backoff is the delay before the first retry, doubling per retry.
 	// 0 → 100ms, negative → none.
 	Backoff time.Duration
-	// HTTPClient overrides the transport; nil uses http.DefaultClient.
-	// Per-attempt timeouts come from Timeout via the request context, so
-	// the client's own Timeout field should stay zero.
-	HTTPClient *http.Client
 }
 
 func (c ClientConfig) withDefaults() ClientConfig {
@@ -61,9 +57,6 @@ func (c ClientConfig) withDefaults() ClientConfig {
 	}
 	if c.Backoff < 0 {
 		c.Backoff = 0
-	}
-	if c.HTTPClient == nil {
-		c.HTTPClient = http.DefaultClient
 	}
 	return c
 }
@@ -101,14 +94,12 @@ type PeerStats struct {
 }
 
 // Client executes shard tasks on remote rpserved peers over HTTP: POST
-// /v1/shard/mine with consistent-hash routing on (fingerprint, shard
-// index) and bounded retries with exponential backoff walking the task's
-// failover sequence, one request per attempt. A Client is safe for
+// /v1/shard/mine placed in plan order (peerFor), one request per attempt,
+// with bounded retries and exponential backoff. A Client is safe for
 // concurrent use; one serves every task of a coordinator's scatter.
 type Client struct {
 	cfg   ClientConfig
-	ring  ring
-	peers []*peerCounters // sorted by URL; ring peer indexes point here
+	peers []*peerCounters // sorted by URL; peerFor indexes into this order
 }
 
 // NewClient builds a client over the configured peer set.
@@ -123,18 +114,17 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 	}
 	slices.Sort(urls)
 	urls = slices.Compact(urls)
-	r, err := newRing(urls)
-	if err != nil {
-		return nil, err
+	if len(urls) == 0 {
+		return nil, fmt.Errorf("shard: a client needs at least one peer")
 	}
-	c := &Client{cfg: cfg.withDefaults(), ring: r}
+	c := &Client{cfg: cfg.withDefaults()}
 	for _, u := range urls {
 		c.peers = append(c.peers, &peerCounters{url: u})
 	}
 	return c, nil
 }
 
-// Peers reports the deduplicated, sorted peer URLs the client routes over.
+// Peers reports the deduplicated, sorted peer URLs peerFor indexes.
 func (c *Client) Peers() []string {
 	urls := make([]string, len(c.peers))
 	for i, p := range c.peers {
@@ -199,12 +189,20 @@ func (te *taskEvents) take() []obs.PeerEvent {
 	return slices.Clone(te.events)
 }
 
-// Execute runs one shard task remotely: the task's failover sequence comes
-// off the ring, the first attempt goes to its home peer, and each failed
-// attempt moves to the next peer after a doubling backoff, up to Retries
-// re-dispatches. A context error stops retrying immediately — the caller
-// cancelled or the scatter was failed fast; backoff waits also abort on
-// ctx.
+// peerFor returns the peer attempt a of task t goes to: task i homes on
+// sorted peer (FP + i) mod n, so no peer homes more than ⌈Count/n⌉ of a
+// plan's tasks, and retry a moves a peers on, so the first n attempts
+// visit every peer once.
+func (c *Client) peerFor(t Task, a int) int {
+	n := uint64(len(c.peers))
+	return int((t.FP%n + uint64(t.Index)%n + uint64(a)%n) % n)
+}
+
+// Execute runs one shard task remotely: the first attempt goes to the
+// task's home peer, and each failed attempt moves to the next peer after
+// a doubling backoff, up to Retries re-dispatches. A context error stops
+// retrying immediately — the caller cancelled or the scatter was failed
+// fast; backoff waits also abort on ctx.
 //
 // Trace context propagates both ways: a request ID on ctx
 // (obs.WithRequestID) rides in the body and the X-Request-Id header so the
@@ -230,7 +228,6 @@ func (c *Client) Execute(ctx context.Context, db *tsdb.DB, o core.Options, t Tas
 	if tl != nil {
 		te = &taskEvents{tl: tl}
 	}
-	seq := c.ring.sequence(t.key())
 	var lastErr error
 	for attempt := 0; attempt <= c.cfg.Retries; attempt++ {
 		if err := ctx.Err(); err != nil {
@@ -239,15 +236,15 @@ func (c *Client) Execute(ctx context.Context, db *tsdb.DB, o core.Options, t Tas
 			}
 			return nil, err
 		}
+		peer := c.peerFor(t, attempt)
 		if attempt > 0 {
-			peer := seq[attempt%len(seq)]
 			c.peers[peer].retries.Add(1)
 			te.add(fmt.Sprintf("retry %d -> %s", attempt, c.peers[peer].url))
 			if !sleep(ctx, c.cfg.Backoff<<(attempt-1)) {
 				return nil, lastErr
 			}
 		}
-		p, err := c.post(ctx, db, body, t, seq[attempt%len(seq)], reqID, te)
+		p, err := c.post(ctx, db, body, t, peer, reqID, te)
 		if err == nil {
 			return p, nil
 		}
@@ -300,7 +297,7 @@ func (c *Client) post(ctx context.Context, db *tsdb.DB, body []byte, t Task, pee
 		req.Header.Set("X-Request-Id", reqID)
 	}
 	send := obs.Now()
-	resp, err := c.cfg.HTTPClient.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return nil, fmt.Errorf("shard: peer %s: %w", pc.url, err)
 	}
@@ -390,7 +387,7 @@ func (c *Client) fetchStats(ctx context.Context, url string) PeerStatsBody {
 	if err != nil {
 		return PeerStatsBody{URL: url, Err: err}
 	}
-	resp, err := c.cfg.HTTPClient.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return PeerStatsBody{URL: url, Err: fmt.Errorf("peer %s: %w", url, err)}
 	}

@@ -130,7 +130,8 @@ func TestNewClientValidation(t *testing.T) {
 }
 
 // TestClientRemoteEquivalence mines through two real HTTP stub peers and
-// pins the result against the single-box mine.
+// pins the result against the single-box mine, and the 2/1 split of its 3
+// tasks over the 2 peers.
 func TestClientRemoteEquivalence(t *testing.T) {
 	db := testDB(11, 10, 50, 0.4)
 	p1, p2 := newStubPeer(t, db), newStubPeer(t, db)
@@ -165,16 +166,24 @@ func TestClientRemoteEquivalence(t *testing.T) {
 	if success != 3 {
 		t.Errorf("success counters sum to %d, want 3", success)
 	}
-	// A single fingerprint's 3 tasks may legitimately all home on one peer;
-	// only the total matters here (spread over many plans is pinned by
-	// TestRingSpreadsTasks).
-	if total := p1.requests.Load() + p2.requests.Load(); total != 3 {
-		t.Errorf("peers served %d requests, want 3", total)
+	// Tasks 0 and 2 home on sorted peer FP mod 2, task 1 on the other.
+	byURL := map[string]int64{p1.srv.URL: p1.requests.Load(), p2.srv.URL: p2.requests.Load()}
+	first := client.Peers()[db.Fingerprint()%2]
+	for u, n := range byURL {
+		want := int64(1)
+		if u == first {
+			want = 2
+		}
+		if n != want {
+			t.Errorf("peer %s served %d requests, want %d (split %v)", u, n, want, byURL)
+		}
 	}
 }
 
 // TestClientRetriesFailover exercises retry-with-backoff onto the next
-// ring peer when the home peer errors.
+// peer when the home peer errors. With 2 tasks over 2 peers exactly one
+// task homes on the always-failing peer: it fails there once and its one
+// retry lands on the healthy peer.
 func TestClientRetriesFailover(t *testing.T) {
 	db := testDB(13, 8, 40, 0.4)
 	bad, good := newStubPeer(t, db), newStubPeer(t, db)
@@ -205,11 +214,14 @@ func TestClientRetriesFailover(t *testing.T) {
 		retries += ps.Retries
 		failures += ps.Failure
 	}
-	if bad.requests.Load() > 0 && (failures == 0) {
-		t.Errorf("bad peer served %d requests but no failures counted", bad.requests.Load())
+	if n := bad.requests.Load(); n != 1 {
+		t.Errorf("failing peer saw %d requests, want 1", n)
 	}
-	if bad.requests.Load() > 0 && retries == 0 {
-		t.Error("failover happened but no retries counted")
+	if n := good.requests.Load(); n != 2 {
+		t.Errorf("healthy peer saw %d requests, want 2", n)
+	}
+	if failures != 1 || retries != 1 {
+		t.Errorf("failures = %d, retries = %d, want 1 and 1", failures, retries)
 	}
 }
 

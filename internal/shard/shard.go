@@ -14,8 +14,9 @@
 //     derives the same plan independently.
 //   - Executors: Local mines a task in-process through
 //     core.MineShardContext; Client POSTs it to a remote rpserved peer's
-//     /v1/shard/mine, with consistent-hash routing, per-task timeouts,
-//     bounded retries with backoff, one request per attempt.
+//     /v1/shard/mine, placing a plan's tasks on consecutive peers, with
+//     per-task timeouts, bounded retries with backoff, one request per
+//     attempt.
 //   - Reducer (Reduce): concatenates shard pattern sets and canonicalizes.
 //     Canonical order is a total order on unique item sets and the tasks
 //     partition the pattern set, so the merged output is byte-identical to
@@ -29,9 +30,7 @@
 package shard
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 
 	"github.com/recurpat/rp/internal/core"
 )
@@ -50,20 +49,6 @@ type Task struct {
 
 // Spec is the task's core-level shard restriction.
 func (t Task) Spec() core.ShardSpec { return core.ShardSpec{Index: t.Index, Count: t.Count} }
-
-// key is the task's consistent-hash routing key: finalized FNV-1a over
-// the database fingerprint and the shard index, so one dataset's tasks
-// spread over the ring rather than dogpiling the peer that owns the
-// fingerprint (see mix64 for why the finalizer matters).
-func (t Task) key() uint64 {
-	h := fnv.New64a()
-	var b [8]byte
-	binary.BigEndian.PutUint64(b[:], t.FP)
-	_, _ = h.Write(b[:])
-	binary.BigEndian.PutUint64(b[:], uint64(t.Index))
-	_, _ = h.Write(b[:])
-	return mix64(h.Sum64())
-}
 
 // Plan splits one mine over the fingerprinted database into count tasks.
 // count must be positive.

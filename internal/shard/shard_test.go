@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -66,60 +67,86 @@ func TestParsePolicy(t *testing.T) {
 	}
 }
 
-func TestRingDeterministicSequences(t *testing.T) {
-	urls := []string{"http://a:1", "http://b:1", "http://c:1"}
-	r1, err := newRing(urls)
+// Placement walks the sorted peer list as a ring: task i of a plan homes
+// on peer (FP + i) mod P and attempt a goes a peers further round.
+// placementFixtures builds a client over P peers and one over the same
+// peer set listed backwards, each URL twice, once with a trailing slash.
+func placementFixtures(t *testing.T, peers int) (urls []string, c, cv *Client) {
+	t.Helper()
+	var variant []string
+	for i := 0; i < peers; i++ {
+		urls = append(urls, fmt.Sprintf("http://peer%d:1", i))
+	}
+	for i := peers - 1; i >= 0; i-- {
+		variant = append(variant, urls[i]+"/", urls[i])
+	}
+	c, err := NewClient(ClientConfig{Peers: urls})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, _ := newRing(urls)
-	for key := uint64(0); key < 64; key++ {
-		s1, s2 := r1.sequence(key*0x9e3779b97f4a7c15), r2.sequence(key*0x9e3779b97f4a7c15)
-		if len(s1) != len(urls) || len(s2) != len(urls) {
-			t.Fatalf("sequence for key %d has %d/%d peers, want %d", key, len(s1), len(s2), len(urls))
-		}
-		seen := make(map[int]bool)
-		for i := range s1 {
-			if s1[i] != s2[i] {
-				t.Fatalf("ring sequences diverge for key %d: %v vs %v", key, s1, s2)
+	cv, err = NewClient(ClientConfig{Peers: variant})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return urls, c, cv
+}
+
+var placementFPs = []uint64{0, 1, 0xdeadbeefcafe, math.MaxUint64}
+
+// TestRingDeterministicSequences pins each task's failover sequence: its
+// first P attempts visit every peer exactly once, and the sequence depends
+// only on the fingerprint and the peer set (not on the order, duplicates
+// or trailing slashes of the peer list).
+func TestRingDeterministicSequences(t *testing.T) {
+	for peers := 2; peers <= 7; peers++ {
+		_, c, cv := placementFixtures(t, peers)
+		sorted, sortedV := c.Peers(), cv.Peers()
+		for count := 1; count <= 3*peers; count++ {
+			for _, fp := range placementFPs {
+				for _, task := range mustPlan(t, fp, count) {
+					seen := make(map[int]bool)
+					for a := 0; a < peers; a++ {
+						p := c.peerFor(task, a)
+						if got := sortedV[cv.peerFor(task, a)]; got != sorted[p] {
+							t.Fatalf("P=%d C=%d fp=%x task %d attempt %d: peer %s, %s under a permuted peer list",
+								peers, count, fp, task.Index, a, sorted[p], got)
+						}
+						seen[p] = true
+					}
+					if len(seen) != peers {
+						t.Fatalf("P=%d C=%d fp=%x task %d: %d attempts visit %d distinct peers",
+							peers, count, fp, task.Index, peers, len(seen))
+					}
+				}
 			}
-			if seen[s1[i]] {
-				t.Fatalf("sequence repeats peer %d: %v", s1[i], s1)
-			}
-			seen[s1[i]] = true
 		}
 	}
-	if _, err := newRing(nil); err == nil {
+	if _, err := NewClient(ClientConfig{}); err == nil {
 		t.Error("want error for empty peer set")
 	}
 }
 
+// TestRingSpreadsTasks pins the per-plan spread: every peer homes ⌊C/P⌋
+// or ⌈C/P⌉ of a plan's C tasks.
 func TestRingSpreadsTasks(t *testing.T) {
-	r, err := newRing([]string{"http://a:1", "http://b:1", "http://c:1", "http://d:1"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Tasks of many plans should land on more than one home peer.
-	homes := make(map[int]int)
-	for fp := uint64(1); fp <= 32; fp++ {
-		tasks, _ := Plan(fp, 4)
-		for _, task := range tasks {
-			homes[r.sequence(task.key())[0]]++
+	for peers := 2; peers <= 7; peers++ {
+		urls, c, _ := placementFixtures(t, peers)
+		sorted := c.Peers()
+		for count := 1; count <= 3*peers; count++ {
+			for _, fp := range placementFPs {
+				homes := make(map[string]int)
+				for _, task := range mustPlan(t, fp, count) {
+					homes[sorted[c.peerFor(task, 0)]]++
+				}
+				lo, hi := count/peers, (count+peers-1)/peers
+				for _, u := range urls {
+					if n := homes[u]; n < lo || n > hi {
+						t.Fatalf("P=%d C=%d fp=%x: peer %s homes %d tasks, want %d..%d (%v)",
+							peers, count, fp, u, n, lo, hi, homes)
+					}
+				}
+			}
 		}
-	}
-	if len(homes) < 2 {
-		t.Errorf("all tasks homed on one peer: %v", homes)
-	}
-	// The tasks of ONE plan must spread too: their keys share the
-	// fingerprint prefix, which is exactly the similar-input case the
-	// mix64 finalizer exists for (without it a whole plan dogpiles one
-	// peer and scatter-gather degenerates to a proxy).
-	within := make(map[int]int)
-	for _, task := range mustPlan(t, 0xdeadbeefcafe, 16) {
-		within[r.sequence(task.key())[0]]++
-	}
-	if len(within) < 2 {
-		t.Errorf("all 16 tasks of one plan homed on one peer: %v", within)
 	}
 }
 

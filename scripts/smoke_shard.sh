@@ -99,6 +99,10 @@ metrics=$(curl -sf "http://$coord/metrics")
 for peer in "http://$p1" "http://$p2"; do
     grep -q "^rpserved_shard_peer_success_total{peer=\"$peer\"} " <<<"$metrics" \
         || { echo "metrics missing success counter for $peer:"; echo "$metrics" | grep shard_peer || true; exit 1; }
+    # Plan-order placement homes 2 of the 3 tasks on one peer and 1 on
+    # the other, so every peer served at least one.
+    n=$(grep "^rpserved_shard_peer_success_total{peer=\"$peer\"} " <<<"$metrics" | awk '{print $2}')
+    [ "$n" -ge 1 ] || { echo "peer $peer served $n scattered tasks, want >= 1"; exit 1; }
 done
 total=$(grep '^rpserved_shard_peer_success_total' <<<"$metrics" | awk '{s+=$2} END {print s}')
 [ "$total" = "3" ] || { echo "peer success counters sum to $total, want 3"; exit 1; }
@@ -116,12 +120,17 @@ grep -q '"peer http://' "$workdir/fleet.json" \
     || { echo "merged trace has no peer lanes"; exit 1; }
 
 echo "== peer journals join on the coordinator's request id"
-joined=0
-for host in "$p1" "$p2"; do
-    curl -sf "http://$host/debug/requests?format=json" | grep -q "\"id\":\"$id\"" \
-        && joined=$((joined + 1))
+# Peers journal a task just after answering it, so poll briefly.
+for _ in $(seq 1 50); do
+    joined=0
+    for host in "$p1" "$p2"; do
+        curl -sf "http://$host/debug/requests?format=json" | grep -q "\"id\":\"$id\"" \
+            && joined=$((joined + 1))
+    done
+    [ "$joined" = "2" ] && break
+    sleep 0.1
 done
-[ "$joined" -ge 1 ] || { echo "no peer journalled shard tasks under id $id"; exit 1; }
+[ "$joined" = "2" ] || { echo "$joined of 2 peers journalled shard tasks under id $id"; exit 1; }
 
 echo "== /v1/fleet/stats fans out to both peers"
 fleet=$(curl -sf "http://$coord/v1/fleet/stats")
@@ -151,8 +160,7 @@ for _ in $(seq 1 50); do
     sleep 0.1
 done
 [ "$served" = "3" ] || { echo "peers logged $served served shard tasks, want 3"; exit 1; }
-# The ring may home all three scattered tasks on one peer, so every peer
-# also gets one task posted directly.
+# Every peer also gets one task posted directly, outside any scatter.
 for host in "$p1" "$p2"; do
     curl -sf "http://$host/v1/shard/mine" \
         -d '{"v":1,"db":"shop","per":60,"minPSPercent":2,"minRec":1,"shard":0,"shards":2}' >/dev/null \
