@@ -41,23 +41,21 @@ func run(args []string, dst, errDst io.Writer) error {
 	out := cliio.NewWriter(dst)
 	fs := flag.NewFlagSet("rpmine", flag.ContinueOnError)
 	var (
-		input      = fs.String("input", "-", "transaction file to mine ('-' for stdin)")
-		per        = fs.Int64("per", 0, "period threshold (required, timestamp units)")
-		minPS      = fs.Int("minps", 0, "minimum periodic support (absolute)")
-		minPSPct   = fs.Float64("minps-pct", 0, "minimum periodic support as a percentage of |TDB| (alternative to -minps)")
-		minRec     = fs.Int("minrec", 1, "minimum recurrence")
-		maxLen     = fs.Int("maxlen", 0, "maximum pattern length (0 = unlimited)")
-		parallel   = fs.Int("parallel", 0, "mine top-level items with this many goroutines (0/1 = sequential)")
-		shards     = fs.Int("shards", 0, "mine as this many scatter-gather shard tasks (0/1 = off; output is identical)")
-		stats      = fs.Bool("stats", false, "print database and search statistics")
-		tsv        = fs.Bool("tsv", false, "tab-separated output instead of the pattern notation")
-		format     = fs.String("format", "", "output format: text (default), tsv, json or csv")
-		cpuProf    = fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
-		memProf    = fs.String("memprofile", "", "write a heap profile to this file on exit")
-		phases     = fs.Bool("phases", false, "print a per-phase time and work breakdown to stderr after mining")
-		traceOut   = fs.String("trace-out", "", "record the run and write its span timeline as Chrome trace-event JSON to this file (open in Perfetto)")
-		traceSpans = fs.Int("trace-spans", 0, "span retention cap for -trace-out (0 = default; past it only aggregates are kept)")
-		verbose    = fs.Bool("v", false, "structured progress logs on stderr")
+		input    = fs.String("input", "-", "transaction file to mine ('-' for stdin)")
+		per      = fs.Int64("per", 0, "period threshold (required, timestamp units)")
+		minPS    = fs.Int("minps", 0, "minimum periodic support (absolute)")
+		minPSPct = fs.Float64("minps-pct", 0, "minimum periodic support as a percentage of |TDB| (alternative to -minps)")
+		minRec   = fs.Int("minrec", 1, "minimum recurrence")
+		maxLen   = fs.Int("maxlen", 0, "maximum pattern length (0 = unlimited)")
+		parallel = fs.Int("parallel", 0, "mine top-level items with this many goroutines (0/1 = sequential)")
+		shards   = fs.Int("shards", 0, "mine as this many scatter-gather shard tasks (0/1 = off; output is identical)")
+		stats    = fs.Bool("stats", false, "print database and search statistics")
+		format   = fs.String("format", "text", "output format: text, tsv, json or csv")
+		cpuProf  = fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
+		memProf  = fs.String("memprofile", "", "write a heap profile to this file on exit")
+		phases   = fs.Bool("phases", false, "print a per-phase time and work breakdown to stderr after mining")
+		traceOut = fs.String("trace-out", "", "record the run and write its span timeline as Chrome trace-event JSON to this file (open in Perfetto)")
+		verbose  = fs.Bool("v", false, "structured progress logs on stderr")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -79,21 +77,18 @@ func run(args []string, dst, errDst io.Writer) error {
 	}
 	var tl *rp.Timeline
 	if *traceOut != "" {
-		if *traceSpans < 0 {
-			return fmt.Errorf("-trace-spans must be >= 0, got %d", *traceSpans)
-		}
 		// Recording needs a trace to hang off; -trace-out alone implies one.
 		if o.Trace == nil {
 			o.Trace = rp.NewTrace()
 		}
-		tl = rp.NewTimeline(*traceSpans)
+		tl = rp.NewTimeline(rp.DefaultTimelineSpans)
 		o.Trace.AttachTimeline(tl)
 	}
 	if *shards < 0 {
 		return fmt.Errorf("-shards must be >= 0, got %d", *shards)
 	}
 	err := cliio.Profile(*cpuProf, *memProf, func() error {
-		return mine(*input, *minPSPct, *shards, *stats, *tsv, *format, o, out, logger)
+		return mine(*input, *minPSPct, *shards, *stats, *format, o, out, logger)
 	})
 	if err == nil && tl != nil {
 		if werr := writeTrace(*traceOut, *input, tl); werr != nil {
@@ -126,7 +121,7 @@ func writeTrace(path, input string, tl *rp.Timeline) error {
 
 // mine loads the database, runs the miner and renders the result; split from
 // run so the profiling wrapper brackets exactly the load-mine-print work.
-func mine(input string, minPSPct float64, shards int, stats, tsv bool, format string, o rp.Options, out *cliio.Writer, logger *slog.Logger) error {
+func mine(input string, minPSPct float64, shards int, stats bool, format string, o rp.Options, out *cliio.Writer, logger *slog.Logger) error {
 	loadStart := obs.Now()
 	var db *rp.DB
 	if input == "-" {
@@ -167,16 +162,12 @@ func mine(input string, minPSPct float64, shards int, stats, tsv bool, format st
 		// and reducer the -peers serving mode uses, minus the network. The
 		// pattern set is byte-identical to the direct mine.
 		c := &shard.Coordinator{Count: shards, Exec: shard.Local{}}
-		sres, serr := c.Mine(context.Background(), db, o)
-		if serr != nil {
-			return serr
-		}
-		res = sres.Result
+		res, err = c.Mine(context.Background(), db, o)
 	} else {
 		res, err = rp.MineRaw(db, o)
-		if err != nil {
-			return err
-		}
+	}
+	if err != nil {
+		return err
 	}
 	logger.Info("mining done", "patterns", len(res.Patterns),
 		"per", o.Per, "minPS", o.MinPS, "minRec", o.MinRec,
@@ -188,14 +179,7 @@ func mine(input string, minPSPct float64, shards int, stats, tsv bool, format st
 		fmt.Fprintf(out, "# patterns: %d (max length %d)\n", len(res.Patterns), res.MaxLen())
 	}
 
-	mode := format
-	if mode == "" {
-		mode = "text"
-		if tsv {
-			mode = "tsv"
-		}
-	}
-	switch mode {
+	switch format {
 	case "json", "csv":
 		named := make([]rp.Pattern, len(res.Patterns))
 		for i, p := range res.Patterns {
@@ -206,7 +190,7 @@ func mine(input string, minPSPct float64, shards int, stats, tsv bool, format st
 				Intervals:  p.Intervals,
 			}
 		}
-		if mode == "json" {
+		if format == "json" {
 			return rp.WritePatternsJSON(out, named)
 		}
 		return rp.WritePatternsCSV(out, named)
@@ -225,7 +209,7 @@ func mine(input string, minPSPct float64, shards int, stats, tsv bool, format st
 			fmt.Fprintln(out, p.Format(db.Dict))
 		}
 	default:
-		return fmt.Errorf("unknown format %q (want text, tsv, json or csv)", mode)
+		return fmt.Errorf("unknown format %q (want text, tsv, json or csv)", format)
 	}
 	return out.Err()
 }

@@ -56,10 +56,11 @@
 // With -peers, this server becomes a scatter-gather coordinator: each
 // executed mine splits into -shards tasks POSTed to the peers'
 // /v1/shard/mine endpoints (placed in plan order, so each peer homes an
-// even share of every mine's tasks; retried with backoff, see -shard-*)
-// and the merged result is byte-identical to a single-box mine. Peers
-// must serve the same database bytes — tasks pin the content
-// fingerprint. Shard RPCs carry the coordinator's request
+// even share of every mine's tasks; a failed task is retried twice on the
+// next peers with backoff) and the merged result is byte-identical to a
+// single-box mine. A task that fails every attempt fails the mine: there
+// are no partial results. Peers must serve the same database bytes — tasks
+// pin the content fingerprint. Shard RPCs carry the coordinator's request
 // id (X-Request-Id and the requestID body field), so every server's
 // /debug/requests journal joins on it, and traced mines collect each
 // peer's span timeline into one merged, clock-aligned flight record —
@@ -122,26 +123,18 @@ func run(args []string, logDst io.Writer) error {
 	var (
 		listen       = fs.String("listen", "127.0.0.1:8080", "address to listen on (:0 picks a free port)")
 		maxConc      = fs.Int("max-concurrent", 0, "max simultaneous mines (0 = GOMAXPROCS)")
-		maxQueue     = fs.Int("max-queue", 0, "max queued mine requests (0 = 4x max-concurrent, <0 = none)")
-		queueTimeout = fs.Duration("queue-timeout", 0, "max wait for a mining slot (0 = 1s, <0 = unbounded)")
+		maxQueue     = fs.Int("max-queue", 0, "max queued mine requests (0 = 4x max-concurrent, <0 = no queue)")
 		mineTimeout  = fs.Duration("mine-timeout", 0, "server-side limit per mining run (0 = none)")
-		cacheSize    = fs.Int("cache-size", 0, "result cache entries (0 = 64, <0 = disabled)")
+		cacheSize    = fs.Int("cache-size", 0, "result cache entries (0 = 64)")
 		maxPar       = fs.Int("max-parallelism", 0, "cap on per-request parallelism (0 = GOMAXPROCS)")
 		drainTimeout = fs.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight mines")
-		maxBody      = fs.Int64("max-body", 0, "request body size limit in bytes (0 = 1 MiB, <0 = unlimited)")
-		maxUpload    = fs.Int64("max-upload", 0, "dataset upload size limit in bytes (0 = 64 MiB, <0 = unlimited)")
-		regBytes     = fs.Int64("registry-bytes", 0, "dataset registry memory budget in bytes (0 = 256 MiB, <0 = unbounded)")
-		regEntries   = fs.Int("registry-entries", 0, "dataset registry entry cap (0 = 64, <0 = unbounded)")
-		journalSize  = fs.Int("journal-size", 0, "request journal entries behind /debug/requests (0 = 64, <0 = disabled)")
-		slowThresh   = fs.Duration("slow-threshold", 0, "elapsed time that puts a request in the journal's slow bucket (0 = 500ms, <0 = none)")
-		traceSpans   = fs.Int("trace-spans", 0, "span retention cap per recorded mine (0 = default, <0 = no timelines)")
+		maxBody      = fs.Int64("max-body", 0, "request body size limit in bytes (0 = 1 MiB)")
+		maxUpload    = fs.Int64("max-upload", 0, "dataset upload size limit in bytes (0 = 64 MiB)")
+		regBytes     = fs.Int64("registry-bytes", 0, "dataset registry memory budget in bytes (0 = 256 MiB)")
+		regEntries   = fs.Int("registry-entries", 0, "dataset registry entry cap (0 = 64)")
 		pprofOn      = fs.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 		quiet        = fs.Bool("quiet", false, "suppress the per-request access log")
 		shards       = fs.Int("shards", 0, "shard tasks per mine in -peers mode (0 = one per peer)")
-		shardTimeout = fs.Duration("shard-timeout", 0, "per-shard-request timeout in -peers mode (0 = 30s)")
-		shardRetries = fs.Int("shard-retries", 0, "retries per failed shard task (0 = 2, <0 = none)")
-		shardBackoff = fs.Duration("shard-backoff", 0, "initial retry backoff, doubling per retry (0 = 100ms)")
-		shardPolicy  = fs.String("shard-policy", "", "partial-failure policy in -peers mode: fail-fast (default) or best-effort")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -161,7 +154,6 @@ func run(args []string, logDst io.Writer) error {
 	srv, err := serve.NewServer(serve.Config{
 		MaxConcurrent:      *maxConc,
 		MaxQueue:           *maxQueue,
-		QueueTimeout:       *queueTimeout,
 		MineTimeout:        *mineTimeout,
 		CacheSize:          *cacheSize,
 		MaxParallelism:     *maxPar,
@@ -169,17 +161,10 @@ func run(args []string, logDst io.Writer) error {
 		MaxUpload:          *maxUpload,
 		RegistryMaxBytes:   *regBytes,
 		RegistryMaxEntries: *regEntries,
-		JournalSize:        *journalSize,
-		SlowThreshold:      *slowThresh,
-		TimelineSpans:      *traceSpans,
 		Logger:             logger,
 		Pprof:              *pprofOn,
 		Peers:              splitPeers(peerSpecs),
 		Shards:             *shards,
-		ShardTimeout:       *shardTimeout,
-		ShardRetries:       *shardRetries,
-		ShardBackoff:       *shardBackoff,
-		ShardPolicy:        *shardPolicy,
 	}, dbs)
 	if err != nil {
 		return err
@@ -284,8 +269,11 @@ func parseDatasetSpec(spec string) (name string, scale float64, seed uint64, err
 	}
 	if len(parts) > 1 {
 		scale, err = strconv.ParseFloat(parts[1], 64)
-		if err != nil || scale <= 0 {
-			return "", 0, 0, fmt.Errorf("-dataset %q: bad scale %q", spec, parts[1])
+		if err == nil {
+			err = bench.CheckScale(scale)
+		}
+		if err != nil {
+			return "", 0, 0, fmt.Errorf("-dataset %q: bad scale %q: %w", spec, parts[1], err)
 		}
 	}
 	if len(parts) > 2 {

@@ -32,6 +32,8 @@ func TestParseDatasetSpec(t *testing.T) {
 		{"shop14:1:-2", "", 0, 0, false},
 		{"shop14:1:2:3", "", 0, 0, false},
 		{"shop14:0", "", 0, 0, false},
+		{"shop14:NaN", "", 0, 0, false},
+		{"shop14:+Inf", "", 0, 0, false},
 	}
 	for _, c := range cases {
 		name, scale, seed, err := parseDatasetSpec(c.spec)

@@ -129,18 +129,14 @@ type Pattern struct {
 
 // MineResponse is the JSON body of a successful POST /v1/mine.
 type MineResponse struct {
-	V         int     `json:"v"`
-	DB        string  `json:"db"`
-	Count     int     `json:"count"`
-	Cached    bool    `json:"cached"`
-	ElapsedMS float64 `json:"elapsedMS"` // this request's wall time, queueing included
-	MiningMS  float64 `json:"miningMS"`  // the producing mine's wall time (historic on cache hits)
-	// Partial marks a best-effort scatter-gather result that is missing
-	// the shards listed in FailedShards; single-box mines never set it.
-	Partial      bool            `json:"partial,omitempty"`
-	FailedShards []int           `json:"failedShards,omitempty"`
-	Patterns     []Pattern       `json:"patterns"`
-	Stats        *core.MineStats `json:"stats,omitempty"`
+	V         int             `json:"v"`
+	DB        string          `json:"db"`
+	Count     int             `json:"count"`
+	Cached    bool            `json:"cached"`
+	ElapsedMS float64         `json:"elapsedMS"` // this request's wall time, queueing included
+	MiningMS  float64         `json:"miningMS"`  // the producing mine's wall time (historic on cache hits)
+	Patterns  []Pattern       `json:"patterns"`
+	Stats     *core.MineStats `json:"stats,omitempty"`
 }
 
 // ShardMineRequest is the JSON body of POST /v1/shard/mine: one shard task

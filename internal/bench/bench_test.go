@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -38,6 +39,26 @@ func loadT(t *testing.T, name string) *Dataset {
 func TestLoadUnknownDataset(t *testing.T) {
 	if _, err := Load("nope", 1, 1); err == nil {
 		t.Error("unknown dataset must fail")
+	}
+}
+
+// TestLoadRejectsBadScale pins that a scale the generators cannot honour
+// fails with an error naming it instead of yielding a tiny dataset.
+func TestLoadRejectsBadScale(t *testing.T) {
+	for _, c := range []struct {
+		scale float64
+		want  string
+	}{
+		{math.NaN(), "NaN"},
+		{math.Inf(1), "+Inf"},
+		{math.Inf(-1), "-Inf"},
+		{-1, "-1"},
+		{0, "0"},
+	} {
+		_, err := Load("shop14", c.scale, 1)
+		if err == nil || !strings.Contains(err.Error(), "got "+c.want) {
+			t.Errorf("Load(shop14, %v): err = %v, want one naming %s", c.scale, err, c.want)
+		}
 	}
 }
 

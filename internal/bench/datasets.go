@@ -7,6 +7,7 @@ package bench
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
 	"github.com/recurpat/rp/internal/gen"
@@ -43,10 +44,22 @@ var (
 	cache   = map[datasetKey]*Dataset{}
 )
 
+// CheckScale rejects a dataset scale that is not a positive finite number;
+// the generators would otherwise clamp it to a tiny dataset without a word.
+func CheckScale(scale float64) error {
+	if !(scale > 0) || math.IsInf(scale, 1) {
+		return fmt.Errorf("bench: dataset scale must be positive and finite, got %v", scale)
+	}
+	return nil
+}
+
 // Load returns the named dataset ("t10i4d100k", "shop14" or "twitter") at
 // the given scale (1.0 = the paper's size), generating and caching it on
 // first use. Generation is deterministic in (name, scale, seed).
 func Load(name string, scale float64, seed uint64) (*Dataset, error) {
+	if err := CheckScale(scale); err != nil {
+		return nil, err
+	}
 	cacheMu.Lock()
 	defer cacheMu.Unlock()
 	key := datasetKey{name: name, scale: scale, seed: seed}

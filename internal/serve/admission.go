@@ -23,16 +23,12 @@ type admission struct {
 	sem      chan struct{} // buffered; one token per running mine
 	queued   atomic.Int64  // requests currently waiting for a token
 	maxQueue int64
-	timeout  time.Duration // 0 = wait only on ctx
+	timeout  time.Duration
 }
 
+// newAdmission needs slots ≥ 1 and maxQueue ≥ 0, as Config.withDefaults
+// resolves them.
 func newAdmission(slots int, maxQueue int, timeout time.Duration) *admission {
-	if slots < 1 {
-		slots = 1
-	}
-	if maxQueue < 0 {
-		maxQueue = 0
-	}
 	return &admission{
 		sem:      make(chan struct{}, slots),
 		maxQueue: int64(maxQueue),
@@ -58,16 +54,12 @@ func (a *admission) acquire(ctx context.Context) error {
 	}
 	defer a.queued.Add(-1)
 
-	var timeoutCh <-chan time.Time
-	if a.timeout > 0 {
-		t := time.NewTimer(a.timeout)
-		defer t.Stop()
-		timeoutCh = t.C
-	}
+	t := time.NewTimer(a.timeout)
+	defer t.Stop()
 	select {
 	case a.sem <- struct{}{}:
 		return nil
-	case <-timeoutCh:
+	case <-t.C:
 		return errShed
 	case <-ctx.Done():
 		return ctx.Err()

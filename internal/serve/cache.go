@@ -39,12 +39,6 @@ type cachedResult struct {
 	stats    core.MineStats
 	mineTime time.Duration // wall time of the run that produced it
 
-	// partial and failedShards mark a best-effort scatter that lost
-	// shards. Partial results are never actually cached (leadMine skips the
-	// put), but they flow through this type to the response writer.
-	partial      bool
-	failedShards []int
-
 	// report and timeline describe the producing run for the request
 	// journal: its per-phase breakdown and (when recording was on) its
 	// retained span timeline. Requests answered from this entry journal
@@ -59,8 +53,7 @@ type cachedResult struct {
 	cpuTime    time.Duration
 }
 
-// resultCache is a mutex-guarded LRU over cachedResults. A non-positive
-// capacity disables caching (every get misses, put is a no-op).
+// resultCache is a mutex-guarded LRU over cachedResults.
 type resultCache struct {
 	mu  sync.Mutex
 	cap int
@@ -93,9 +86,6 @@ func (c *resultCache) get(k cacheKey) (*cachedResult, bool) {
 }
 
 func (c *resultCache) put(k cacheKey, v *cachedResult) {
-	if c.cap <= 0 {
-		return
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.idx[k]; ok {

@@ -17,9 +17,9 @@ import (
 )
 
 // logAccess is the serve package's one access-log emitter, deferred by
-// execute (both mine endpoints) and the dataset upload: one log line and,
-// when the journal is on, one journal entry per request, whichever way it
-// ended — served, cached, coalesced, shed, cancelled or failed.
+// execute (both mine endpoints) and the dataset upload: one log line and
+// one journal entry per request, whichever way it ended — served, cached,
+// coalesced, shed, cancelled or failed.
 func (s *Server) logAccess(msg string, start time.Time, rec *accessRecord) {
 	if rec.id == "" {
 		rec.id = obs.RequestID()
@@ -34,9 +34,6 @@ func (s *Server) logAccess(msg string, start time.Time, rec *accessRecord) {
 		"allocBytes", rec.allocBytes,
 		"cpuMS", float64(rec.cpuTime)/1e6,
 		"elapsedMS", float64(elapsed)/1e6)
-	if s.journal == nil {
-		return
-	}
 	s.journal.add(&RequestEntry{
 		ID:         rec.id,
 		Start:      start,
@@ -76,7 +73,7 @@ type journalResponse struct {
 	// Total counts every request journalled since start, including those
 	// the ring has since evicted.
 	Total int64 `json:"total"`
-	// Size and SlowThresholdMS echo the journal's retention knobs.
+	// Size and SlowThresholdMS echo the journal's retention constants.
 	Size            int     `json:"size"`
 	SlowThresholdMS float64 `json:"slowThresholdMS"`
 	// Recent holds the retained requests newest-first; Slow the long-term
@@ -86,15 +83,11 @@ type journalResponse struct {
 }
 
 func (s *Server) handleDebugRequests(w http.ResponseWriter, r *http.Request) {
-	if s.journal == nil {
-		http.Error(w, "request journal disabled (Config.JournalSize < 0)", http.StatusNotFound)
-		return
-	}
 	recent, slow, total := s.journal.snapshot()
 	resp := journalResponse{
 		Total:           total,
-		Size:            s.cfg.JournalSize,
-		SlowThresholdMS: float64(s.cfg.SlowThreshold) / 1e6,
+		Size:            journalSize,
+		SlowThresholdMS: float64(slowThreshold) / 1e6,
 		Recent:          recent,
 		Slow:            slow,
 	}
@@ -110,10 +103,6 @@ func (s *Server) handleDebugRequests(w http.ResponseWriter, r *http.Request) {
 // handleRequestTrace serves one journalled request's span timeline as
 // Chrome trace-event JSON, loadable in Perfetto or chrome://tracing.
 func (s *Server) handleRequestTrace(w http.ResponseWriter, r *http.Request) {
-	if s.journal == nil {
-		http.Error(w, "request journal disabled (Config.JournalSize < 0)", http.StatusNotFound)
-		return
-	}
 	id := r.URL.Query().Get("id")
 	if id == "" {
 		s.writeError(w, http.StatusBadRequest, "missing id parameter")

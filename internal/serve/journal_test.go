@@ -237,47 +237,6 @@ func TestDebugRequestsJournal(t *testing.T) {
 	}
 }
 
-// TestDebugRequestsDisabled checks a negative JournalSize turns the
-// endpoints off and keeps the mine path timeline-free.
-func TestDebugRequestsDisabled(t *testing.T) {
-	srv, hs := newTestServer(t, Config{JournalSize: -1}, nil)
-	if srv.journal != nil {
-		t.Fatal("journal allocated despite JournalSize=-1")
-	}
-	if status, _ := postMine(t, hs.URL, `{"db":"shop","per":4,"minPS":3}`); status != http.StatusOK {
-		t.Fatal("mine failed with journal disabled")
-	}
-	for _, path := range []string{"/debug/requests", "/debug/requests?format=json", "/debug/requests/trace?id=x"} {
-		if resp, _ := getBody(t, hs.URL+path); resp.StatusCode != http.StatusNotFound {
-			t.Errorf("%s with journal disabled: status %d, want 404", path, resp.StatusCode)
-		}
-	}
-}
-
-// TestTimelineSpansDisabled checks TimelineSpans<0 journals requests with
-// phase breakdowns but retains no span timelines.
-func TestTimelineSpansDisabled(t *testing.T) {
-	_, hs := newTestServer(t, Config{TimelineSpans: -1}, nil)
-	if status, _ := postMine(t, hs.URL, `{"db":"shop","per":4,"minPS":3}`); status != http.StatusOK {
-		t.Fatal("mine failed")
-	}
-	_, body := getBody(t, hs.URL+"/debug/requests?format=json")
-	var jr struct {
-		Recent []*RequestEntry `json:"recent"`
-	}
-	decodeJSON(t, body, &jr)
-	if len(jr.Recent) != 1 {
-		t.Fatalf("journal has %d entries, want 1", len(jr.Recent))
-	}
-	e := jr.Recent[0]
-	if len(e.Phases) == 0 {
-		t.Error("entry lost its phase breakdown without timelines")
-	}
-	if e.HasTrace {
-		t.Error("entry claims a trace with timelines disabled")
-	}
-}
-
 func decodeJSON(t *testing.T, body string, v any) {
 	t.Helper()
 	if err := json.Unmarshal([]byte(body), v); err != nil {

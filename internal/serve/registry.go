@@ -41,8 +41,8 @@ type regDataset struct {
 // registry is the LRU-bounded dataset store, keyed by content
 // fingerprint. All methods are safe for concurrent use.
 type registry struct {
-	maxBytes   int64 // 0 = unbounded
-	maxEntries int   // 0 = unbounded
+	maxBytes   int64
+	maxEntries int
 
 	mu    sync.Mutex
 	bytes int64
@@ -64,7 +64,7 @@ func newRegistry(maxBytes int64, maxEntries int) *registry {
 // existing dataset is refreshed (same content by definition) and existing
 // is true. evicted reports how many datasets were displaced.
 func (g *registry) put(ds *regDataset) (existing bool, evicted int, err error) {
-	if g.maxBytes > 0 && ds.bytes > g.maxBytes {
+	if ds.bytes > g.maxBytes {
 		return false, 0, errDatasetTooLarge
 	}
 	g.mu.Lock()
@@ -80,9 +80,7 @@ func (g *registry) put(ds *regDataset) (existing bool, evicted int, err error) {
 	}
 	g.idx[ds.fp] = g.ll.PushFront(ds)
 	g.bytes += ds.bytes
-	for g.ll.Len() > 1 &&
-		((g.maxEntries > 0 && g.ll.Len() > g.maxEntries) ||
-			(g.maxBytes > 0 && g.bytes > g.maxBytes)) {
+	for g.ll.Len() > 1 && (g.ll.Len() > g.maxEntries || g.bytes > g.maxBytes) {
 		oldest := g.ll.Back()
 		g.removeLocked(oldest)
 		evicted++
@@ -235,13 +233,9 @@ func (s *Server) handleDatasetUpload(w http.ResponseWriter, r *http.Request) {
 	rec := &accessRecord{id: obs.RequestID(), outcome: "uploaded", status: http.StatusCreated}
 	defer s.logAccess("dataset-upload", start, rec)
 
-	body := r.Body
-	if s.cfg.MaxUpload > 0 {
-		body = http.MaxBytesReader(w, r.Body, s.cfg.MaxUpload)
-	}
 	// The buffer grows only as bytes arrive, never from the length a
 	// client states.
-	data, err := io.ReadAll(body)
+	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxUpload))
 	if err != nil {
 		// refuse answers an over-MaxUpload body with the same 413 as an
 		// over-MaxBody mine.

@@ -45,58 +45,39 @@ const statusClientClosedRequest = 499
 // no new mining work.
 var errDraining = errors.New("serve: server is draining")
 
-// Config tunes the service. The zero value is usable: DefaultConfig
-// documents what each zero resolves to.
+// Config tunes the service. The zero value is usable: each zero resolves
+// to the default documented on its field, and NewServer rejects negative
+// values (MaxQueue excepted).
 type Config struct {
 	// MaxConcurrent caps simultaneously running mines. 0 → GOMAXPROCS.
 	MaxConcurrent int
 	// MaxQueue caps requests waiting for a mining slot; beyond it requests
-	// are shed with 429. 0 → 4×MaxConcurrent, negative → no queue (shed
-	// immediately when all slots are busy).
+	// are shed with 429, as are requests that wait longer than
+	// queueTimeout. 0 → 4×MaxConcurrent, negative → a zero-length queue
+	// (shed immediately when all slots are busy).
 	MaxQueue int
-	// QueueTimeout bounds how long a queued request waits for a slot
-	// before being shed with 429. 0 → 1s, negative → wait as long as the
-	// client does.
-	QueueTimeout time.Duration
 	// MineTimeout bounds a single mining run; an over-limit run is
 	// cancelled via its context and reported as 503. 0 → unlimited.
 	MineTimeout time.Duration
-	// CacheSize caps the result cache in entries. 0 → 64, negative →
-	// caching disabled.
+	// CacheSize caps the result cache in entries. 0 → 64.
 	CacheSize int
 	// MaxParallelism caps the per-request Parallelism option (requests
 	// asking for more are clamped, not rejected). 0 → GOMAXPROCS.
 	MaxParallelism int
 	// MaxBody caps the request body in bytes, enforced with
 	// http.MaxBytesReader; over-limit requests are rejected with 413.
-	// 0 → 1 MiB, negative → unlimited.
+	// 0 → 1 MiB.
 	MaxBody int64
 	// MaxUpload caps a POST /v1/datasets body in bytes, with the same 413
 	// shape as MaxBody. It is separate because datasets are legitimately
-	// orders of magnitude larger than mine requests. 0 → 64 MiB, negative →
-	// unlimited.
+	// orders of magnitude larger than mine requests. 0 → 64 MiB.
 	MaxUpload int64
 	// RegistryMaxBytes bounds the estimated resident size of all registered
 	// datasets; least recently mined datasets are evicted to stay under it.
-	// 0 → 256 MiB, negative → unbounded.
+	// 0 → 256 MiB.
 	RegistryMaxBytes int64
-	// RegistryMaxEntries bounds the number of registered datasets. 0 → 64,
-	// negative → unbounded.
+	// RegistryMaxEntries bounds the number of registered datasets. 0 → 64.
 	RegistryMaxEntries int
-	// JournalSize caps the request journal backing /debug/requests, in
-	// entries. 0 → 64, negative → journal (and the /debug/requests
-	// endpoints) disabled.
-	JournalSize int
-	// SlowThreshold is the elapsed time at which a journalled request also
-	// enters the long-term slow bucket, which survives ring churn. 0 →
-	// 500ms, negative → no slow bucket.
-	SlowThreshold time.Duration
-	// TimelineSpans caps the per-run span timeline retained for each
-	// executed mine (downloadable as a Chrome trace from
-	// /debug/requests/trace). 0 → obs.DefaultTimelineSpans, negative → no
-	// timelines (journal entries keep their phase breakdowns only). No
-	// timelines are recorded when the journal is disabled.
-	TimelineSpans int
 	// Logger receives the access log: one line per /v1/mine request with
 	// its id, database, options digest, outcome and timings. nil → discard.
 	Logger *slog.Logger
@@ -111,28 +92,60 @@ type Config struct {
 	// to the peers' /v1/shard/mine endpoints (placed in plan order, so
 	// each peer homes an even share of every mine's tasks) and the
 	// partials merge into a result byte-identical to a single-box mine.
+	// The shard client runs at shard.ClientConfig's defaults, and a shard
+	// task that still fails after its retries fails the whole mine.
 	// Peers must serve the same database bytes; tasks pin the content
 	// fingerprint.
 	Peers []string
 	// Shards is the number of shard tasks per mine in peers mode.
-	// 0 → len(Peers). NewServer rejects a negative value, and a non-zero
-	// value without Peers.
+	// 0 → len(Peers). NewServer rejects a non-zero value without Peers.
 	Shards int
-	// ShardTimeout, ShardRetries and ShardBackoff tune the shard HTTP
-	// client; zero values resolve per shard.ClientConfig (30s timeout, 2
-	// retries, 100ms initial backoff).
-	ShardTimeout time.Duration
-	ShardRetries int
-	ShardBackoff time.Duration
-	// ShardPolicy selects partial-failure handling: "fail-fast" (default)
-	// or "best-effort" (serve the surviving shards' patterns marked
-	// partial).
-	ShardPolicy string
+}
+
+// Serving constants that are not Config fields: no deployment has needed
+// another value.
+const (
+	// queueTimeout bounds how long a queued request waits for a mining
+	// slot before it is shed with 429.
+	queueTimeout = time.Second
+	// journalSize is the number of recent requests the /debug/requests
+	// journal retains.
+	journalSize = 64
+	// slowThreshold is the elapsed time at which a journalled request also
+	// enters the journal's long-term slow bucket.
+	slowThreshold = 500 * time.Millisecond
+)
+
+// validate rejects the configurations withDefaults cannot resolve.
+func (c Config) validate() error {
+	for _, f := range []struct {
+		name string
+		neg  bool
+		v    any
+	}{
+		{"MaxConcurrent", c.MaxConcurrent < 0, c.MaxConcurrent},
+		{"MineTimeout", c.MineTimeout < 0, c.MineTimeout},
+		{"CacheSize", c.CacheSize < 0, c.CacheSize},
+		{"MaxParallelism", c.MaxParallelism < 0, c.MaxParallelism},
+		{"MaxBody", c.MaxBody < 0, c.MaxBody},
+		{"MaxUpload", c.MaxUpload < 0, c.MaxUpload},
+		{"RegistryMaxBytes", c.RegistryMaxBytes < 0, c.RegistryMaxBytes},
+		{"RegistryMaxEntries", c.RegistryMaxEntries < 0, c.RegistryMaxEntries},
+		{"Shards", c.Shards < 0, c.Shards},
+	} {
+		if f.neg {
+			return fmt.Errorf("serve: Config.%s must not be negative, got %v", f.name, f.v)
+		}
+	}
+	if c.Shards != 0 && len(c.Peers) == 0 {
+		return fmt.Errorf("serve: Config.Shards is %d but Config.Peers is empty; shards are scattered only over peers", c.Shards)
+	}
+	return nil
 }
 
 // withDefaults resolves the zero values documented on Config.
 func (c Config) withDefaults() Config {
-	if c.MaxConcurrent <= 0 {
+	if c.MaxConcurrent == 0 {
 		c.MaxConcurrent = runtime.GOMAXPROCS(0)
 	}
 	if c.MaxQueue == 0 {
@@ -141,47 +154,23 @@ func (c Config) withDefaults() Config {
 	if c.MaxQueue < 0 {
 		c.MaxQueue = 0
 	}
-	if c.QueueTimeout == 0 {
-		c.QueueTimeout = time.Second
-	}
-	if c.QueueTimeout < 0 {
-		c.QueueTimeout = 0
-	}
 	if c.CacheSize == 0 {
 		c.CacheSize = 64
 	}
-	if c.MaxParallelism <= 0 {
+	if c.MaxParallelism == 0 {
 		c.MaxParallelism = runtime.GOMAXPROCS(0)
 	}
 	if c.MaxBody == 0 {
 		c.MaxBody = 1 << 20
 	}
-	if c.MaxBody < 0 {
-		c.MaxBody = 0
-	}
 	if c.MaxUpload == 0 {
 		c.MaxUpload = 64 << 20
-	}
-	if c.MaxUpload < 0 {
-		c.MaxUpload = 0
 	}
 	if c.RegistryMaxBytes == 0 {
 		c.RegistryMaxBytes = 256 << 20
 	}
-	if c.RegistryMaxBytes < 0 {
-		c.RegistryMaxBytes = 0
-	}
 	if c.RegistryMaxEntries == 0 {
 		c.RegistryMaxEntries = 64
-	}
-	if c.RegistryMaxEntries < 0 {
-		c.RegistryMaxEntries = 0
-	}
-	if c.JournalSize == 0 {
-		c.JournalSize = 64
-	}
-	if c.SlowThreshold == 0 {
-		c.SlowThreshold = 500 * time.Millisecond
 	}
 	if c.Logger == nil {
 		c.Logger = obs.NopLogger()
@@ -219,7 +208,7 @@ type Server struct {
 	cache    *resultCache
 	flight   *flightGroup
 	metrics  metrics
-	journal  *journal // nil when Config.JournalSize is negative
+	journal  *journal
 	handler  http.Handler
 
 	// mineFn runs one mine; tests substitute stubs to simulate slow or
@@ -243,41 +232,27 @@ type Server struct {
 // may be empty: a registry-only server starts with no preloaded databases
 // and serves whatever clients upload to POST /v1/datasets.
 func NewServer(cfg Config, dbs map[string]*tsdb.DB) (*Server, error) {
-	if cfg.Shards < 0 {
-		return nil, fmt.Errorf("serve: Config.Shards must not be negative, got %d", cfg.Shards)
-	}
-	if cfg.Shards != 0 && len(cfg.Peers) == 0 {
-		return nil, fmt.Errorf("serve: Config.Shards is %d but Config.Peers is empty; shards are scattered only over peers", cfg.Shards)
+	if err := cfg.validate(); err != nil {
+		return nil, err
 	}
 	cfg = cfg.withDefaults()
 	s := &Server{
 		cfg:      cfg,
 		dbs:      make(map[string]*dbEntry, len(dbs)),
 		registry: newRegistry(cfg.RegistryMaxBytes, cfg.RegistryMaxEntries),
-		adm:      newAdmission(cfg.MaxConcurrent, cfg.MaxQueue, cfg.QueueTimeout),
+		adm:      newAdmission(cfg.MaxConcurrent, cfg.MaxQueue, queueTimeout),
 		cache:    newResultCache(cfg.CacheSize),
 		flight:   newFlightGroup(),
+		journal:  newJournal(journalSize, slowThreshold),
 		mineFn:   core.MineContext,
 	}
-	if cfg.JournalSize > 0 {
-		s.journal = newJournal(cfg.JournalSize, cfg.SlowThreshold)
-	}
 	if len(cfg.Peers) > 0 {
-		client, err := shard.NewClient(shard.ClientConfig{
-			Peers:   cfg.Peers,
-			Timeout: cfg.ShardTimeout,
-			Retries: cfg.ShardRetries,
-			Backoff: cfg.ShardBackoff,
-		})
-		if err != nil {
-			return nil, err
-		}
-		policy, err := shard.ParsePolicy(cfg.ShardPolicy)
+		client, err := shard.NewClient(shard.ClientConfig{Peers: cfg.Peers})
 		if err != nil {
 			return nil, err
 		}
 		s.shardClient = client
-		s.coord = &shard.Coordinator{Count: cfg.Shards, Exec: client, Policy: policy}
+		s.coord = &shard.Coordinator{Count: cfg.Shards, Exec: client}
 	}
 	for name, db := range dbs {
 		if name == "" {
@@ -490,11 +465,7 @@ func (s *Server) execute(w http.ResponseWriter, r *http.Request, rt route) {
 
 // resolve is execute's preamble: decode, target, options.
 func (s *Server) resolve(w http.ResponseWriter, r *http.Request, rt route, c *mineCall) error {
-	body := r.Body
-	if s.cfg.MaxBody > 0 {
-		body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBody)
-	}
-	if err := rt.decode(body, c); err != nil {
+	if err := rt.decode(http.MaxBytesReader(w, r.Body, s.cfg.MaxBody), c); err != nil {
 		var re *requestError
 		if !errors.As(err, &re) {
 			err = &requestError{"bad-request", http.StatusBadRequest, fmt.Errorf("decoding request: %w", err)}
@@ -579,8 +550,8 @@ func (s *Server) runMine(ctx context.Context, c *mineCall, mine func(context.Con
 	// cover.
 	o := c.o
 	o.Trace = obs.NewTrace()
-	if c.trace && s.cfg.TimelineSpans >= 0 {
-		c.tl = obs.NewTimeline(s.cfg.TimelineSpans)
+	if c.trace {
+		c.tl = obs.NewTimeline(obs.DefaultTimelineSpans)
 		o.Trace.AttachTimeline(c.tl)
 	}
 	queued := now()
@@ -691,15 +662,13 @@ func (s *Server) serveMine(w http.ResponseWriter, r *http.Request, c *mineCall) 
 	}
 	c.rec.patterns = len(v.patterns)
 	resp := api.MineResponse{
-		V:            api.Version,
-		DB:           c.ent.name,
-		Count:        len(v.patterns),
-		Cached:       cached,
-		ElapsedMS:    float64(time.Since(c.start)) / 1e6,
-		MiningMS:     float64(v.mineTime) / 1e6,
-		Partial:      v.partial,
-		FailedShards: v.failedShards,
-		Patterns:     v.patterns,
+		V:         api.Version,
+		DB:        c.ent.name,
+		Count:     len(v.patterns),
+		Cached:    cached,
+		ElapsedMS: float64(time.Since(c.start)) / 1e6,
+		MiningMS:  float64(v.mineTime) / 1e6,
+		Patterns:  v.patterns,
 	}
 	if c.req.CollectStats {
 		stats := v.stats
@@ -713,22 +682,13 @@ func (s *Server) serveMine(w http.ResponseWriter, r *http.Request, c *mineCall) 
 // over the peers in peers mode), then the name-resolved result that fills
 // the cache.
 func (s *Server) leadMine(ctx context.Context, c *mineCall, key cacheKey) (*cachedResult, error) {
-	var (
-		partial bool
-		failed  []int
-	)
 	res, err := s.runMine(ctx, c, func(ctx context.Context, o core.Options) (*core.Result, error) {
 		if s.coord == nil {
 			return s.mineFn(ctx, c.ent.db, o)
 		}
 		// Peers mode: the gathered result is byte-identical to the local
-		// mineFn path unless shards failed under a best-effort policy.
-		sres, err := s.coord.Mine(ctx, c.ent.db, o)
-		if err != nil {
-			return nil, err
-		}
-		partial, failed = sres.Partial, sres.FailedShards
-		return sres.Result, nil
+		// mineFn path, or the mine fails.
+		return s.coord.Mine(ctx, c.ent.db, o)
 	})
 	if err != nil {
 		return nil, err
@@ -736,21 +696,15 @@ func (s *Server) leadMine(ctx context.Context, c *mineCall, key cacheKey) (*cach
 	s.metrics.observeMineTime(c.rec.mineTime)
 	s.metrics.observeTrace(c.rec.report)
 	v := &cachedResult{
-		patterns:     api.PatternsFromCore(c.ent.db, res.Patterns),
-		stats:        res.Stats,
-		partial:      partial,
-		failedShards: failed,
-		mineTime:     c.rec.mineTime,
-		report:       c.rec.report,
-		timeline:     c.rec.timeline,
-		allocBytes:   c.rec.allocBytes,
-		cpuTime:      c.rec.cpuTime,
+		patterns:   api.PatternsFromCore(c.ent.db, res.Patterns),
+		stats:      res.Stats,
+		mineTime:   c.rec.mineTime,
+		report:     c.rec.report,
+		timeline:   c.rec.timeline,
+		allocBytes: c.rec.allocBytes,
+		cpuTime:    c.rec.cpuTime,
 	}
-	if !partial {
-		// A partial result is one outage away from being wrong twice: never
-		// let it satisfy later requests from the cache.
-		s.cache.put(key, v)
-	}
+	s.cache.put(key, v)
 	return v, nil
 }
 
@@ -965,21 +919,16 @@ func (s *Server) cacheHitRatio() float64 {
 type configInfo struct {
 	MaxConcurrent  int    `json:"maxConcurrent"`
 	MaxQueue       int    `json:"maxQueue"`
-	QueueTimeout   string `json:"queueTimeout"`
 	MineTimeout    string `json:"mineTimeout"`
 	CacheSize      int    `json:"cacheSize"`
 	MaxParallelism int    `json:"maxParallelism"`
-	JournalSize    int    `json:"journalSize"`
-	SlowThreshold  string `json:"slowThreshold"`
-	TimelineSpans  int    `json:"timelineSpans"`
 	MaxUpload      int64  `json:"maxUpload"`
 	RegistryBytes  int64  `json:"registryMaxBytes"`
 	RegistryCap    int    `json:"registryMaxEntries"`
 
 	// Peers-mode settings; zero/absent on a single-box server.
-	Peers       []string `json:"peers,omitempty"`
-	Shards      int      `json:"shards,omitempty"`
-	ShardPolicy string   `json:"shardPolicy,omitempty"`
+	Peers  []string `json:"peers,omitempty"`
+	Shards int      `json:"shards,omitempty"`
 }
 
 // registryStats is the dataset-registry section of /v1/stats.
@@ -1003,13 +952,9 @@ func (s *Server) statsPayload() statsResponse {
 		Config: configInfo{
 			MaxConcurrent:  s.cfg.MaxConcurrent,
 			MaxQueue:       s.cfg.MaxQueue,
-			QueueTimeout:   s.cfg.QueueTimeout.String(),
 			MineTimeout:    s.cfg.MineTimeout.String(),
 			CacheSize:      s.cfg.CacheSize,
 			MaxParallelism: s.cfg.MaxParallelism,
-			JournalSize:    s.cfg.JournalSize,
-			SlowThreshold:  s.cfg.SlowThreshold.String(),
-			TimelineSpans:  s.cfg.TimelineSpans,
 			MaxUpload:      s.cfg.MaxUpload,
 			RegistryBytes:  s.cfg.RegistryMaxBytes,
 			RegistryCap:    s.cfg.RegistryMaxEntries,
@@ -1019,7 +964,6 @@ func (s *Server) statsPayload() statsResponse {
 		resp.ShardPeers = s.shardClient.Stats()
 		resp.Config.Peers = s.shardClient.Peers()
 		resp.Config.Shards = s.cfg.Shards
-		resp.Config.ShardPolicy = s.coord.Policy.String()
 	}
 	entries, bytes := s.registry.stats()
 	resp.Registry = registryStats{

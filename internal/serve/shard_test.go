@@ -12,6 +12,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"github.com/recurpat/rp/internal/api"
 	"github.com/recurpat/rp/internal/core"
@@ -286,9 +287,10 @@ func TestMineRejectsFutureVersion(t *testing.T) {
 	}
 }
 
-// TestNewServerValidatesShards: a negative shard count, or a shard count
-// with no peers to scatter over, is a startup error naming the field, not
-// a failure of every later mine or a silently ignored setting.
+// TestNewServerValidatesShards: a negative shard count or limit, or a
+// shard count with no peers to scatter over, is a startup error naming the
+// field, not a failure of every later mine or a silently ignored setting.
+// A negative MaxQueue is the one accepted: it is a zero-length queue.
 func TestNewServerValidatesShards(t *testing.T) {
 	peers := []string{"http://127.0.0.1:1", "http://127.0.0.1:2"}
 	for _, c := range []struct {
@@ -302,6 +304,15 @@ func TestNewServerValidatesShards(t *testing.T) {
 		{"peers, negative shards", Config{Peers: peers, Shards: -1}, "Shards"},
 		{"no peers, negative shards", Config{Shards: -1}, "Shards"},
 		{"no peers, 3 shards", Config{Shards: 3}, "Peers"},
+		{"negative max concurrent", Config{MaxConcurrent: -5}, "MaxConcurrent"},
+		{"negative max parallelism", Config{MaxParallelism: -1}, "MaxParallelism"},
+		{"negative mine timeout", Config{MineTimeout: -time.Second}, "MineTimeout"},
+		{"negative cache size", Config{CacheSize: -1}, "CacheSize"},
+		{"negative max body", Config{MaxBody: -1}, "MaxBody"},
+		{"negative max upload", Config{MaxUpload: -1}, "MaxUpload"},
+		{"negative registry bytes", Config{RegistryMaxBytes: -1}, "RegistryMaxBytes"},
+		{"negative registry entries", Config{RegistryMaxEntries: -1}, "RegistryMaxEntries"},
+		{"negative max queue", Config{MaxQueue: -1}, ""},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			_, err := NewServer(c.cfg, nil)

@@ -20,43 +20,31 @@ import (
 )
 
 // ClientConfig tunes the remote executor. The zero value of each field
-// resolves to the documented default.
+// resolves to the documented default; NewClient rejects negative values.
 type ClientConfig struct {
 	// Peers are the base URLs of the rpserved peers ("http://host:port").
 	// At least one is required; order, duplicates and trailing slashes do
 	// not matter.
 	Peers []string
-	// Timeout bounds one POST attempt, connection and body included.
-	// 0 → 30s, negative → no per-attempt bound (the request context still
-	// applies).
-	Timeout time.Duration
 	// Retries is how many additional attempts a failed task gets, each on
 	// the next peer of its failover sequence with exponential backoff in
-	// between. 0 → 2, negative → none.
+	// between. 0 → 2.
 	Retries int
 	// Backoff is the delay before the first retry, doubling per retry.
-	// 0 → 100ms, negative → none.
+	// 0 → 100ms.
 	Backoff time.Duration
 }
 
+// attemptTimeout bounds one request to a peer, connection and body
+// included; the request context still applies on top.
+const attemptTimeout = 30 * time.Second
+
 func (c ClientConfig) withDefaults() ClientConfig {
-	if c.Timeout == 0 {
-		c.Timeout = 30 * time.Second
-	}
-	if c.Timeout < 0 {
-		c.Timeout = 0
-	}
 	if c.Retries == 0 {
 		c.Retries = 2
 	}
-	if c.Retries < 0 {
-		c.Retries = 0
-	}
 	if c.Backoff == 0 {
 		c.Backoff = 100 * time.Millisecond
-	}
-	if c.Backoff < 0 {
-		c.Backoff = 0
 	}
 	return c
 }
@@ -104,6 +92,12 @@ type Client struct {
 
 // NewClient builds a client over the configured peer set.
 func NewClient(cfg ClientConfig) (*Client, error) {
+	if cfg.Retries < 0 {
+		return nil, fmt.Errorf("shard: ClientConfig.Retries must not be negative, got %d", cfg.Retries)
+	}
+	if cfg.Backoff < 0 {
+		return nil, fmt.Errorf("shard: ClientConfig.Backoff must not be negative, got %v", cfg.Backoff)
+	}
 	urls := make([]string, 0, len(cfg.Peers))
 	for _, u := range cfg.Peers {
 		u = strings.TrimRight(u, "/")
@@ -256,9 +250,6 @@ func (c *Client) Execute(ctx context.Context, db *tsdb.DB, o core.Options, t Tas
 // sleep waits for d or until ctx fires; it reports whether the full wait
 // elapsed.
 func sleep(ctx context.Context, d time.Duration) bool {
-	if d <= 0 {
-		return true
-	}
 	timer := time.NewTimer(d)
 	defer timer.Stop()
 	select {
@@ -282,12 +273,8 @@ func (c *Client) post(ctx context.Context, db *tsdb.DB, body []byte, t Task, pee
 			te.add("fail " + pc.url)
 		}
 	}()
-	pctx := ctx
-	if c.cfg.Timeout > 0 {
-		var cancel context.CancelFunc
-		pctx, cancel = context.WithTimeout(ctx, c.cfg.Timeout)
-		defer cancel()
-	}
+	pctx, cancel := context.WithTimeout(ctx, attemptTimeout)
+	defer cancel()
 	req, err := http.NewRequestWithContext(pctx, http.MethodPost, pc.url+"/v1/shard/mine", bytes.NewReader(body))
 	if err != nil {
 		return nil, err
@@ -378,11 +365,8 @@ func (c *Client) FetchStats(ctx context.Context) []PeerStatsBody {
 }
 
 func (c *Client) fetchStats(ctx context.Context, url string) PeerStatsBody {
-	if c.cfg.Timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, c.cfg.Timeout)
-		defer cancel()
-	}
+	ctx, cancel := context.WithTimeout(ctx, attemptTimeout)
+	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url+"/v1/stats", nil)
 	if err != nil {
 		return PeerStatsBody{URL: url, Err: err}

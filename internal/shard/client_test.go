@@ -149,7 +149,7 @@ func TestClientRemoteEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !got.Result.Equal(want) {
+	if !got.Equal(want) {
 		t.Errorf("remote scatter diverged from single-box (%d vs %d patterns)",
 			len(got.Patterns), len(want.Patterns))
 	}
@@ -206,7 +206,7 @@ func TestClientRetriesFailover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !got.Result.Equal(want) {
+	if !got.Equal(want) {
 		t.Error("failover scatter diverged from single-box")
 	}
 	var retries, failures int64
@@ -370,7 +370,7 @@ func TestClientRejectsWrongFingerprint(t *testing.T) {
 	db := testDB(19, 6, 30, 0.5)
 	other := testDB(23, 6, 30, 0.5)
 	peer := newStubPeer(t, other) // peer holds a different database
-	client, err := NewClient(ClientConfig{Peers: []string{peer.srv.URL}, Retries: -1})
+	client, err := NewClient(ClientConfig{Peers: []string{peer.srv.URL}, Backoff: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,37 +11,22 @@ import (
 	"github.com/recurpat/rp/internal/tsdb"
 )
 
-// Result is a gathered scatter: the merged mining result, plus the
-// partial-failure marker when a BestEffort scatter lost shards.
-type Result struct {
-	*core.Result
-	// Partial is true when one or more shards failed under BestEffort and
-	// the pattern set covers only the surviving shards' suffix items.
-	Partial bool
-	// FailedShards lists the failed shard indexes, ascending, when Partial.
-	FailedShards []int
-}
-
 // Coordinator scatters one mine over Count shard tasks through an Executor
-// and gathers the partials into a canonical result. The zero Policy is
-// FailFast.
+// and gathers the partials into a canonical result.
 type Coordinator struct {
 	// Count is the number of shard tasks to plan. Must be positive.
 	Count int
 	// Exec runs each task: Local{} for a one-box scatter, *Client for
 	// remote peers.
 	Exec Executor
-	// Policy selects partial-failure handling for the scatter.
-	Policy Policy
 }
 
 // Mine scatters the mine over the planned tasks — one goroutine per task,
-// each traced as a labeled obs.PhaseShard span — and gathers: with no
-// failures the reduced result is byte-identical to core.MineContext over
-// the same database and options. Under FailFast the first shard error
-// cancels the rest; under BestEffort the survivors merge into a result
-// marked Partial. Every shard failing is an error either way.
-func (c *Coordinator) Mine(ctx context.Context, db *tsdb.DB, o core.Options) (*Result, error) {
+// each traced as a labeled obs.PhaseShard span — and gathers: the reduced
+// result is byte-identical to core.MineContext over the same database and
+// options. The first shard error cancels the rest of the scatter and is
+// returned; there is no partial result.
+func (c *Coordinator) Mine(ctx context.Context, db *tsdb.DB, o core.Options) (*core.Result, error) {
 	if c.Exec == nil {
 		return nil, errors.New("shard: coordinator has no executor")
 	}
@@ -49,11 +34,7 @@ func (c *Coordinator) Mine(ctx context.Context, db *tsdb.DB, o core.Options) (*R
 	if err != nil {
 		return nil, err
 	}
-	sctx := ctx
-	cancel := context.CancelFunc(func() {})
-	if c.Policy == FailFast {
-		sctx, cancel = context.WithCancel(ctx)
-	}
+	sctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
 	parts := make([]*Partial, len(tasks))
@@ -71,42 +52,39 @@ func (c *Coordinator) Mine(ctx context.Context, db *tsdb.DB, o core.Options) (*R
 				// timeline: one fleet-wide flight record per request.
 				o.Trace.Timeline().AddPeer(*p.Remote)
 			}
-			if errs[i] != nil && c.Policy == FailFast {
+			if errs[i] != nil {
 				cancel()
 			}
 		}(i, t)
 	}
 	wg.Wait()
 
-	var failed []int
+	failed := 0
 	var firstErr error
-	for i, err := range errs {
+	for _, err := range errs {
 		if err == nil {
 			continue
 		}
-		failed = append(failed, i)
+		failed++
 		// Prefer the root-cause error over the cancellations it induced in
-		// sibling shards under FailFast.
+		// sibling shards.
 		if firstErr == nil || isCancellation(firstErr) && !isCancellation(err) {
 			firstErr = err
 		}
 	}
-	if len(failed) == 0 {
-		return &Result{Result: Reduce(parts)}, nil
+	if failed == 0 {
+		return Reduce(parts), nil
 	}
 	if err := ctx.Err(); err != nil {
 		// The caller's own context fired; report that rather than a
 		// per-shard symptom.
 		return nil, &core.CancelError{Err: err}
 	}
-	if c.Policy == FailFast || len(failed) == len(tasks) {
-		return nil, fmt.Errorf("shard: %d/%d shard tasks failed: %w", len(failed), len(tasks), firstErr)
-	}
-	return &Result{Result: Reduce(parts), Partial: true, FailedShards: failed}, nil
+	return nil, fmt.Errorf("shard: %d/%d shard tasks failed: %w", failed, len(tasks), firstErr)
 }
 
 // isCancellation reports whether err is a context or miner cancellation —
-// the induced errors FailFast produces in the shards it aborts.
+// the induced errors a failed scatter produces in the shards it aborts.
 func isCancellation(err error) bool {
 	var cerr *core.CancelError
 	return errors.Is(err, context.Canceled) || errors.As(err, &cerr)

@@ -62,11 +62,10 @@ func (Local) Execute(ctx context.Context, db *tsdb.DB, o core.Options, t Task) (
 }
 
 // Reduce merges shard partials into one canonical result — the gather half
-// of a scatter. Nil partials (failed shards under BestEffort) are skipped.
-// Patterns concatenate and canonicalize: the tasks partition the pattern
-// set by deepest-ranked item and canonical order is total on unique item
-// sets, so the output is byte-identical to a single-box mine whatever the
-// shard count, and deterministic for a given surviving-shard set.
+// of a scatter. Patterns concatenate and canonicalize: the tasks partition
+// the pattern set by deepest-ranked item and canonical order is total on
+// unique item sets, so the output is byte-identical to a single-box mine
+// whatever the shard count or completion order.
 //
 // Stats merge per counter semantics: examined/pruned sum exactly (the
 // search spaces partition); CandidateItems and MaxDepth take the maximum
@@ -76,9 +75,6 @@ func (Local) Execute(ctx context.Context, db *tsdb.DB, o core.Options, t Task) (
 func Reduce(parts []*Partial) *core.Result {
 	res := &core.Result{}
 	for _, p := range parts {
-		if p == nil {
-			continue
-		}
 		res.Patterns = append(res.Patterns, p.Patterns...)
 		res.Stats.PatternsExamined += p.Stats.PatternsExamined
 		res.Stats.PatternsPruned += p.Stats.PatternsPruned

@@ -23,10 +23,9 @@
 //     core.MineContext whatever the shard count or completion order — the
 //     same argument as the parallel miner's rank-ordered merge.
 //
-// Coordinator ties them together with a partial-failure policy: FailFast
-// cancels the scatter on the first shard error, BestEffort returns the
-// surviving shards' patterns marked Partial (still deterministic for a
-// given surviving set).
+// Coordinator ties them together and fails fast: the first shard task
+// that fails after its retries cancels the rest of the scatter, and the
+// mine returns that error rather than a result missing some suffix items.
 package shard
 
 import (
@@ -61,37 +60,4 @@ func Plan(fp uint64, count int) ([]Task, error) {
 		tasks[i] = Task{Index: i, Count: count, FP: fp}
 	}
 	return tasks, nil
-}
-
-// Policy selects how a scatter handles shard failures.
-type Policy int
-
-const (
-	// FailFast cancels the remaining shards on the first failure and
-	// reports the error; no partial results are returned.
-	FailFast Policy = iota
-	// BestEffort waits for every shard and returns the survivors' merged
-	// patterns marked partial, with the failed shard indexes listed. All
-	// shards failing is still an error.
-	BestEffort
-)
-
-// String returns the policy's flag form.
-func (p Policy) String() string {
-	if p == BestEffort {
-		return "best-effort"
-	}
-	return "fail-fast"
-}
-
-// ParsePolicy parses the flag form of a policy.
-func ParsePolicy(s string) (Policy, error) {
-	switch s {
-	case "", "fail-fast":
-		return FailFast, nil
-	case "best-effort":
-		return BestEffort, nil
-	default:
-		return 0, fmt.Errorf("shard: unknown partial-failure policy %q (want fail-fast or best-effort)", s)
-	}
 }

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/recurpat/rp/internal/core"
 	"github.com/recurpat/rp/internal/tsdb"
@@ -46,24 +47,6 @@ func TestPlan(t *testing.T) {
 	}
 	if _, err := Plan(1, -2); err == nil {
 		t.Error("want error for negative shard count")
-	}
-}
-
-func TestParsePolicy(t *testing.T) {
-	for _, c := range []struct {
-		in   string
-		want Policy
-	}{{"", FailFast}, {"fail-fast", FailFast}, {"best-effort", BestEffort}} {
-		p, err := ParsePolicy(c.in)
-		if err != nil || p != c.want {
-			t.Errorf("ParsePolicy(%q) = %v, %v", c.in, p, err)
-		}
-	}
-	if _, err := ParsePolicy("yolo"); err == nil {
-		t.Error("want error for unknown policy")
-	}
-	if FailFast.String() != "fail-fast" || BestEffort.String() != "best-effort" {
-		t.Error("policy String/Parse forms disagree")
 	}
 }
 
@@ -121,8 +104,14 @@ func TestRingDeterministicSequences(t *testing.T) {
 			}
 		}
 	}
-	if _, err := NewClient(ClientConfig{}); err == nil {
-		t.Error("want error for empty peer set")
+	for _, bad := range []ClientConfig{
+		{},
+		{Peers: []string{"http://peer0:1"}, Retries: -1},
+		{Peers: []string{"http://peer0:1"}, Backoff: -time.Millisecond},
+	} {
+		if _, err := NewClient(bad); err == nil {
+			t.Errorf("NewClient(%+v) succeeded, want error", bad)
+		}
 	}
 }
 
@@ -182,10 +171,7 @@ func TestCoordinatorEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatalf("seed %d opts %d shards %d: %v", seed, oi, count, err)
 				}
-				if got.Partial || got.FailedShards != nil {
-					t.Fatalf("seed %d opts %d shards %d: unexpected partial marker", seed, oi, count)
-				}
-				if !got.Result.Equal(want) {
+				if !got.Equal(want) {
 					t.Errorf("seed %d opts %d shards %d: scatter diverged from single-box (%d vs %d patterns)",
 						seed, oi, count, len(got.Patterns), len(want.Patterns))
 				}
@@ -207,52 +193,6 @@ func (f failExec) Execute(ctx context.Context, db *tsdb.DB, o core.Options, task
 	return f.inner.Execute(ctx, db, o, task)
 }
 
-func TestCoordinatorBestEffortPartial(t *testing.T) {
-	db := testDB(7, 10, 50, 0.4)
-	o := core.Options{Per: 4, MinPS: 2, MinRec: 1}
-	c := &Coordinator{
-		Count:  3,
-		Exec:   failExec{inner: Local{}, fail: map[int]bool{1: true}},
-		Policy: BestEffort,
-	}
-	got, err := c.Mine(context.Background(), db, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Partial || len(got.FailedShards) != 1 || got.FailedShards[0] != 1 {
-		t.Fatalf("partial marker wrong: partial=%v failed=%v", got.Partial, got.FailedShards)
-	}
-	// The surviving shards' merge is deterministic: re-running yields the
-	// same patterns, and they are exactly the survivors' single-shard sets.
-	again, err := c.Mine(context.Background(), db, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Result.Equal(again.Result) {
-		t.Error("best-effort survivors not deterministic across runs")
-	}
-	var parts []*Partial
-	for _, idx := range []int{0, 2} {
-		p, err := Local{}.Execute(context.Background(), db, o, Task{Index: idx, Count: 3, FP: db.Fingerprint()})
-		if err != nil {
-			t.Fatal(err)
-		}
-		parts = append(parts, p)
-	}
-	if want := Reduce(parts); !got.Result.Equal(want) {
-		t.Errorf("partial result is not the survivors' merge (%d vs %d patterns)",
-			len(got.Patterns), len(want.Patterns))
-	}
-	// A full mine must differ (shard 1 owned at least one suffix item here).
-	full, err := core.MineContext(context.Background(), db, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Result.Equal(full) {
-		t.Error("partial result unexpectedly equals the full mine; failure injection inert")
-	}
-}
-
 func TestCoordinatorFailFast(t *testing.T) {
 	db := testDB(9, 8, 40, 0.4)
 	o := core.Options{Per: 4, MinPS: 2, MinRec: 1}
@@ -263,18 +203,6 @@ func TestCoordinatorFailFast(t *testing.T) {
 	}
 	if want := "injected failure on shard 2"; !strings.Contains(err.Error(), want) {
 		t.Errorf("error lost the root cause: %v", err)
-	}
-}
-
-func TestCoordinatorAllShardsFailedBestEffort(t *testing.T) {
-	db := testDB(3, 6, 30, 0.5)
-	c := &Coordinator{
-		Count:  2,
-		Exec:   failExec{inner: Local{}, fail: map[int]bool{0: true, 1: true}},
-		Policy: BestEffort,
-	}
-	if _, err := c.Mine(context.Background(), db, core.Options{Per: 4, MinPS: 2, MinRec: 1}); err == nil {
-		t.Fatal("want error when every shard fails, even best-effort")
 	}
 }
 
@@ -299,21 +227,5 @@ func TestLocalRejectsWrongFingerprint(t *testing.T) {
 		Task{Index: 0, Count: 1, FP: db.Fingerprint() + 1})
 	if err == nil {
 		t.Fatal("want fingerprint mismatch error")
-	}
-}
-
-func TestReduceSkipsNil(t *testing.T) {
-	db := testDB(4, 8, 40, 0.4)
-	o := core.Options{Per: 4, MinPS: 2, MinRec: 1, CollectStats: true}
-	p0, err := Local{}.Execute(context.Background(), db, o, Task{Index: 0, Count: 2, FP: db.Fingerprint()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := Reduce([]*Partial{p0, nil})
-	if len(res.Patterns) != len(p0.Patterns) {
-		t.Errorf("Reduce with nil partial has %d patterns, want %d", len(res.Patterns), len(p0.Patterns))
-	}
-	if res.Stats.PatternsExamined != p0.Stats.PatternsExamined {
-		t.Errorf("stats merge wrong: %+v", res.Stats)
 	}
 }

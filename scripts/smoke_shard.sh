@@ -6,6 +6,8 @@
 # (modulo timing fields), with the per-peer shard counters visible in
 # /metrics, the merged fleet trace downloadable from the coordinator's
 # journal and valid per rptrace, and /v1/fleet/stats reaching every peer.
+# With one peer stopped, a new mine through the coordinator must fail over
+# to the survivor and still match its single-box response.
 # The real binaries' access logs must show served shard tasks on every peer
 # and the served mine on the coordinator, and a peer must refuse an
 # oversized shard-task body with 413. Needs curl; run from anywhere.
@@ -73,7 +75,7 @@ diff "$workdir/direct.txt" "$workdir/sharded.txt" \
 
 echo "== start two peers and a coordinator"
 start_server "$workdir/peer1.log" -db shop="$workdir/shop.tdb"; p1=$addr
-start_server "$workdir/peer2.log" -db shop="$workdir/shop.tdb"; p2=$addr
+start_server "$workdir/peer2.log" -db shop="$workdir/shop.tdb"; p2=$addr; p2pid=${pids[-1]}
 echo "   peers on $p1, $p2"
 start_server "$workdir/coord.log" -db shop="$workdir/shop.tdb" \
     -peers "http://$p1,http://$p2" -shards 3
@@ -179,6 +181,34 @@ wait_log 'msg=shard-mine .*outcome=body-too-large ' "$workdir/peer1.log"
 echo "== repeat scattered mine is a coordinator cache hit"
 warm=$(curl -sf "http://$coord/v1/mine" -d "$req")
 grep -q '"cached":true' <<<"$warm" || { echo "repeat scattered mine missed the cache: $warm"; exit 1; }
+
+echo "== failover: with one peer down, a new mine still matches single-box"
+# Fail-fast is the only shard policy, so an outage is survived by retrying
+# each of the stopped peer's tasks on the next peer of its failover order.
+kill -TERM "$p2pid"
+for _ in $(seq 1 100); do
+    kill -0 "$p2pid" 2>/dev/null || break
+    sleep 0.1
+done
+kill -0 "$p2pid" 2>/dev/null && { echo "peer 2 did not exit after SIGTERM"; exit 1; }
+live=()
+for pid in "${pids[@]}"; do
+    [ "$pid" = "$p2pid" ] || live+=("$pid")
+done
+pids=("${live[@]}")
+req2='{"db":"shop","per":90,"minPSPercent":2,"minRec":1}'
+curl -sf "http://$coord/v1/mine" -d "$req2" \
+    | sed -E 's/"(elapsedMS|miningMS|cached)":[^,]*,//g' >"$workdir/failover.json" \
+    || { echo "scattered mine failed with one peer down"; exit 1; }
+curl -sf "http://$p1/v1/mine" -d "$req2" \
+    | sed -E 's/"(elapsedMS|miningMS|cached)":[^,]*,//g' >"$workdir/survivor.json"
+diff "$workdir/failover.json" "$workdir/survivor.json" \
+    || { echo "failover response diverges from the surviving peer's single-box mine"; exit 1; }
+grep -q '"count":0,' "$workdir/failover.json" \
+    && { echo "failover mine found no patterns; the step proves nothing"; exit 1; }
+retries=$(curl -sf "http://$coord/metrics" \
+    | grep '^rpserved_shard_peer_retries_total' | awk '{s+=$2} END {print s+0}')
+[ "$retries" -ge 1 ] || { echo "shard retries sum to $retries after a peer outage, want >= 1"; exit 1; }
 
 echo "== graceful shutdown"
 for pid in "${pids[@]}"; do
