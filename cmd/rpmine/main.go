@@ -54,7 +54,6 @@ func run(args []string, dst, errDst io.Writer) error {
 		cpuProf  = fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memProf  = fs.String("memprofile", "", "write a heap profile to this file on exit")
 		phases   = fs.Bool("phases", false, "print a per-phase time and work breakdown to stderr after mining")
-		traceOut = fs.String("trace-out", "", "record the run and write its span timeline as Chrome trace-event JSON to this file (open in Perfetto)")
 		verbose  = fs.Bool("v", false, "structured progress logs on stderr")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -75,27 +74,12 @@ func run(args []string, dst, errDst io.Writer) error {
 	if *phases {
 		o.Trace = rp.NewTrace()
 	}
-	var tl *rp.Timeline
-	if *traceOut != "" {
-		// Recording needs a trace to hang off; -trace-out alone implies one.
-		if o.Trace == nil {
-			o.Trace = rp.NewTrace()
-		}
-		tl = rp.NewTimeline(rp.DefaultTimelineSpans)
-		o.Trace.AttachTimeline(tl)
-	}
 	if *shards < 0 {
 		return fmt.Errorf("-shards must be >= 0, got %d", *shards)
 	}
 	err := cliio.Profile(*cpuProf, *memProf, func() error {
 		return mine(*input, *minPSPct, *shards, *stats, *format, o, out, logger)
 	})
-	if err == nil && tl != nil {
-		if werr := writeTrace(*traceOut, *input, tl); werr != nil {
-			return werr
-		}
-		logger.Info("trace written", "file", *traceOut, "spans", len(tl.Snapshot().Spans))
-	}
 	if err == nil && *phases {
 		// The phase table goes to stderr so -format json/csv output on
 		// stdout stays machine-readable with -phases on.
@@ -104,19 +88,6 @@ func run(args []string, dst, errDst io.Writer) error {
 		}
 	}
 	return err
-}
-
-// writeTrace exports the recorded timeline as Chrome trace-event JSON.
-func writeTrace(path, input string, tl *rp.Timeline) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	werr := rp.WriteTraceEvents(f, "rpmine "+input, tl.Snapshot())
-	if cerr := f.Close(); werr == nil {
-		werr = cerr
-	}
-	return werr
 }
 
 // mine loads the database, runs the miner and renders the result; split from

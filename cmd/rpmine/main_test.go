@@ -131,33 +131,6 @@ func TestMineJSONAndCSVFormats(t *testing.T) {
 	}
 }
 
-func TestMineTraceOut(t *testing.T) {
-	path := writeInput(t)
-	tracePath := filepath.Join(t.TempDir(), "run.json")
-	var out bytes.Buffer
-	err := run([]string{"-input", path, "-per", "2", "-minps", "3", "-minrec", "2",
-		"-parallel", "2", "-trace-out", tracePath}, &out, io.Discard)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Recording must not change the mined output.
-	if got := len(strings.Split(strings.TrimSpace(out.String()), "\n")); got != 8 {
-		t.Fatalf("got %d patterns, want 8:\n%s", got, out.String())
-	}
-	f, err := os.Open(tracePath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	spans, err := rp.ValidateTraceEvents(f)
-	if err != nil {
-		t.Fatalf("exported trace invalid: %v", err)
-	}
-	if spans < 4 {
-		t.Errorf("trace has %d spans, want at least scan/tree-build/finalize/total", spans)
-	}
-}
-
 func TestMinePhasesAndVerbose(t *testing.T) {
 	path := writeInput(t)
 	var out, errOut bytes.Buffer

@@ -37,11 +37,8 @@
 //	                 per-phase time histograms, serving and Go runtime
 //	                 health gauges)
 //	GET  /healthz    liveness; fails once draining begins
-//	GET  /debug/requests        journal of recent and slowest requests with
-//	                            per-phase breakdowns (HTML; ?format=json)
-//	GET  /debug/requests/trace  one request's recorded span timeline as
-//	                            Chrome trace-event JSON (?id=<request id>;
-//	                            open in Perfetto, or check with rptrace)
+//	GET  /debug/requests  journal of recent and slowest requests with
+//	                      per-phase breakdowns (HTML; ?format=json)
 //	GET  /debug/pprof/...  net/http/pprof, only with -pprof. Mining
 //	                       samples in /debug/pprof/profile carry pprof
 //	                       labels (request_id, dataset_fp, phase), so a
@@ -62,10 +59,9 @@
 // are no partial results. Peers must serve the same database bytes — tasks
 // pin the content fingerprint. Shard RPCs carry the coordinator's request
 // id (X-Request-Id and the requestID body field), so every server's
-// /debug/requests journal joins on it, and traced mines collect each
-// peer's span timeline into one merged, clock-aligned flight record —
-// the coordinator's /debug/requests/trace renders per-peer Perfetto
-// lanes, and peer-reported phase times surface as
+// /debug/requests journal joins on it: each peer journals its task under
+// that id with shard=i/n in its options digest and its own queue, mine and
+// elapsed times. Peer-reported phase times surface as
 // rpserved_shard_peer_phase_seconds in /metrics.
 //
 // On SIGINT/SIGTERM the server stops accepting mines, drains the in-flight

@@ -21,6 +21,12 @@
 //   - Adding a field with a zero-value-compatible meaning is a
 //     same-version change; changing the meaning or default of an existing
 //     field requires a version bump.
+//   - Removing a field is a same-version change because of the
+//     unknown-field rule: a body that still carries it is refused with an
+//     error naming the field (400 from rpserved), so an older client fails
+//     loudly instead of mining under options the server ignores. The
+//     item-order and Erec-pruning ablation knobs, and the span-timeline
+//     exchange between coordinator and peer, left v1 this way.
 package api
 
 import (
@@ -59,34 +65,6 @@ func checkVersion(v int) error {
 	return fmt.Errorf("api: malformed schema version %d", v)
 }
 
-// Item-order wire values. The empty string means the default
-// (support-descending, the paper's order).
-const (
-	ItemOrderSupport = "support"
-	ItemOrderLex     = "lex"
-)
-
-// ParseItemOrder maps the wire form of an item order to the core enum.
-func ParseItemOrder(s string) (core.ItemOrder, error) {
-	switch s {
-	case "", ItemOrderSupport:
-		return core.SupportDescending, nil
-	case ItemOrderLex:
-		return core.Lexicographic, nil
-	default:
-		return 0, fmt.Errorf("api: unknown itemOrder %q (want %q or %q)", s, ItemOrderSupport, ItemOrderLex)
-	}
-}
-
-// ItemOrderString maps the core enum to its canonical wire form: the empty
-// string for the default order, so requests round-trip without noise.
-func ItemOrderString(o core.ItemOrder) string {
-	if o == core.Lexicographic {
-		return ItemOrderLex
-	}
-	return ""
-}
-
 // MineRequest is the JSON body of POST /v1/mine. Exactly one of minPS and
 // minPSPercent should be set; minPSPercent is resolved against the target
 // database's size (ToCoreOptions). Exactly one of db and dataset addresses
@@ -102,14 +80,6 @@ type MineRequest struct {
 	MaxLen       int     `json:"maxLen,omitempty"`       // pattern length cap; 0 = unlimited
 	Parallelism  int     `json:"parallelism,omitempty"`  // mining parallelism; servers clamp to their cap
 	CollectStats bool    `json:"collectStats,omitempty"` // include search statistics in the response
-	// ItemOrder selects the RP-tree item ordering: "" or "support" for the
-	// paper's support-descending order, "lex" for lexicographic. Output is
-	// identical either way, but the ablation knob must travel the wire so
-	// a shard peer mines under its coordinator's exact options.
-	ItemOrder string `json:"itemOrder,omitempty"`
-	// DisableErecPruning turns off the Erec candidate bound (the pruning
-	// ablation). Output is unchanged; search statistics are not.
-	DisableErecPruning bool `json:"disableErecPruning,omitempty"`
 }
 
 // Interval is the wire form of a periodic interval.
@@ -161,11 +131,6 @@ type ShardMineRequest struct {
 	// Optional with a zero-value-compatible meaning (the peer mints its
 	// own), so it is a same-version (v1) addition.
 	RequestID string `json:"requestID,omitempty"`
-	// Trace asks the peer to record its run's span timeline and return it
-	// in ShardMineResponse.Timeline, so the coordinator can graft the
-	// peer's lane into one fleet-wide flight record. Optional: absent
-	// means untraced, exactly the pre-tracing behaviour.
-	Trace bool `json:"trace,omitempty"`
 }
 
 // ShardMineResponse is the JSON body of a successful POST /v1/shard/mine.
@@ -179,16 +144,9 @@ type ShardMineResponse struct {
 	Patterns    []Pattern       `json:"patterns"`
 	Stats       *core.MineStats `json:"stats,omitempty"`
 	// Phases is the peer's per-phase attribution of this task (only phases
-	// that observed time or work), whether or not a timeline was requested
-	// — it feeds the coordinator's per-peer per-phase metrics.
+	// that observed time or work) — it feeds the coordinator's per-peer
+	// per-phase metrics.
 	Phases []obs.PhaseStat `json:"phases,omitempty"`
-	// ElapsedNS is how long the peer spent handling the task, queueing
-	// included — the clock reference the coordinator aligns Timeline
-	// against (see obs.PeerTimeline.AlignOffset).
-	ElapsedNS int64 `json:"elapsedNS,omitempty"`
-	// Timeline is the peer's recorded span timeline, present only when the
-	// request set Trace and the peer retains timelines.
-	Timeline *obs.TimelineSnapshot `json:"timeline,omitempty"`
 }
 
 // ErrorResponse is the JSON body of every failed request.
@@ -251,27 +209,21 @@ func decodeStrict(r io.Reader, v any) error {
 
 // ToCoreOptions resolves the request's thresholds into validated
 // core.Options against a database of dbLen transactions: the percentage
-// form of minPS resolves here, minRec defaults to 1, the item order
-// parses, and core's Options.Validate runs — so every entry point
+// form of minPS resolves here, minRec defaults to 1, and core's
+// Options.Validate runs — so every entry point
 // (rpserved, the shard endpoint, future clients) applies identical
 // validation and reports identical error text. Parallelism is carried
 // through unclamped; server-side caps are the server's policy, not the
 // schema's.
 func (req *MineRequest) ToCoreOptions(dbLen int) (core.Options, error) {
 	o := core.Options{
-		Per:                req.Per,
-		MinPS:              req.MinPS,
-		MinRec:             req.MinRec,
-		MaxLen:             req.MaxLen,
-		Parallelism:        req.Parallelism,
-		CollectStats:       req.CollectStats,
-		DisableErecPruning: req.DisableErecPruning,
+		Per:          req.Per,
+		MinPS:        req.MinPS,
+		MinRec:       req.MinRec,
+		MaxLen:       req.MaxLen,
+		Parallelism:  req.Parallelism,
+		CollectStats: req.CollectStats,
 	}
-	order, err := ParseItemOrder(req.ItemOrder)
-	if err != nil {
-		return core.Options{}, err
-	}
-	o.ItemOrder = order
 	if o.MinPS == 0 && req.MinPSPercent > 0 {
 		o.MinPS = core.MinPSForLen(dbLen, req.MinPSPercent)
 	}
@@ -287,18 +239,18 @@ func (req *MineRequest) ToCoreOptions(dbLen int) (core.Options, error) {
 // FromCoreOptions renders resolved options back into a request, the form a
 // coordinator ships to its shard peers. Absolute thresholds only: the
 // percentage form was resolved against a database size the peer must not
-// re-resolve. The Trace field does not travel.
+// re-resolve. The Trace field does not travel, and neither do the
+// in-process ablation knobs ItemOrder and DisableErecPruning: no wire
+// request can set them.
 func FromCoreOptions(o core.Options) MineRequest {
 	return MineRequest{
-		V:                  Version,
-		Per:                o.Per,
-		MinPS:              o.MinPS,
-		MinRec:             o.MinRec,
-		MaxLen:             o.MaxLen,
-		Parallelism:        o.Parallelism,
-		CollectStats:       o.CollectStats,
-		ItemOrder:          ItemOrderString(o.ItemOrder),
-		DisableErecPruning: o.DisableErecPruning,
+		V:            Version,
+		Per:          o.Per,
+		MinPS:        o.MinPS,
+		MinRec:       o.MinRec,
+		MaxLen:       o.MaxLen,
+		Parallelism:  o.Parallelism,
+		CollectStats: o.CollectStats,
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"io"
 	"strings"
 	"testing"
 
@@ -52,15 +53,12 @@ func TestDecodeMineRequestVersions(t *testing.T) {
 
 func TestDecodeShardMineRequest(t *testing.T) {
 	req, err := DecodeShardMineRequest(strings.NewReader(
-		`{"v":1,"fingerprint":"00000000deadbeef","per":360,"minPS":4,"shard":1,"shards":3,"itemOrder":"lex","disableErecPruning":true}`))
+		`{"v":1,"fingerprint":"00000000deadbeef","per":360,"minPS":4,"shard":1,"shards":3}`))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if req.Shard != 1 || req.Shards != 3 || req.Fingerprint != "00000000deadbeef" {
 		t.Errorf("task fields = %d/%d %q", req.Shard, req.Shards, req.Fingerprint)
-	}
-	if req.ItemOrder != ItemOrderLex || !req.DisableErecPruning {
-		t.Errorf("ablation knobs lost in decode: %+v", req)
 	}
 	if _, err := DecodeShardMineRequest(strings.NewReader(`{"v":3,"per":1,"shard":0,"shards":1}`)); err == nil {
 		t.Error("want version error for v3 shard request")
@@ -68,17 +66,16 @@ func TestDecodeShardMineRequest(t *testing.T) {
 }
 
 // TestShardTraceContextRoundTrip covers the v1 trace-context additions:
-// the optional request ID / trace flag on the request and the phase report,
-// handling time and timeline on the response survive a strict-decode round
-// trip, and their absence decodes to the zero values (the pre-tracing
-// behaviour, which is what makes them same-version additions).
+// the optional request ID on the request and the phase report on the
+// response survive a strict-decode round trip, and their absence decodes
+// to the zero values (the pre-tracing behaviour, which is what makes them
+// same-version additions).
 func TestShardTraceContextRoundTrip(t *testing.T) {
 	req := ShardMineRequest{
 		MineRequest: MineRequest{V: Version, Per: 360, MinPS: 4},
 		Shard:       1, Shards: 3,
 		Fingerprint: "00000000deadbeef",
 		RequestID:   "0a1b2c3d-7",
-		Trace:       true,
 	}
 	var buf bytes.Buffer
 	if err := json.NewEncoder(&buf).Encode(req); err != nil {
@@ -88,29 +85,24 @@ func TestShardTraceContextRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.RequestID != "0a1b2c3d-7" || !got.Trace {
-		t.Errorf("trace context lost in decode: id=%q trace=%v", got.RequestID, got.Trace)
+	if got.RequestID != "0a1b2c3d-7" {
+		t.Errorf("trace context lost in decode: id=%q", got.RequestID)
 	}
-	// A pre-tracing coordinator's request still decodes, untraced.
+	// A pre-tracing coordinator's request still decodes.
 	old, err := DecodeShardMineRequest(strings.NewReader(
 		`{"v":1,"fingerprint":"00000000deadbeef","per":360,"minPS":4,"shard":0,"shards":2}`))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if old.RequestID != "" || old.Trace {
-		t.Errorf("absent trace context decoded non-zero: id=%q trace=%v", old.RequestID, old.Trace)
+	if old.RequestID != "" {
+		t.Errorf("absent trace context decoded non-zero: id=%q", old.RequestID)
 	}
 
 	resp := ShardMineResponse{
 		V:           Version,
 		Fingerprint: "00000000deadbeef",
 		Shard:       1, Shards: 3,
-		Phases:    []obs.PhaseStat{{Phase: "mine", Nanos: 1200, Count: 2, Unit: "tasks"}},
-		ElapsedNS: 4500,
-		Timeline: &obs.TimelineSnapshot{
-			Cap:   8,
-			Spans: []obs.SpanRecord{{Phase: "mine", StartNS: 10, DurNS: 900}},
-		},
+		Phases: []obs.PhaseStat{{Phase: "mine", Nanos: 1200, Count: 2, Unit: "tasks"}},
 	}
 	buf.Reset()
 	if err := json.NewEncoder(&buf).Encode(resp); err != nil {
@@ -120,20 +112,51 @@ func TestShardTraceContextRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rt.ElapsedNS != 4500 || len(rt.Phases) != 1 || rt.Phases[0].Phase != "mine" {
+	if len(rt.Phases) != 1 || rt.Phases[0].Phase != "mine" {
 		t.Errorf("phase report lost in decode: %+v", rt)
 	}
-	if rt.Timeline == nil || len(rt.Timeline.Spans) != 1 || rt.Timeline.Spans[0].DurNS != 900 {
-		t.Errorf("timeline lost in decode: %+v", rt.Timeline)
-	}
-	// A pre-tracing peer's response still decodes, with no timeline.
+	// A pre-tracing peer's response still decodes, with no phases.
 	bare, err := DecodeShardMineResponse(strings.NewReader(
 		`{"v":1,"fingerprint":"00000000000000aa","shard":0,"shards":2,"count":0,"miningMS":1.5,"patterns":[]}`))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bare.Timeline != nil || bare.ElapsedNS != 0 || bare.Phases != nil {
-		t.Errorf("absent trace fields decoded non-zero: %+v", bare)
+	if bare.Phases != nil {
+		t.Errorf("absent phase report decoded non-zero: %+v", bare)
+	}
+}
+
+// TestDecodeRejectsRetiredFields pins what an older client meets: a body
+// that still carries a field the wire no longer has (the ablation knobs
+// and the span-timeline exchange) fails the strict decode with an error
+// that names the field, rather than mining under options the server would
+// ignore.
+func TestDecodeRejectsRetiredFields(t *testing.T) {
+	const task = `"v":1,"fingerprint":"00000000deadbeef","per":360,"minPS":4,"shard":0,"shards":2`
+	const result = `"v":1,"fingerprint":"00000000deadbeef","shard":0,"shards":2,"count":0,"miningMS":1,"patterns":[]`
+	mine := func(r io.Reader) error { _, err := DecodeMineRequest(r); return err }
+	shardReq := func(r io.Reader) error { _, err := DecodeShardMineRequest(r); return err }
+	shardResp := func(r io.Reader) error { _, err := DecodeShardMineResponse(r); return err }
+	for _, c := range []struct {
+		field, body string
+		decode      func(io.Reader) error
+	}{
+		{"itemOrder", `{"per":10,"itemOrder":"lex"}`, mine},
+		{"disableErecPruning", `{"per":10,"disableErecPruning":true}`, mine},
+		{"itemOrder", `{` + task + `,"itemOrder":"support"}`, shardReq},
+		{"disableErecPruning", `{` + task + `,"disableErecPruning":false}`, shardReq},
+		{"trace", `{` + task + `,"trace":true}`, shardReq},
+		{"timeline", `{` + result + `,"timeline":{"spans":[],"cap":8}}`, shardResp},
+		{"elapsedNS", `{` + result + `,"elapsedNS":4500}`, shardResp},
+	} {
+		err := c.decode(strings.NewReader(c.body))
+		if err == nil {
+			t.Errorf("%s: body %s decoded", c.field, c.body)
+			continue
+		}
+		if !strings.Contains(err.Error(), `"`+c.field+`"`) {
+			t.Errorf("%s: error %q does not name the field", c.field, err)
+		}
 	}
 }
 
@@ -151,7 +174,7 @@ func TestDecodeShardMineResponseVersion(t *testing.T) {
 }
 
 func TestToCoreOptions(t *testing.T) {
-	req := MineRequest{Per: 360, MinPSPercent: 10, MaxLen: 3, ItemOrder: "lex", DisableErecPruning: true}
+	req := MineRequest{Per: 360, MinPSPercent: 10, MaxLen: 3}
 	o, err := req.ToCoreOptions(200)
 	if err != nil {
 		t.Fatal(err)
@@ -161,9 +184,6 @@ func TestToCoreOptions(t *testing.T) {
 	}
 	if o.MinRec != 1 {
 		t.Errorf("MinRec = %d, want defaulted 1", o.MinRec)
-	}
-	if o.ItemOrder != core.Lexicographic || !o.DisableErecPruning {
-		t.Errorf("ablation knobs lost in conversion: %+v", o)
 	}
 
 	// Absolute minPS wins over the percentage.
@@ -176,16 +196,12 @@ func TestToCoreOptions(t *testing.T) {
 	if _, err = (&MineRequest{Per: 0, MinPS: 1}).ToCoreOptions(10); err == nil || !strings.Contains(err.Error(), "Per must be positive") {
 		t.Errorf("want core validation error, got %v", err)
 	}
-	if _, err = (&MineRequest{Per: 1, MinPS: 1, ItemOrder: "zigzag"}).ToCoreOptions(10); err == nil || !strings.Contains(err.Error(), "itemOrder") {
-		t.Errorf("want itemOrder error, got %v", err)
-	}
 }
 
 func TestFromCoreOptionsRoundTrip(t *testing.T) {
 	for _, o := range []core.Options{
 		{Per: 360, MinPS: 20, MinRec: 2},
 		{Per: 5, MinPS: 1, MinRec: 1, MaxLen: 4, Parallelism: 8, CollectStats: true},
-		{Per: 9, MinPS: 2, MinRec: 1, ItemOrder: core.Lexicographic, DisableErecPruning: true},
 	} {
 		req := FromCoreOptions(o)
 		if req.V != Version {
@@ -198,18 +214,6 @@ func TestFromCoreOptionsRoundTrip(t *testing.T) {
 		if back != o {
 			t.Errorf("options round-trip diverged:\n sent %+v\n got  %+v", o, back)
 		}
-	}
-}
-
-func TestItemOrderWireForms(t *testing.T) {
-	if s := ItemOrderString(core.SupportDescending); s != "" {
-		t.Errorf("default order renders %q, want empty", s)
-	}
-	if s := ItemOrderString(core.Lexicographic); s != ItemOrderLex {
-		t.Errorf("lex order renders %q", s)
-	}
-	if o, err := ParseItemOrder(ItemOrderSupport); err != nil || o != core.SupportDescending {
-		t.Errorf("ParseItemOrder(support) = %v, %v", o, err)
 	}
 }
 

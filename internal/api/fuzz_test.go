@@ -12,7 +12,9 @@ import (
 )
 
 // requestBodies seeds the decoder fuzzers: the request bodies of
-// api_test.go, accepted and refused alike.
+// api_test.go, accepted and refused alike. A body carrying a retired field
+// is a reject-path seed; the body after it is the same request without
+// that field, so each target keeps a seed that decodes.
 var requestBodies = []string{
 	`{"db":"shop","per":10}`,
 	`{"v":1,"db":"shop","per":10}`,
@@ -22,9 +24,11 @@ var requestBodies = []string{
 	`{"per":10,"bogus":true}`,
 	`{"per":10}{"per":11}`,
 	`{"v":1,"fingerprint":"00000000deadbeef","per":360,"minPS":4,"shard":1,"shards":3,"itemOrder":"lex","disableErecPruning":true}`,
+	`{"v":1,"fingerprint":"00000000deadbeef","per":360,"minPS":4,"shard":1,"shards":3}`,
 	`{"v":3,"per":1,"shard":0,"shards":1}`,
 	`{"v":1,"fingerprint":"00000000deadbeef","per":360,"minPS":4,"shard":0,"shards":2}`,
 	`{"v":1,"per":360,"minPSPercent":10,"maxLen":3,"minRec":2,"collectStats":true,"requestID":"r-1","trace":true}`,
+	`{"v":1,"per":360,"minPSPercent":10,"maxLen":3,"minRec":2,"collectStats":true,"requestID":"r-1"}`,
 }
 
 // checkWire holds an accepted request to the wire contract: it re-encodes
@@ -82,11 +86,14 @@ func FuzzDecodeShardMineRequest(f *testing.F) {
 
 // responseBodies seeds FuzzDecodeShardMineResponse: the shard response
 // bodies of api_test.go, accepted and refused alike, plus one carrying
-// patterns, stats, phases and a timeline.
+// patterns and stats. The body carrying the retired timeline fields is a
+// reject-path seed; the body after it is the same response with phases
+// only, which decodes.
 var responseBodies = []string{
 	`{"v":1,"fingerprint":"00000000000000aa","shard":0,"shards":2,"count":0,"miningMS":1.5,"patterns":[]}`,
 	`{"v":2,"fingerprint":"0","shard":0,"shards":1}`,
 	`{"v":1,"fingerprint":"00000000deadbeef","shard":1,"shards":3,"count":0,"miningMS":0,"patterns":null,"phases":[{"phase":"mine","nanos":1200,"count":2,"unit":"tasks"}],"elapsedNS":4500,"timeline":{"spans":[{"phase":"mine","startNS":10,"durNS":900}],"cap":8}}`,
+	`{"v":1,"fingerprint":"00000000deadbeef","shard":1,"shards":3,"count":0,"miningMS":0,"patterns":null,"phases":[{"phase":"mine","nanos":1200,"count":2,"unit":"tasks"}]}`,
 	`{"v":1,"fingerprint":"00000000deadbeef","shard":0,"shards":2,"count":2,"miningMS":3.25,"patterns":[{"items":["a","b"],"support":4,"recurrence":2,"intervals":[{"start":1,"end":5,"ps":3},{"start":9,"end":12,"ps":2}]},{"items":["zz"],"support":1,"recurrence":1,"intervals":[]}],"stats":{"candidateItems":3}}`,
 }
 

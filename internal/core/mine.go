@@ -5,9 +5,9 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"strconv"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"github.com/recurpat/rp/internal/obs"
 	"github.com/recurpat/rp/internal/tsdb"
@@ -88,7 +88,7 @@ func mine(ctx context.Context, db *tsdb.DB, o Options, spec ShardSpec, emit func
 		// counted exactly once since each shard only grows its own).
 		res.Stats.TreeNodes += tree.nodes
 	}
-	// The mine phase is timed per subtree task (obs.TaskSpan), not as one
+	// The mine phase is timed per subtree task (mineWorker), not as one
 	// span; the label covers the pool's workers too, which inherit it.
 	cancelled := false
 	obs.DoPhase(ctx, obs.PhaseMine, func(ctx context.Context) {
@@ -192,17 +192,6 @@ func (m *miner) mineTree(t *rpTree, suffix []tsdb.ItemID, depth int) {
 		}
 		m.mineRank(t, r, suffix, depth)
 	}
-}
-
-// taskLabel names a top-level subtree task by its suffix item, the label
-// retained timeline spans carry. The string is only built when a timeline
-// is actually attached, so the traced-aggregate-only path allocates
-// nothing extra per task.
-func (m *miner) taskLabel(item tsdb.ItemID) string {
-	if m.tr.Timeline() == nil {
-		return ""
-	}
-	return "item=" + strconv.Itoa(int(item))
 }
 
 // mineRank evaluates the pattern beta = suffix + order[r] and recurses into
@@ -352,16 +341,15 @@ func mineWorker(m *miner, t *rpTree, ranks []int, partial []Result, next *atomic
 		if m.o.CollectStats {
 			m.res.Stats.MaxDepth = 1
 		}
-		var sp obs.TaskSpan
+		var t0 time.Time
 		if m.tr != nil {
-			sp = m.tr.StartTask(m.taskLabel(t.order[r]), &m.lc)
+			t0 = obs.Now()
 		}
 		m.mineRank(t, r, m.stack[:0], 1)
 		if m.tr != nil {
-			// One subtree task per rank: time it (retaining the
-			// span when a timeline is attached) and publish the
+			// One subtree task per rank: time it and publish the
 			// worker's batch (merge times, prune counts) with it.
-			sp.End(&m.lc)
+			m.lc.Observe(obs.PhaseMine, obs.Since(t0), 1)
 			m.lc.Flush(m.tr)
 		}
 	}

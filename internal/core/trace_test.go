@@ -111,78 +111,6 @@ func TestMineTracedParallel(t *testing.T) {
 	}
 }
 
-// TestMineTimelineRecordsRun attaches a timeline (the flight-recorder
-// path) and checks the retained spans describe the run at subtree-task
-// granularity, agree with the aggregates, and carry labels and nested
-// work — sequentially and across the worker pool (-race via make check).
-func TestMineTimelineRecordsRun(t *testing.T) {
-	rng := rand.New(rand.NewPCG(17, 3))
-	db := randomDB(rng, 14, 2000, 0.28)
-
-	for _, par := range []int{0, 4} {
-		o := Options{Per: 4, MinPS: 3, MinRec: 2, Parallelism: par, Trace: obs.NewTrace()}
-		tl := obs.NewTimeline(0)
-		o.Trace.AttachTimeline(tl)
-		plain, err := Mine(db, Options{Per: 4, MinPS: 3, MinRec: 2, Parallelism: par})
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := Mine(db, o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !plain.Equal(res) {
-			t.Fatalf("par=%d: timeline retention changed the mining result", par)
-		}
-
-		snap := tl.Snapshot()
-		counts := map[string]int{}
-		var tasks, labelled int
-		var taskNanos, merges, prunes int64
-		for _, s := range snap.Spans {
-			counts[s.Phase]++
-			if s.Phase == "mine" {
-				tasks++
-				taskNanos += s.DurNS
-				merges += s.Merges
-				prunes += s.Prunes
-				if s.Label != "" {
-					labelled++
-				}
-				if s.MergeNS > s.DurNS {
-					t.Errorf("par=%d: task %q nested merge time %d exceeds its duration %d", par, s.Label, s.MergeNS, s.DurNS)
-				}
-			}
-		}
-		for _, phase := range []string{"scan", "tree-build", "finalize", "total"} {
-			if counts[phase] != 1 {
-				t.Errorf("par=%d: retained %d %q spans, want 1", par, counts[phase], phase)
-			}
-		}
-		r := o.Trace.Report()
-		stats := map[string]obs.PhaseStat{}
-		for _, s := range r.Phases {
-			stats[s.Phase] = s
-		}
-		if snap.Dropped != 0 {
-			t.Fatalf("par=%d: default cap dropped %d spans on a small workload", par, snap.Dropped)
-		}
-		if int64(tasks) != stats["mine"].Count || tasks == 0 {
-			t.Errorf("par=%d: %d retained task spans, aggregate says %d tasks", par, tasks, stats["mine"].Count)
-		}
-		if labelled != tasks {
-			t.Errorf("par=%d: only %d of %d task spans labelled", par, labelled, tasks)
-		}
-		if taskNanos != stats["mine"].Nanos {
-			t.Errorf("par=%d: retained task time %d != aggregate mine time %d", par, taskNanos, stats["mine"].Nanos)
-		}
-		if merges != stats["ts-merge"].Count || prunes != stats["erec-prune"].Count {
-			t.Errorf("par=%d: per-span work (merges=%d prunes=%d) disagrees with aggregates (%d, %d)",
-				par, merges, prunes, stats["ts-merge"].Count, stats["erec-prune"].Count)
-		}
-	}
-}
-
 // TestMineFuncTraced checks the streaming entry point feeds the same trace
 // machinery.
 func TestMineFuncTraced(t *testing.T) {

@@ -49,8 +49,7 @@ const (
 	// shard's result (or failure). Nested: with local executors the shard
 	// time contains the executor's own scan/tree-build/mine phases, and
 	// with remote executors it is network plus the peer's run, so it never
-	// adds to the coordinator's top-level coverage sum. Labeled timeline
-	// spans put each shard on its own flight-recorder lane.
+	// adds to the coordinator's top-level coverage sum.
 	PhaseShard
 	// PhaseMerge counts and times the tid-list unions of the conditional
 	// Erec check (Section 4.2.3's temporary array), one observation per
@@ -148,11 +147,6 @@ type Trace struct {
 	// deferred total spans), the reference for phase coverage.
 	totalNanos atomic.Int64
 	runs       atomic.Int64
-
-	// tl, when non-nil, additionally retains ended spans as a bounded
-	// per-run timeline (see AttachTimeline in timeline.go). Set before the
-	// run and read-only during it; nil keeps the trace aggregate-only.
-	tl *Timeline
 }
 
 // NewTrace returns an empty trace.
@@ -200,7 +194,6 @@ type Span struct {
 	t     *Trace
 	p     Phase
 	start time.Time
-	label string
 }
 
 // Start opens a span for phase p. Spans may nest freely (each records its
@@ -212,16 +205,6 @@ func (t *Trace) Start(p Phase) Span {
 	return Span{t: t, p: p, start: Now()}
 }
 
-// StartLabeled is Start with a label that retained timeline records carry,
-// e.g. "shard=2/4" on a scatter-gather lane. The label costs nothing when
-// no timeline is attached.
-func (t *Trace) StartLabeled(p Phase, label string) Span {
-	if t == nil {
-		return Span{}
-	}
-	return Span{t: t, p: p, start: Now(), label: label}
-}
-
 // StartTotal opens a span covering a whole run; its End feeds ObserveTotal.
 func (t *Trace) StartTotal() Span {
 	if t == nil {
@@ -231,23 +214,16 @@ func (t *Trace) StartTotal() Span {
 }
 
 // End closes the span, crediting its elapsed time (and one work unit) to
-// its phase. When a timeline is attached to the trace, the span is also
-// retained as a timeline record (the whole-run span under the phase name
-// "total").
+// its phase.
 func (s Span) End() {
 	if s.t == nil {
 		return
 	}
 	el := Since(s.start)
-	name := "total"
 	if s.p == NumPhases {
 		s.t.ObserveTotal(el)
 	} else {
 		s.t.Observe(s.p, el, 1)
-		name = s.p.String()
-	}
-	if tl := s.t.tl; tl != nil {
-		tl.record(SpanRecord{Phase: name, Label: s.label, StartNS: tl.startNS(s.start), DurNS: el})
 	}
 }
 

@@ -188,3 +188,15 @@ func TestRequestIDsAreUnique(t *testing.T) {
 		}
 	}
 }
+
+func TestParsePhase(t *testing.T) {
+	for p := Phase(0); p < NumPhases; p++ {
+		got, ok := ParsePhase(p.String())
+		if !ok || got != p {
+			t.Errorf("ParsePhase(%q) = %v/%v, want %v", p.String(), got, ok, p)
+		}
+	}
+	if _, ok := ParsePhase("no-such-phase"); ok {
+		t.Error("ParsePhase accepted an unknown name")
+	}
+}

@@ -23,12 +23,6 @@ type cacheKey struct {
 	minPS  int
 	minRec int
 	maxLen int
-	order  core.ItemOrder
-	// noErec is Options.DisableErecPruning. The pattern set is identical
-	// either way, but the search statistics are not, and a cached entry
-	// answers stats requests — so the ablation must not share entries with
-	// the default configuration.
-	noErec bool
 }
 
 // cachedResult is an immutable, fully name-resolved mining result. It is
@@ -39,12 +33,9 @@ type cachedResult struct {
 	stats    core.MineStats
 	mineTime time.Duration // wall time of the run that produced it
 
-	// report and timeline describe the producing run for the request
-	// journal: its per-phase breakdown and (when recording was on) its
-	// retained span timeline. Requests answered from this entry journal
-	// them as historic.
-	report   obs.PhaseReport
-	timeline obs.TimelineSnapshot
+	// report is the producing run's per-phase breakdown for the request
+	// journal. Requests answered from this entry journal it as historic.
+	report obs.PhaseReport
 
 	// allocBytes and cpuTime are the producing run's resource cost,
 	// measured around the single-flight mining section; like mineTime they

@@ -1,7 +1,6 @@
-// The /debug/requests endpoints render the request journal: an HTML page
-// for humans (the x/net/trace style), a JSON form for scripts, and a
-// per-request Chrome trace-event download for Perfetto. They read only
-// journal snapshots, so a scrape never contends with request handling
+// The /debug/requests endpoint renders the request journal: an HTML page
+// for humans (the x/net/trace style) and a JSON form for scripts. It reads
+// only journal snapshots, so a scrape never contends with request handling
 // beyond the journal mutex.
 package serve
 
@@ -9,7 +8,6 @@ import (
 	"fmt"
 	"html/template"
 	"net/http"
-	"strconv"
 	"strings"
 	"time"
 
@@ -51,8 +49,6 @@ func (s *Server) logAccess(msg string, start time.Time, rec *accessRecord) {
 		CPUMS:      float64(rec.cpuTime) / 1e6,
 		Phases:     activePhases(rec.report),
 		Historic:   rec.historic,
-		HasTrace:   len(rec.timeline.Spans) > 0,
-		timeline:   rec.timeline,
 	})
 }
 
@@ -100,40 +96,6 @@ func (s *Server) handleDebugRequests(w http.ResponseWriter, r *http.Request) {
 	_ = debugRequestsTmpl.Execute(w, resp)
 }
 
-// handleRequestTrace serves one journalled request's span timeline as
-// Chrome trace-event JSON, loadable in Perfetto or chrome://tracing.
-func (s *Server) handleRequestTrace(w http.ResponseWriter, r *http.Request) {
-	id := r.URL.Query().Get("id")
-	if id == "" {
-		s.writeError(w, http.StatusBadRequest, "missing id parameter")
-		return
-	}
-	e := s.journal.find(id)
-	if e == nil {
-		s.writeError(w, http.StatusNotFound,
-			fmt.Sprintf("no journalled request %q (evicted, or never journalled)", id))
-		return
-	}
-	if !e.HasTrace {
-		s.writeError(w, http.StatusNotFound,
-			fmt.Sprintf("request %q retained no span timeline (%s outcome)", id, e.Outcome))
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Content-Disposition", fmt.Sprintf("attachment; filename=%q", "rpserved-"+id+".json"))
-	name := strings.TrimSpace("rpserved mine " + e.DB)
-	// Embed the producing run's resource cost so a saved trace carries it
-	// (rptrace prints these next to the span summary).
-	var meta map[string]string
-	if e.AllocBytes > 0 || e.CPUMS > 0 {
-		meta = map[string]string{
-			"requestAllocBytes": strconv.FormatUint(e.AllocBytes, 10),
-			"requestCPUMS":      strconv.FormatFloat(e.CPUMS, 'f', 3, 64),
-		}
-	}
-	_ = obs.WriteTraceEventsMeta(w, name, e.timeline, meta)
-}
-
 // debugRequestsTmpl renders the journal as a self-contained HTML page. The
 // helper funcs keep the rows compact: millisecond columns with two
 // decimals, and one phase-breakdown line per entry.
@@ -167,7 +129,7 @@ requests at or above {{ms .SlowThresholdMS}}&nbsp;ms also enter the slow bucket.
 {{range .}}
 <tr>
 <td>{{when .Start}}</td>
-<td>{{if .HasTrace}}<a href="/debug/requests/trace?id={{.ID}}">{{.ID}}</a>{{else}}{{.ID}}{{end}}</td>
+<td>{{.ID}}</td>
 <td>{{.DB}}</td>
 <td class="{{if eq .Status 200}}outcome-ok{{else}}outcome-bad{{end}}">{{.Outcome}}</td>
 <td class="num">{{.Status}}</td>

@@ -58,14 +58,6 @@ type RequestEntry struct {
 	// this request.
 	Phases   []obs.PhaseStat `json:"phases,omitempty"`
 	Historic bool            `json:"historic,omitempty"`
-	// HasTrace reports a retained span timeline, downloadable as Chrome
-	// trace-event JSON from /debug/requests/trace?id=<ID>.
-	HasTrace bool `json:"hasTrace"`
-
-	// timeline is the retained per-run span timeline backing HasTrace;
-	// unexported so the JSON listing stays small (the trace endpoint
-	// renders it on demand).
-	timeline obs.TimelineSnapshot
 }
 
 // journal retains recent and slow request entries. All methods are safe
@@ -101,7 +93,7 @@ func (j *journal) add(e *RequestEntry) {
 		j.recent[j.next] = e
 		j.next = (j.next + 1) % j.cap
 	}
-	if j.slowMin < 0 || time.Duration(e.ElapsedMS*float64(time.Millisecond)) < j.slowMin {
+	if time.Duration(e.ElapsedMS*float64(time.Millisecond)) < j.slowMin {
 		return
 	}
 	i := sort.Search(len(j.slow), func(i int) bool { return j.slow[i].ElapsedMS < e.ElapsedMS })
@@ -126,22 +118,4 @@ func (j *journal) snapshot() (recent, slow []*RequestEntry, total int64) {
 		recent = append(recent, j.recent[(j.next+len(j.recent)-i)%len(j.recent)])
 	}
 	return recent, append([]*RequestEntry(nil), j.slow...), j.total
-}
-
-// find returns the retained entry with the given id, or nil. Recent
-// entries win over slow ones (they are the same pointer when both hold it).
-func (j *journal) find(id string) *RequestEntry {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	for _, e := range j.recent {
-		if e.ID == id {
-			return e
-		}
-	}
-	for _, e := range j.slow {
-		if e.ID == id {
-			return e
-		}
-	}
-	return nil
 }

@@ -22,7 +22,7 @@ func entryN(i int, elapsedMS float64) *RequestEntry {
 }
 
 func TestJournalEvictionOrder(t *testing.T) {
-	j := newJournal(4, -1)
+	j := newJournal(4, time.Hour)
 	for i := 0; i < 10; i++ {
 		j.add(entryN(i, 1))
 	}
@@ -31,7 +31,7 @@ func TestJournalEvictionOrder(t *testing.T) {
 		t.Errorf("total = %d, want 10", total)
 	}
 	if len(slow) != 0 {
-		t.Errorf("negative slow threshold retained %d slow entries", len(slow))
+		t.Errorf("entries under the slow threshold retained %d slow entries", len(slow))
 	}
 	// The ring keeps the newest 4, reported newest-first.
 	want := []string{"r009", "r008", "r007", "r006"}
@@ -42,12 +42,6 @@ func TestJournalEvictionOrder(t *testing.T) {
 		if e.ID != want[i] {
 			t.Errorf("recent[%d] = %s, want %s", i, e.ID, want[i])
 		}
-	}
-	if j.find("r005") != nil {
-		t.Error("evicted entry still findable")
-	}
-	if e := j.find("r008"); e == nil || e.ID != "r008" {
-		t.Error("retained entry not findable")
 	}
 }
 
@@ -67,9 +61,6 @@ func TestJournalSlowBucketRetention(t *testing.T) {
 	// The slow bucket keeps them past ring churn, slowest first.
 	if len(slow) != 2 || slow[0].ID != "r001" || slow[1].ID != "r000" {
 		t.Fatalf("slow bucket = %v, want [r001 r000]", slowIDs(slow))
-	}
-	if j.find("r001") == nil {
-		t.Error("slow-bucket entry not findable after ring eviction")
 	}
 
 	// Overflowing the bucket keeps only the slowBucketSize slowest.
@@ -98,7 +89,7 @@ func slowIDs(slow []*RequestEntry) []string {
 	return ids
 }
 
-// TestJournalConcurrent hammers add, snapshot and find from many
+// TestJournalConcurrent hammers add and snapshot from many
 // goroutines; run under -race by make check.
 func TestJournalConcurrent(t *testing.T) {
 	j := newJournal(8, 50*time.Millisecond)
@@ -116,9 +107,6 @@ func TestJournalConcurrent(t *testing.T) {
 						return
 					}
 				}
-				if i%29 == 0 {
-					j.find(fmt.Sprintf("r%03d", i))
-				}
 			}
 		}(w)
 	}
@@ -131,8 +119,7 @@ func TestJournalConcurrent(t *testing.T) {
 
 // TestDebugRequestsJournal drives one server through the three interesting
 // outcomes — a served mine, a cache hit, and a shed request — and checks
-// /debug/requests lists all three with per-phase breakdowns, and that the
-// served run's span timeline exports as valid Chrome trace-event JSON.
+// /debug/requests lists all three with per-phase breakdowns.
 func TestDebugRequestsJournal(t *testing.T) {
 	started := make(chan struct{}, 1)
 	release := make(chan struct{})
@@ -194,15 +181,12 @@ func TestDebugRequestsJournal(t *testing.T) {
 				t.Errorf("%s entry lacks the %s phase: %v", name, want, e.Phases)
 			}
 		}
-		if !e.HasTrace {
-			t.Errorf("%s entry has no downloadable trace", name)
-		}
 	}
 	if hit.Historic != true || served.Historic != false {
 		t.Errorf("historic flags: served=%v hit=%v, want false/true", served.Historic, hit.Historic)
 	}
-	if shed.Status != http.StatusTooManyRequests || len(shed.Phases) != 0 || shed.HasTrace {
-		t.Errorf("shed entry = %+v, want 429 with no phases or trace", shed)
+	if shed.Status != http.StatusTooManyRequests || len(shed.Phases) != 0 {
+		t.Errorf("shed entry = %+v, want 429 with no phases", shed)
 	}
 
 	// The HTML view lists the same requests.
@@ -210,30 +194,16 @@ func TestDebugRequestsJournal(t *testing.T) {
 	if resp.StatusCode != http.StatusOK || !strings.Contains(resp.Header.Get("Content-Type"), "text/html") {
 		t.Fatalf("debug/requests html: status %d type %q", resp.StatusCode, resp.Header.Get("Content-Type"))
 	}
-	for _, want := range []string{served.ID, hit.ID, shed.ID, "cache-hit", "shed", "scan", "/debug/requests/trace?id=" + served.ID} {
+	for _, want := range []string{served.ID, hit.ID, shed.ID, "cache-hit", "shed", "scan"} {
 		if !strings.Contains(html, want) {
 			t.Errorf("html view lacks %q", want)
 		}
 	}
-
-	// The served request's timeline round-trips through the trace-event
-	// exporter's own validator.
-	resp, trace := getBody(t, hs.URL+"/debug/requests/trace?id="+served.ID)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("trace download: status %d body %s", resp.StatusCode, trace)
+	if strings.Contains(html, "/debug/requests/trace") {
+		t.Error("html view links the retired per-request trace download")
 	}
-	spans, err := obs.ValidateTraceEvents(strings.NewReader(trace))
-	if err != nil {
-		t.Fatalf("exported trace invalid: %v", err)
-	}
-	if spans == 0 {
-		t.Fatal("exported trace has no spans")
-	}
-	if resp, _ := getBody(t, hs.URL+"/debug/requests/trace?id=nope"); resp.StatusCode != http.StatusNotFound {
-		t.Errorf("unknown trace id: status %d, want 404", resp.StatusCode)
-	}
-	if resp, _ := getBody(t, hs.URL+"/debug/requests/trace?id="+shed.ID); resp.StatusCode != http.StatusNotFound {
-		t.Errorf("traceless entry: status %d, want 404", resp.StatusCode)
+	if resp, _ := getBody(t, hs.URL+"/debug/requests/trace?id="+served.ID); resp.StatusCode != http.StatusNotFound {
+		t.Errorf("retired trace download: status %d, want 404", resp.StatusCode)
 	}
 }
 
@@ -241,29 +211,6 @@ func decodeJSON(t *testing.T, body string, v any) {
 	t.Helper()
 	if err := json.Unmarshal([]byte(body), v); err != nil {
 		t.Fatalf("decoding %q: %v", body, err)
-	}
-}
-
-// TestRequestTraceContentDisposition pins the trace download's filename to
-// the request ID, so saved fleet traces don't all land as trace.json.
-func TestRequestTraceContentDisposition(t *testing.T) {
-	_, hs := newTestServer(t, Config{}, nil)
-	status, body := postMine(t, hs.URL, `{"db":"shop","per":4,"minPS":3,"minRec":1}`)
-	if status != http.StatusOK {
-		t.Fatalf("mine: status %d, body %v", status, body)
-	}
-	id := journalIDs(t, hs.URL)[0]
-	resp, err := http.Get(hs.URL + "/debug/requests/trace?id=" + id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("trace download: status %d", resp.StatusCode)
-	}
-	want := fmt.Sprintf("attachment; filename=%q", "rpserved-"+id+".json")
-	if cd := resp.Header.Get("Content-Disposition"); cd != want {
-		t.Errorf("Content-Disposition = %q, want %q", cd, want)
 	}
 }
 

@@ -166,14 +166,20 @@ func TestRequestErrors(t *testing.T) {
 	if status, _ := postMine(t, hs.URL, `{"per":2,"minPS":2,"bogus":1}`); status != http.StatusBadRequest {
 		t.Errorf("unknown field: status %d, want 400", status)
 	}
+	// A retired wire knob is an unknown field too, and the error names it.
+	if status, m := postMine(t, hs.URL, `{"per":2,"minPS":2,"itemOrder":"lex"}`); status != http.StatusBadRequest {
+		t.Errorf("retired itemOrder: status %d, want 400", status)
+	} else if msg, _ := m["error"].(string); !strings.Contains(msg, `"itemOrder"`) {
+		t.Errorf("retired itemOrder: error %q does not name the field", msg)
+	}
 	// With a single database served, naming it is optional.
 	if status, m := postMine(t, hs.URL, `{"per":4,"minPS":3}`); status != http.StatusOK || m["db"] != "shop" {
 		t.Errorf("unnamed single-db request: status %d, db %v", status, m["db"])
 	}
 
 	stats := getStats(t, hs.URL)
-	if got := metric(t, stats, "errors"); got != 2 {
-		t.Errorf("errors = %v, want 2", got)
+	if got := metric(t, stats, "errors"); got != 3 {
+		t.Errorf("errors = %v, want 3", got)
 	}
 }
 
@@ -766,7 +772,7 @@ func TestAccessLog(t *testing.T) {
 	for i, want := range []string{"outcome=ok", "outcome=cache-hit"} {
 		line := lines[i]
 		for _, frag := range []string{want, "db=shop", wantFP,
-			`opts="per=4,minPS=3,minRec=1,maxLen=0,par=0,order=support,erec=on"`, "status=200"} {
+			`opts="per=4,minPS=3,minRec=1,maxLen=0,par=0"`, "status=200"} {
 			if !strings.Contains(line, frag) {
 				t.Errorf("log line %d lacks %q: %s", i, frag, line)
 			}

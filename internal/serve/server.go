@@ -194,7 +194,7 @@ type dbEntry struct {
 // Its two mine endpoints are thin adapters over one request pipeline,
 // execute: decode under MaxBody, target resolution, options and the
 // parallelism clamp, then runMine's drain accounting, admission, timeout,
-// pprof labels, per-run trace (and timeline) and cost capture, with one
+// pprof labels, per-run trace and cost capture, with one
 // error → status mapping (refuse) and one access-log and journal emitter
 // (logAccess). POST /v1/mine adds only the result cache, single-flight
 // coalescing and, with Config.Peers, the coordinator's scatter; POST
@@ -274,7 +274,6 @@ func NewServer(cfg Config, dbs map[string]*tsdb.DB) (*Server, error) {
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /debug/requests", s.handleDebugRequests)
-	mux.HandleFunc("GET /debug/requests/trace", s.handleRequestTrace)
 	if cfg.Pprof {
 		mux.HandleFunc("GET /debug/pprof/", pprof.Index)
 		mux.HandleFunc("GET /debug/pprof/cmdline", pprof.Cmdline)
@@ -376,11 +375,10 @@ type accessRecord struct {
 	allocBytes uint64
 	cpuTime    time.Duration
 
-	// Journal-only fields: the producing run's per-phase report and span
-	// timeline, and whether they were inherited from a cached result
-	// rather than measured during this request.
+	// Journal-only fields: the producing run's per-phase report, and
+	// whether it was inherited from a cached result rather than measured
+	// during this request.
 	report   obs.PhaseReport
-	timeline obs.TimelineSnapshot
 	historic bool
 }
 
@@ -388,23 +386,17 @@ type accessRecord struct {
 func (rec *accessRecord) inherit(v *cachedResult) {
 	rec.mineTime = v.mineTime
 	rec.allocBytes, rec.cpuTime = v.allocBytes, v.cpuTime
-	rec.report, rec.timeline, rec.historic = v.report, v.timeline, true
+	rec.report, rec.historic = v.report, true
 }
 
 // optionsDigest is the compact access-log form of the resolved options.
-// Every Options field that can change the output (or its search cost) is
+// Every wire option that can change the output (or its search cost) is
 // present, so two log lines with equal digests describe the same mine.
+// maxLen stays followed by another field: the end-to-end benchmark strips
+// "maxLen=N," to group journal rows by request kind.
 func optionsDigest(o core.Options) string {
-	order := api.ItemOrderSupport
-	if o.ItemOrder == core.Lexicographic {
-		order = api.ItemOrderLex
-	}
-	erec := "on"
-	if o.DisableErecPruning {
-		erec = "off"
-	}
-	return fmt.Sprintf("per=%d,minPS=%d,minRec=%d,maxLen=%d,par=%d,order=%s,erec=%s",
-		o.Per, o.MinPS, o.MinRec, o.MaxLen, o.Parallelism, order, erec)
+	return fmt.Sprintf("per=%d,minPS=%d,minRec=%d,maxLen=%d,par=%d",
+		o.Per, o.MinPS, o.MinRec, o.MaxLen, o.Parallelism)
 }
 
 // requestError is a request refused for a cause of its own (bad input,
@@ -428,8 +420,6 @@ type mineCall struct {
 	pin   string           // content fingerprint the target must have ("" = any)
 	ent   *dbEntry
 	o     core.Options
-	trace bool          // record the run's span timeline
-	tl    *obs.Timeline // the recorded timeline, once the run started
 }
 
 // route is what one mine endpoint plugs into execute.
@@ -533,8 +523,8 @@ func (s *Server) refuse(w http.ResponseWriter, r *http.Request, rec *accessRecor
 }
 
 // runMine is execute's mining step: drain accounting, admission, the
-// optional server-side deadline, request labels, the run's own trace (and
-// timeline) and the cost capture around mine. What it measures lands on
+// optional server-side deadline, request labels, the run's own trace and
+// the cost capture around mine. What it measures lands on
 // c.rec and in the cost metrics.
 func (s *Server) runMine(ctx context.Context, c *mineCall, mine func(context.Context, core.Options) (*core.Result, error)) (*core.Result, error) {
 	if err := s.beginMine(); err != nil {
@@ -543,17 +533,9 @@ func (s *Server) runMine(ctx context.Context, c *mineCall, mine func(context.Con
 	defer s.endMine()
 
 	// Each run gets its own trace so the per-phase histograms see per-run
-	// attributions, not a shared running total. The trace (and the
-	// timeline, when recorded) starts before admission, so the flight
-	// record begins at arrival and the slot wait shows up as its own span —
-	// what a coordinator's clock alignment expects a peer's ElapsedNS to
-	// cover.
+	// attributions, not a shared running total.
 	o := c.o
 	o.Trace = obs.NewTrace()
-	if c.trace {
-		c.tl = obs.NewTimeline(obs.DefaultTimelineSpans)
-		o.Trace.AttachTimeline(c.tl)
-	}
 	queued := now()
 	err := s.adm.acquire(ctx)
 	c.rec.queueWait = time.Since(queued)
@@ -561,7 +543,6 @@ func (s *Server) runMine(ctx context.Context, c *mineCall, mine func(context.Con
 		return nil, err
 	}
 	defer s.adm.release()
-	c.tl.RecordSpan("queue", "", queued, c.rec.queueWait)
 
 	if s.cfg.MineTimeout > 0 {
 		var cancel context.CancelFunc
@@ -589,7 +570,7 @@ func (s *Server) runMine(ctx context.Context, c *mineCall, mine func(context.Con
 	rec := c.rec
 	rec.mineTime = time.Since(begin)
 	rec.allocBytes, rec.cpuTime = cost.AllocBytes, cost.CPU
-	rec.report, rec.timeline = o.Trace.Report(), c.tl.Snapshot()
+	rec.report = o.Trace.Report()
 	s.metrics.observeCost(cost.AllocBytes, cost.CPU)
 	return res, nil
 }
@@ -603,7 +584,6 @@ func (s *Server) handleMine(w http.ResponseWriter, r *http.Request) {
 		log: "mine", ok: "ok",
 		decode: func(body io.Reader, c *mineCall) (err error) {
 			c.req, err = api.DecodeMineRequest(body)
-			c.trace = s.journal != nil
 			return err
 		},
 		serve: func(w http.ResponseWriter, c *mineCall) error { return s.serveMine(w, r, c) },
@@ -623,8 +603,6 @@ func (s *Server) serveMine(w http.ResponseWriter, r *http.Request, c *mineCall) 
 		minPS:  c.o.MinPS,
 		minRec: c.o.MinRec,
 		maxLen: c.o.MaxLen,
-		order:  c.o.ItemOrder,
-		noErec: c.o.DisableErecPruning,
 	}
 	v, cached := s.cache.get(key)
 	if cached {
@@ -700,7 +678,6 @@ func (s *Server) leadMine(ctx context.Context, c *mineCall, key cacheKey) (*cach
 		stats:      res.Stats,
 		mineTime:   c.rec.mineTime,
 		report:     c.rec.report,
-		timeline:   c.rec.timeline,
 		allocBytes: c.rec.allocBytes,
 		cpuTime:    c.rec.cpuTime,
 	}
@@ -715,12 +692,10 @@ func (s *Server) leadMine(ctx context.Context, c *mineCall, key cacheKey) (*cach
 // care what this peer named it), and nothing is cached — the coordinator
 // owns the merged result's lifecycle.
 //
-// Trace context flows both ways: the task is journalled under the
-// coordinator's propagated request ID (X-Request-Id header, body fallback)
-// so /debug/requests joins across the fleet, and when the task asks for a
-// trace the peer records its run's span timeline — admission wait included —
-// and returns it with its per-phase report and handling time for the
-// coordinator to graft.
+// The task is journalled under the coordinator's propagated request ID
+// (X-Request-Id header, body fallback) so /debug/requests joins across the
+// fleet, and the response carries the run's per-phase report for the
+// coordinator's per-peer phase metrics.
 func (s *Server) handleShardMine(w http.ResponseWriter, r *http.Request) {
 	var (
 		req  *api.ShardMineRequest
@@ -745,7 +720,7 @@ func (s *Server) handleShardMine(w http.ResponseWriter, r *http.Request) {
 				return &requestError{"bad-request", http.StatusBadRequest,
 					errors.New("serve: shard request must address a database (fingerprint, db or dataset)")}
 			}
-			c.req, c.pin, c.trace = &req.MineRequest, req.Fingerprint, req.Trace
+			c.req, c.pin = &req.MineRequest, req.Fingerprint
 			return nil
 		},
 		serve: func(w http.ResponseWriter, c *mineCall) error {
@@ -768,13 +743,6 @@ func (s *Server) handleShardMine(w http.ResponseWriter, r *http.Request) {
 				Patterns:    api.PatternsFromCore(c.ent.db, res.Patterns),
 				Stats:       &res.Stats,
 				Phases:      activePhases(c.rec.report),
-			}
-			if c.tl != nil {
-				resp.Timeline = &c.rec.timeline
-				// ElapsedNS is stamped as late as possible: it is the
-				// peer-handling width the coordinator centers inside its
-				// send→receive window.
-				resp.ElapsedNS = int64(time.Since(c.start))
 			}
 			s.writeJSON(w, http.StatusOK, resp)
 			return nil

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -10,44 +9,13 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"github.com/recurpat/rp/internal/api"
-	"github.com/recurpat/rp/internal/core"
 	"github.com/recurpat/rp/internal/obs"
 	"github.com/recurpat/rp/internal/tsdb"
 )
-
-// TestCacheKeyIncludesItemOrder is the regression for the api gap this
-// package used to have: itemOrder (and disableErecPruning) now travel the
-// wire, so two requests differing only in those knobs must not share a
-// cache entry.
-func TestCacheKeyIncludesItemOrder(t *testing.T) {
-	var mines atomic.Int64
-	s, hs := newTestServer(t, Config{}, func(ctx context.Context, db *tsdb.DB, o core.Options) (*core.Result, error) {
-		mines.Add(1)
-		return core.MineContext(ctx, db, o)
-	})
-	_ = s
-
-	base := `"db":"shop","per":4,"minPS":3,"minRec":1`
-	for i, body := range []string{
-		`{` + base + `}`,
-		`{` + base + `,"itemOrder":"lex"}`,
-		`{` + base + `,"disableErecPruning":true}`,
-		`{` + base + `}`, // repeat of the first: must hit, not re-mine
-	} {
-		status, m := postMine(t, hs.URL, body)
-		if status != http.StatusOK {
-			t.Fatalf("request %d: status %d, body %v", i, status, m)
-		}
-	}
-	if got := mines.Load(); got != 3 {
-		t.Errorf("executed %d mines, want 3 (order and pruning variants must not share cache entries)", got)
-	}
-}
 
 // postShard sends a body to POST /v1/shard/mine.
 func postShard(t *testing.T, base, body string) (int, map[string]any) {
@@ -104,46 +72,26 @@ func TestShardMineEndpoint(t *testing.T) {
 	}
 }
 
-// TestShardMineTraceOptIn pins the peer half of the trace-context
-// contract: a task that asks for tracing gets the recorded timeline and
-// handling time back and is journalled under the coordinator's propagated
-// ID; a task that doesn't stays exactly on the pre-tracing wire shape.
-func TestShardMineTraceOptIn(t *testing.T) {
+// TestShardMineJournalsPropagatedID pins the peer half of the
+// trace-context contract: a task is journalled under the coordinator's
+// propagated ID, a task without one under an ID of its own, and the
+// response carries the phase report the coordinator's per-peer metrics
+// read.
+func TestShardMineJournalsPropagatedID(t *testing.T) {
 	_, hs := newTestServer(t, Config{}, nil)
 	fp := fmt.Sprintf("%016x", testDB().Fingerprint())
 
-	// Untraced: phases travel (they feed the coordinator's metrics), but
-	// no timeline and no handling time.
-	status, m := postShard(t, hs.URL,
-		fmt.Sprintf(`{"v":1,"fingerprint":%q,"per":4,"minPS":3,"minRec":1,"shard":0,"shards":2}`, fp))
-	if status != http.StatusOK {
-		t.Fatalf("untraced shard task: status %d, body %v", status, m)
-	}
-	if m["timeline"] != nil || m["elapsedNS"] != nil {
-		t.Errorf("untraced response carries trace fields: timeline=%v elapsedNS=%v", m["timeline"], m["elapsedNS"])
-	}
-	if phases, _ := m["phases"].([]any); len(phases) == 0 {
-		t.Error("untraced response lost the phase report")
+	for i, id := range []string{"", "coord-7"} {
+		status, m := postShard(t, hs.URL,
+			fmt.Sprintf(`{"v":1,"fingerprint":%q,"per":4,"minPS":3,"minRec":1,"shard":%d,"shards":2,"requestID":%q}`, fp, i, id))
+		if status != http.StatusOK {
+			t.Fatalf("shard task %d: status %d, body %v", i, status, m)
+		}
+		if phases, _ := m["phases"].([]any); len(phases) == 0 {
+			t.Errorf("shard task %d: response lost the phase report", i)
+		}
 	}
 
-	// Traced, under a propagated coordinator ID.
-	status, m = postShard(t, hs.URL,
-		fmt.Sprintf(`{"v":1,"fingerprint":%q,"per":4,"minPS":3,"minRec":1,"shard":1,"shards":2,"requestID":"coord-7","trace":true}`, fp))
-	if status != http.StatusOK {
-		t.Fatalf("traced shard task: status %d, body %v", status, m)
-	}
-	tl, _ := m["timeline"].(map[string]any)
-	if tl == nil {
-		t.Fatal("traced response has no timeline")
-	}
-	if spans, _ := tl["spans"].([]any); len(spans) == 0 {
-		t.Error("returned timeline retained no spans")
-	}
-	if ns, _ := m["elapsedNS"].(float64); ns <= 0 {
-		t.Errorf("elapsedNS = %v, want > 0", m["elapsedNS"])
-	}
-
-	// The peer's journal joins on the propagated ID.
 	_, body := getBody(t, hs.URL+"/debug/requests?format=json")
 	var jr struct {
 		Recent []*RequestEntry `json:"recent"`
@@ -160,21 +108,15 @@ func TestShardMineTraceOptIn(t *testing.T) {
 	if e.Outcome != "shard-ok" || !strings.Contains(e.Opts, "shard=1/2") {
 		t.Errorf("journal entry = outcome %q opts %q, want shard-ok with shard=1/2", e.Outcome, e.Opts)
 	}
-	if !e.HasTrace {
-		t.Error("traced shard task journalled without a downloadable trace")
-	}
-	// The untraced task minted its own ID and is journalled too.
+	// The task without a propagated ID minted its own and is journalled too.
 	found := false
 	for _, e := range jr.Recent {
-		if e.ID != "coord-7" && strings.Contains(e.Opts, "shard=0/2") {
+		if e.ID != "coord-7" && e.ID != "" && strings.Contains(e.Opts, "shard=0/2") {
 			found = true
-			if e.HasTrace {
-				t.Error("untraced shard task retained a timeline")
-			}
 		}
 	}
 	if !found {
-		t.Error("untraced shard task missing from the journal")
+		t.Error("shard task without a propagated ID missing from the journal")
 	}
 }
 
@@ -189,7 +131,7 @@ func TestWireBodiesCompact(t *testing.T) {
 		resp       any
 	}{
 		{"/v1/mine", `{"db":"shop","per":4,"minPS":3,"minRec":1,"collectStats":true}`, new(api.MineResponse)},
-		{"/v1/shard/mine", fmt.Sprintf(`{"v":1,"fingerprint":%q,"per":4,"minPS":3,"minRec":1,"shard":0,"shards":2,"collectStats":true,"trace":true}`, fp), new(api.ShardMineResponse)},
+		{"/v1/shard/mine", fmt.Sprintf(`{"v":1,"fingerprint":%q,"per":4,"minPS":3,"minRec":1,"shard":0,"shards":2,"collectStats":true}`, fp), new(api.ShardMineResponse)},
 	} {
 		resp, err := http.Post(hs.URL+tc.path, "application/json", strings.NewReader(tc.body))
 		if err != nil {
@@ -415,11 +357,12 @@ func TestPeersModeCoordinator(t *testing.T) {
 	}
 }
 
-// TestFleetTraceAndStats is the acceptance test for fleet-wide tracing: a
-// mine scattered over two real peer servers leaves ONE flight record on
-// the coordinator — per-peer Perfetto lanes with the peers' own phase
-// spans, joinable journals on both sides of every shard RPC, the per-peer
-// per-phase metric, and the fleet stats fan-out.
+// TestFleetTraceAndStats is the acceptance test for fleet-wide trace
+// context: a mine scattered over two real peer servers is journalled once
+// on the coordinator, and the peers' journals joined on its request ID
+// hold every task of the plan exactly once, each with its own mine time.
+// It also checks the per-peer per-phase metric and the fleet stats
+// fan-out.
 func TestFleetTraceAndStats(t *testing.T) {
 	db := testDB()
 	newPeer := func() *httptest.Server {
@@ -436,7 +379,8 @@ func TestFleetTraceAndStats(t *testing.T) {
 	p1, p2 := newPeer(), newPeer()
 
 	// 16 tasks over 2 peers: plan-order placement homes 8 on each.
-	coord, err := NewServer(Config{Peers: []string{p1.URL, p2.URL}, Shards: 16},
+	const shards = 16
+	coord, err := NewServer(Config{Peers: []string{p1.URL, p2.URL}, Shards: shards},
 		map[string]*tsdb.DB{"shop": db})
 	if err != nil {
 		t.Fatal(err)
@@ -448,84 +392,19 @@ func TestFleetTraceAndStats(t *testing.T) {
 		t.Fatalf("scattered mine: status %d, body %v", status, m)
 	}
 
-	// The coordinator journalled the request with a downloadable trace.
 	_, body := getBody(t, chs.URL+"/debug/requests?format=json")
 	var jr struct {
 		Recent []*RequestEntry `json:"recent"`
 	}
 	decodeJSON(t, body, &jr)
-	if len(jr.Recent) != 1 || !jr.Recent[0].HasTrace {
-		t.Fatalf("coordinator journal = %+v, want one traced entry", jr.Recent)
+	if len(jr.Recent) != 1 || jr.Recent[0].Outcome != "ok" {
+		t.Fatalf("coordinator journal = %+v, want one served entry", jr.Recent)
 	}
 	reqID := jr.Recent[0].ID
 
-	// The merged trace validates and carries one process track per peer.
-	resp, trace := getBody(t, chs.URL+"/debug/requests/trace?id="+reqID)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("trace download: status %d body %s", resp.StatusCode, trace)
-	}
-	if _, err := obs.ValidateTraceEvents(strings.NewReader(trace)); err != nil {
-		t.Fatalf("merged fleet trace invalid: %v", err)
-	}
-	var f struct {
-		TraceEvents []obs.TraceEvent `json:"traceEvents"`
-	}
-	decodeJSON(t, trace, &f)
-	names := map[int]string{}
-	spanNames := map[int]map[string]bool{}
-	for _, ev := range f.TraceEvents {
-		switch ev.Ph {
-		case "M":
-			if ev.Name == "process_name" {
-				names[ev.Pid], _ = ev.Args["name"].(string)
-			}
-		case "X":
-			if spanNames[ev.Pid] == nil {
-				spanNames[ev.Pid] = map[string]bool{}
-			}
-			spanNames[ev.Pid][ev.Name] = true
-		}
-	}
-	hasPrefix := func(set map[string]bool, prefix string) bool {
-		for n := range set {
-			if strings.HasPrefix(n, prefix) {
-				return true
-			}
-		}
-		return false
-	}
-	if names[1] == "" || strings.HasPrefix(names[1], "peer ") {
-		t.Errorf("pid 1 named %q, want the coordinator's own track", names[1])
-	}
-	// The coordinator lane keeps its per-task dispatch spans ("shard
-	// shard=i/n"), one per scattered task.
-	if !hasPrefix(spanNames[1], "shard") {
-		t.Errorf("coordinator lane lacks its shard dispatch spans: %v", spanNames[1])
-	}
-	lanesFor := map[string]bool{}
-	for pid, name := range names {
-		if pid == 1 {
-			continue
-		}
-		lanesFor[name] = true
-		// Every peer lane carries the peer's own run: its admission wait
-		// and its whole-task span, realigned onto the coordinator's clock.
-		// (Per-item "mine" spans only appear on shards that drew items —
-		// with 16 shards over this tiny dictionary most mine nothing.)
-		if !spanNames[pid]["queue"] || !spanNames[pid]["total"] {
-			t.Errorf("track %q lacks the peer's queue/total spans: %v", name, spanNames[pid])
-		}
-		if !hasPrefix(spanNames[pid], "mine") && !spanNames[pid]["scan"] {
-			t.Errorf("track %q carries no phase spans at all: %v", name, spanNames[pid])
-		}
-	}
-	for _, ps := range []*httptest.Server{p1, p2} {
-		if !lanesFor["peer "+ps.URL] {
-			t.Errorf("merged trace has no lane for peer %s (have %v)", ps.URL, names)
-		}
-	}
-
-	// Both peers journalled their shard tasks under the coordinator's ID.
+	// Join the peers' journals on the coordinator's ID: every task of the
+	// plan was served exactly once, and each row carries its own mine time.
+	tasks := map[string]int{}
 	for i, ps := range []*httptest.Server{p1, p2} {
 		_, pbody := getBody(t, ps.URL+"/debug/requests?format=json")
 		var pjr struct {
@@ -534,15 +413,27 @@ func TestFleetTraceAndStats(t *testing.T) {
 		decodeJSON(t, pbody, &pjr)
 		served := 0
 		for _, pe := range pjr.Recent {
-			if pe.ID == reqID && pe.Outcome == "shard-ok" {
-				served++
+			if pe.ID != reqID || pe.Outcome != "shard-ok" {
+				continue
+			}
+			served++
+			_, task, _ := strings.Cut(pe.Opts, ",shard=")
+			tasks[task]++
+			if pe.MineMS <= 0 {
+				t.Errorf("peer %d task %s journalled mineMS %v, want > 0", i+1, task, pe.MineMS)
 			}
 		}
-		// (Shed-and-retried attempts journal under the same ID too; at
-		// least one task must have been served to completion here.)
 		if served == 0 {
 			t.Errorf("peer %d journal has no served tasks under coordinator ID %s", i+1, reqID)
 		}
+	}
+	for i := 0; i < shards; i++ {
+		if task := fmt.Sprintf("%d/%d", i, shards); tasks[task] != 1 {
+			t.Errorf("task %s journalled %d times across the peers, want 1", task, tasks[task])
+		}
+	}
+	if len(tasks) != shards {
+		t.Errorf("peers journalled %d distinct tasks under %s, want %d: %v", len(tasks), reqID, shards, tasks)
 	}
 
 	// The peers' phase reports surface as the per-peer per-phase metric.

@@ -150,39 +150,6 @@ func (c *Client) Stats() []PeerStats {
 	return out
 }
 
-// taskEvents collects the client's per-task annotations — retries and
-// failed attempts — stamped on the coordinator timeline's clock, so the
-// answering peer's graft can carry them as instant events. A nil receiver
-// is inert (untraced tasks record nothing). A task's attempts run one
-// after another; the mutex keeps the recorder safe for concurrent use
-// regardless.
-type taskEvents struct {
-	tl *obs.Timeline
-
-	mu     sync.Mutex
-	events []obs.PeerEvent
-}
-
-func (te *taskEvents) add(name string) {
-	if te == nil {
-		return
-	}
-	at := te.tl.Elapsed(obs.Now())
-	te.mu.Lock()
-	te.events = append(te.events, obs.PeerEvent{Name: name, AtNS: at})
-	te.mu.Unlock()
-}
-
-// take copies the events recorded so far.
-func (te *taskEvents) take() []obs.PeerEvent {
-	if te == nil {
-		return nil
-	}
-	te.mu.Lock()
-	defer te.mu.Unlock()
-	return slices.Clone(te.events)
-}
-
 // peerFor returns the peer attempt a of task t goes to: task i homes on
 // sorted peer (FP + i) mod n, so no peer homes more than ⌈Count/n⌉ of a
 // plan's tasks, and retry a moves a peers on, so the first n attempts
@@ -198,29 +165,20 @@ func (c *Client) peerFor(t Task, a int) int {
 // retrying immediately — the caller cancelled or the scatter was failed
 // fast; backoff waits also abort on ctx.
 //
-// Trace context propagates both ways: a request ID on ctx
-// (obs.WithRequestID) rides in the body and the X-Request-Id header so the
-// peer journals the task under the coordinator's ID, and when the options
-// carry a timeline the peer is asked to record and return its own, which
-// Execute wraps — clock references, retry/failover annotations — into
-// Partial.Remote for the coordinator to graft.
+// A request ID on ctx (obs.WithRequestID) rides in the body and the
+// X-Request-Id header, so the peer journals the task under the
+// coordinator's ID and /debug/requests joins across the fleet.
 func (c *Client) Execute(ctx context.Context, db *tsdb.DB, o core.Options, t Task) (*Partial, error) {
 	reqID := obs.RequestIDFrom(ctx)
-	tl := o.Trace.Timeline()
 	body, err := json.Marshal(api.ShardMineRequest{
 		MineRequest: api.FromCoreOptions(o),
 		Shard:       t.Index,
 		Shards:      t.Count,
 		Fingerprint: fmt.Sprintf("%016x", t.FP),
 		RequestID:   reqID,
-		Trace:       tl != nil,
 	})
 	if err != nil {
 		return nil, err
-	}
-	var te *taskEvents
-	if tl != nil {
-		te = &taskEvents{tl: tl}
 	}
 	var lastErr error
 	for attempt := 0; attempt <= c.cfg.Retries; attempt++ {
@@ -233,12 +191,11 @@ func (c *Client) Execute(ctx context.Context, db *tsdb.DB, o core.Options, t Tas
 		peer := c.peerFor(t, attempt)
 		if attempt > 0 {
 			c.peers[peer].retries.Add(1)
-			te.add(fmt.Sprintf("retry %d -> %s", attempt, c.peers[peer].url))
 			if !sleep(ctx, c.cfg.Backoff<<(attempt-1)) {
 				return nil, lastErr
 			}
 		}
-		p, err := c.post(ctx, db, body, t, peer, reqID, te)
+		p, err := c.post(ctx, db, body, t, peer, reqID)
 		if err == nil {
 			return p, nil
 		}
@@ -263,14 +220,12 @@ func sleep(ctx context.Context, d time.Duration) bool {
 // post performs one POST /v1/shard/mine against one peer, verifying the
 // response's version, fingerprint and task identity, and mapping the wire
 // patterns back to item IDs against the coordinator's copy of the
-// database. On a traced task it also stamps the exchange's send/receive
-// instants and wraps a returned peer timeline into Partial.Remote.
-func (c *Client) post(ctx context.Context, db *tsdb.DB, body []byte, t Task, peer int, reqID string, te *taskEvents) (p *Partial, err error) {
+// database.
+func (c *Client) post(ctx context.Context, db *tsdb.DB, body []byte, t Task, peer int, reqID string) (p *Partial, err error) {
 	pc := c.peers[peer]
 	defer func() {
 		if err != nil {
 			pc.failure.Add(1)
-			te.add("fail " + pc.url)
 		}
 	}()
 	pctx, cancel := context.WithTimeout(ctx, attemptTimeout)
@@ -283,7 +238,6 @@ func (c *Client) post(ctx context.Context, db *tsdb.DB, body []byte, t Task, pee
 	if reqID != "" {
 		req.Header.Set("X-Request-Id", reqID)
 	}
-	send := obs.Now()
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return nil, fmt.Errorf("shard: peer %s: %w", pc.url, err)
@@ -296,9 +250,6 @@ func (c *Client) post(ctx context.Context, db *tsdb.DB, body []byte, t Task, pee
 	if err != nil {
 		return nil, fmt.Errorf("shard: peer %s: decoding response: %w", pc.url, err)
 	}
-	// The body is fully read here, so recv closes the network window the
-	// clock alignment centers the peer's handling time in.
-	recv := obs.Now()
 	if want := fmt.Sprintf("%016x", t.FP); sr.Fingerprint != want {
 		return nil, fmt.Errorf("shard: peer %s mined fingerprint %s, want %s", pc.url, sr.Fingerprint, want)
 	}
@@ -324,16 +275,6 @@ func (c *Client) post(ctx context.Context, db *tsdb.DB, body []byte, t Task, pee
 	}
 	if sr.Stats != nil {
 		p.Stats = *sr.Stats
-	}
-	if te != nil && sr.Timeline != nil {
-		p.Remote = &obs.PeerTimeline{
-			Peer:      pc.url,
-			SendNS:    te.tl.Elapsed(send),
-			RecvNS:    te.tl.Elapsed(recv),
-			ElapsedNS: sr.ElapsedNS,
-			Snapshot:  *sr.Timeline,
-			Events:    te.take(),
-		}
 	}
 	return p, nil
 }

@@ -21,9 +21,7 @@ import (
 // stubPeer is an httptest peer speaking the /v1/shard/mine wire protocol
 // over api + core directly — the protocol contract the real rpserved
 // handler also implements. failFirst makes the first N requests 500 to
-// exercise retries. It honours the trace-context fields: the propagated
-// request ID and trace flag are captured for assertions, and a traced task
-// gets a recorded timeline back.
+// exercise retries. The propagated request ID is captured for assertions.
 type stubPeer struct {
 	db        *tsdb.DB
 	requests  atomic.Int64
@@ -33,7 +31,6 @@ type stubPeer struct {
 	mu         sync.Mutex
 	lastHeader string // X-Request-Id of the last shard request
 	lastBodyID string
-	lastTrace  bool
 }
 
 func newStubPeer(t *testing.T, db *tsdb.DB) *stubPeer {
@@ -49,7 +46,6 @@ func (p *stubPeer) handle(w http.ResponseWriter, r *http.Request) {
 		_ = json.NewEncoder(w).Encode(map[string]any{"draining": false, "peer": p.srv.URL})
 		return
 	}
-	start := time.Now()
 	n := p.requests.Add(1)
 	if n <= p.failFirst {
 		w.WriteHeader(http.StatusInternalServerError)
@@ -70,7 +66,6 @@ func (p *stubPeer) handle(w http.ResponseWriter, r *http.Request) {
 	p.mu.Lock()
 	p.lastHeader = r.Header.Get("X-Request-Id")
 	p.lastBodyID = req.RequestID
-	p.lastTrace = req.Trace
 	p.mu.Unlock()
 	o, err := req.ToCoreOptions(p.db.Len())
 	if err != nil {
@@ -79,11 +74,6 @@ func (p *stubPeer) handle(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	o.Trace = obs.NewTrace()
-	var tl *obs.Timeline
-	if req.Trace {
-		tl = obs.NewTimeline(64)
-		o.Trace.AttachTimeline(tl)
-	}
 	res, err := core.MineShardContext(r.Context(), p.db, o,
 		core.ShardSpec{Index: req.Shard, Count: req.Shards})
 	if err != nil {
@@ -104,11 +94,6 @@ func (p *stubPeer) handle(w http.ResponseWriter, r *http.Request) {
 		if st.Nanos > 0 || st.Count > 0 {
 			resp.Phases = append(resp.Phases, st)
 		}
-	}
-	if tl != nil {
-		snap := tl.Snapshot()
-		resp.Timeline = &snap
-		resp.ElapsedNS = int64(time.Since(start))
 	}
 	_ = json.NewEncoder(w).Encode(resp)
 }
@@ -253,11 +238,10 @@ func TestClientExhaustedRetries(t *testing.T) {
 	}
 }
 
-// TestClientPropagatesTraceContext drives a traced task through the client
-// and checks trace context in both directions: the coordinator's request ID
-// reaches the peer as header and body, the peer's returned timeline comes
-// back wrapped in Partial.Remote with sane clock references, and the
-// coordinator grafts it into its own timeline.
+// TestClientPropagatesTraceContext drives a traced scatter through the
+// client and checks trace context in both directions: the coordinator's
+// request ID reaches the peer as header and body, and the peer's phase
+// reports come back into the per-peer phase counters.
 func TestClientPropagatesTraceContext(t *testing.T) {
 	db := testDB(29, 10, 50, 0.4)
 	peer := newStubPeer(t, db)
@@ -266,8 +250,6 @@ func TestClientPropagatesTraceContext(t *testing.T) {
 		t.Fatal(err)
 	}
 	o := core.Options{Per: 4, MinPS: 2, MinRec: 1, Trace: obs.NewTrace()}
-	tl := obs.NewTimeline(32)
-	o.Trace.AttachTimeline(tl)
 	ctx := obs.WithRequestID(context.Background(), "req-42")
 
 	c := &Coordinator{Count: 2, Exec: client}
@@ -275,36 +257,12 @@ func TestClientPropagatesTraceContext(t *testing.T) {
 		t.Fatal(err)
 	}
 	peer.mu.Lock()
-	header, bodyID, traced := peer.lastHeader, peer.lastBodyID, peer.lastTrace
+	header, bodyID := peer.lastHeader, peer.lastBodyID
 	peer.mu.Unlock()
 	if header != "req-42" || bodyID != "req-42" {
 		t.Errorf("request ID did not propagate: header=%q body=%q, want req-42", header, bodyID)
 	}
-	if !traced {
-		t.Error("trace flag did not propagate to the peer")
-	}
 
-	snap := tl.Snapshot()
-	if len(snap.Peers) != 2 {
-		t.Fatalf("coordinator grafted %d peer timelines, want 2", len(snap.Peers))
-	}
-	for _, pt := range snap.Peers {
-		if pt.Peer != peer.srv.URL {
-			t.Errorf("graft names peer %q, want %q", pt.Peer, peer.srv.URL)
-		}
-		if pt.SendNS < 0 || pt.RecvNS < pt.SendNS {
-			t.Errorf("exchange window [%d,%d] is not ordered", pt.SendNS, pt.RecvNS)
-		}
-		if pt.ElapsedNS <= 0 {
-			t.Errorf("peer handling time = %d, want > 0", pt.ElapsedNS)
-		}
-		if len(pt.Snapshot.Spans) == 0 {
-			t.Error("grafted peer snapshot retained no spans")
-		}
-		if off := pt.AlignOffset(); off < pt.SendNS || off > pt.RecvNS {
-			t.Errorf("AlignOffset %d outside exchange window [%d,%d]", off, pt.SendNS, pt.RecvNS)
-		}
-	}
 	// The peers' phase reports feed the per-peer phase counters.
 	stats := client.Stats()
 	if len(stats) != 1 || len(stats[0].PhaseSeconds) == 0 {
@@ -314,20 +272,16 @@ func TestClientPropagatesTraceContext(t *testing.T) {
 		t.Errorf("mine phase seconds = %v, want > 0", stats[0].PhaseSeconds)
 	}
 
-	// An untraced task stays untraced on the wire and returns no graft.
-	p2, err := client.Execute(context.Background(), db, core.Options{Per: 4, MinPS: 2, MinRec: 1},
-		Task{Index: 0, Count: 1, FP: db.Fingerprint()})
-	if err != nil {
+	// A task without a request ID on its context sends none.
+	if _, err := client.Execute(context.Background(), db, core.Options{Per: 4, MinPS: 2, MinRec: 1},
+		Task{Index: 0, Count: 1, FP: db.Fingerprint()}); err != nil {
 		t.Fatal(err)
 	}
 	peer.mu.Lock()
-	header, bodyID, traced = peer.lastHeader, peer.lastBodyID, peer.lastTrace
+	header, bodyID = peer.lastHeader, peer.lastBodyID
 	peer.mu.Unlock()
-	if header != "" || bodyID != "" || traced {
-		t.Errorf("untraced request leaked trace context: header=%q body=%q trace=%v", header, bodyID, traced)
-	}
-	if p2.Remote != nil {
-		t.Error("untraced task returned a Remote timeline")
+	if header != "" || bodyID != "" {
+		t.Errorf("request without an ID leaked trace context: header=%q body=%q", header, bodyID)
 	}
 }
 

@@ -22,7 +22,7 @@ type Coordinator struct {
 }
 
 // Mine scatters the mine over the planned tasks — one goroutine per task,
-// each traced as a labeled obs.PhaseShard span — and gathers: the reduced
+// each traced as an obs.PhaseShard span — and gathers: the reduced
 // result is byte-identical to core.MineContext over the same database and
 // options. The first shard error cancels the rest of the scatter and is
 // returned; there is no partial result.
@@ -44,14 +44,9 @@ func (c *Coordinator) Mine(ctx context.Context, db *tsdb.DB, o core.Options) (*c
 		wg.Add(1)
 		go func(i int, t Task) {
 			defer wg.Done()
-			sp := o.Trace.StartLabeled(obs.PhaseShard, fmt.Sprintf("shard=%d/%d", t.Index, t.Count))
+			sp := o.Trace.Start(obs.PhaseShard)
 			parts[i], errs[i] = c.Exec.Execute(sctx, db, o, t)
 			sp.End()
-			if p := parts[i]; p != nil && p.Remote != nil {
-				// Graft the peer's recorded lane into the coordinator's
-				// timeline: one fleet-wide flight record per request.
-				o.Trace.Timeline().AddPeer(*p.Remote)
-			}
 			if errs[i] != nil {
 				cancel()
 			}

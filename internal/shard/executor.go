@@ -21,10 +21,6 @@ type Partial struct {
 	// Phases is the peer's per-phase attribution of the task (remote
 	// executors only; a Local task flushes straight into the shared trace).
 	Phases []obs.PhaseStat
-	// Remote is the peer's recorded timeline with its clock references and
-	// the client's retry/failure annotations, ready to graft into the
-	// coordinator's timeline. Set only by remote executors on traced tasks.
-	Remote *obs.PeerTimeline
 }
 
 // Executor runs one shard task of a mine. Implementations must honour ctx

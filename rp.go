@@ -91,21 +91,7 @@ type (
 	// finalize, plus nested ts-merge and Erec-prune work counts). Its
 	// String method renders the phase table printed by rpmine -phases.
 	PhaseReport = obs.PhaseReport
-	// Timeline is the flight recorder: attached to a Trace via
-	// Trace.AttachTimeline, it retains a bounded per-run span timeline
-	// (every phase span and mining subtree task, with timestamps and
-	// nested work counters) on top of the aggregate phase accumulators.
-	Timeline = obs.Timeline
-	// TimelineSnapshot is a point-in-time copy of a Timeline, the input to
-	// WriteTraceEvents.
-	TimelineSnapshot = obs.TimelineSnapshot
-	// SpanRecord is one retained span of a recorded run.
-	SpanRecord = obs.SpanRecord
 )
-
-// DefaultTimelineSpans is the span retention cap NewTimeline resolves a
-// zero cap to.
-const DefaultTimelineSpans = obs.DefaultTimelineSpans
 
 // NewTrace returns an empty phase trace, ready to attach to Options.Trace:
 //
@@ -113,31 +99,6 @@ const DefaultTimelineSpans = obs.DefaultTimelineSpans
 //	patterns, err := rp.Mine(db, o)
 //	fmt.Print(o.Trace.Report())
 func NewTrace() *Trace { return obs.NewTrace() }
-
-// NewTimeline returns an empty span timeline retaining up to maxSpans
-// spans (0 = DefaultTimelineSpans; further spans only feed the aggregates
-// and are counted as dropped). Attach it to a trace to record a run:
-//
-//	o := rp.Options{Per: 360, MinPS: 20, MinRec: 2, Trace: rp.NewTrace()}
-//	tl := rp.NewTimeline(0)
-//	o.Trace.AttachTimeline(tl)
-//	patterns, err := rp.Mine(db, o)
-//	err = rp.WriteTraceEvents(f, "my run", tl.Snapshot())
-func NewTimeline(maxSpans int) *Timeline { return obs.NewTimeline(maxSpans) }
-
-// WriteTraceEvents renders a recorded timeline as Chrome trace-event JSON,
-// loadable in Perfetto (ui.perfetto.dev) or chrome://tracing; name labels
-// the process track. Concurrent mining tasks land on distinct lanes.
-func WriteTraceEvents(w io.Writer, name string, snap TimelineSnapshot) error {
-	return obs.WriteTraceEvents(w, name, snap)
-}
-
-// ValidateTraceEvents checks that r holds well-formed Chrome trace-event
-// JSON of the shape WriteTraceEvents produces and returns the number of
-// span events. The rptrace command wraps it for scripts.
-func ValidateTraceEvents(r io.Reader) (spans int, err error) {
-	return obs.ValidateTraceEvents(r)
-}
 
 // NewBuilder returns an empty database builder.
 func NewBuilder() *Builder { return tsdb.NewBuilder() }

@@ -2,9 +2,8 @@
 # smoke_rpserved.sh — end-to-end lifecycle test of the mining service:
 # build, start on an ephemeral port, health-check, mine twice (the second
 # must be a cache hit), verify the stats counters, walk the request
-# journal (/debug/requests, HTML and JSON) and validate a downloaded
-# per-request trace with rptrace, check the journal carries per-request
-# cost, pull an on-demand CPU profile from /debug/pprof, exercise the dataset
+# journal (/debug/requests, HTML and JSON), check the retired per-request
+# trace download answers 404 and the journal carries per-request cost, pull an on-demand CPU profile from /debug/pprof, exercise the dataset
 # registry (upload → mine by fingerprint → cached repeat → delete, with
 # ingest-phase attribution visible in the journal and /metrics), then
 # SIGTERM and check the drain path exits cleanly. Needs curl; run from
@@ -23,7 +22,6 @@ trap cleanup EXIT
 echo "== build"
 go build -o "$workdir/rpgen" ./cmd/rpgen
 go build -o "$workdir/rpserved" ./cmd/rpserved
-go build -o "$workdir/rptrace" ./cmd/rptrace
 
 echo "== generate a small dataset"
 "$workdir/rpgen" -dataset shop14 -scale 0.02 -out "$workdir/shop.tdb"
@@ -92,11 +90,11 @@ grep -q '<title>rpserved request journal</title>' <<<"$html" \
     || { echo "journal HTML page malformed: $html"; exit 1; }
 grep -q 'cache-hit' <<<"$html" || { echo "journal HTML missing the cache-hit row: $html"; exit 1; }
 
-echo "== per-request trace validates"
+echo "== per-request trace download is gone"
 rid=$(grep -o '"id":"[^"]*"' <<<"$journal" | head -1 | sed 's/"id":"\(.*\)"/\1/')
 [ -n "$rid" ] || { echo "no request id found in journal: $journal"; exit 1; }
-curl -sf "http://$addr/debug/requests/trace?id=$rid" -o "$workdir/run.json"
-"$workdir/rptrace" "$workdir/run.json"
+trace_status=$(curl -s -o /dev/null -w '%{http_code}' "http://$addr/debug/requests/trace?id=$rid")
+[ "$trace_status" = "404" ] || { echo "/debug/requests/trace answered $trace_status, want 404"; exit 1; }
 
 echo "== journal reports per-request cost"
 grep -q '"allocBytes":[1-9]' <<<"$journal" \
