@@ -14,7 +14,6 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -25,7 +24,6 @@ import (
 	"github.com/recurpat/rp"
 	"github.com/recurpat/rp/internal/cliio"
 	"github.com/recurpat/rp/internal/obs"
-	"github.com/recurpat/rp/internal/shard"
 )
 
 func main() {
@@ -48,7 +46,6 @@ func run(args []string, dst, errDst io.Writer) error {
 		minRec   = fs.Int("minrec", 1, "minimum recurrence")
 		maxLen   = fs.Int("maxlen", 0, "maximum pattern length (0 = unlimited)")
 		parallel = fs.Int("parallel", 0, "mine top-level items with this many goroutines (0/1 = sequential)")
-		shards   = fs.Int("shards", 0, "mine as this many scatter-gather shard tasks (0/1 = off; output is identical)")
 		stats    = fs.Bool("stats", false, "print database and search statistics")
 		format   = fs.String("format", "text", "output format: text, tsv, json or csv")
 		cpuProf  = fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
@@ -74,11 +71,8 @@ func run(args []string, dst, errDst io.Writer) error {
 	if *phases {
 		o.Trace = rp.NewTrace()
 	}
-	if *shards < 0 {
-		return fmt.Errorf("-shards must be >= 0, got %d", *shards)
-	}
 	err := cliio.Profile(*cpuProf, *memProf, func() error {
-		return mine(*input, *minPSPct, *shards, *stats, *format, o, out, logger)
+		return mine(*input, *minPSPct, *stats, *format, o, out, logger)
 	})
 	if err == nil && *phases {
 		// The phase table goes to stderr so -format json/csv output on
@@ -92,7 +86,7 @@ func run(args []string, dst, errDst io.Writer) error {
 
 // mine loads the database, runs the miner and renders the result; split from
 // run so the profiling wrapper brackets exactly the load-mine-print work.
-func mine(input string, minPSPct float64, shards int, stats bool, format string, o rp.Options, out *cliio.Writer, logger *slog.Logger) error {
+func mine(input string, minPSPct float64, stats bool, format string, o rp.Options, out *cliio.Writer, logger *slog.Logger) error {
 	loadStart := obs.Now()
 	var db *rp.DB
 	if input == "-" {
@@ -126,17 +120,7 @@ func mine(input string, minPSPct float64, shards int, stats bool, format string,
 		fmt.Fprintf(out, "# thresholds: per=%d minPS=%d minRec=%d\n", o.Per, o.MinPS, o.MinRec)
 	}
 	mineStart := obs.Now()
-	var res *rp.Result
-	var err error
-	if shards > 1 {
-		// Scatter-gather over local shard tasks: the same planner, executor
-		// and reducer the -peers serving mode uses, minus the network. The
-		// pattern set is byte-identical to the direct mine.
-		c := &shard.Coordinator{Count: shards, Exec: shard.Local{}}
-		res, err = c.Mine(context.Background(), db, o)
-	} else {
-		res, err = rp.MineRaw(db, o)
-	}
+	res, err := rp.MineRaw(db, o)
 	if err != nil {
 		return err
 	}

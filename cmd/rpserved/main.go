@@ -130,7 +130,7 @@ func run(args []string, logDst io.Writer) error {
 		regEntries   = fs.Int("registry-entries", 0, "dataset registry entry cap (0 = 64)")
 		pprofOn      = fs.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 		quiet        = fs.Bool("quiet", false, "suppress the per-request access log")
-		shards       = fs.Int("shards", 0, "shard tasks per mine in -peers mode (0 = one per peer)")
+		shards       = fs.Int("shards", 0, "shard tasks per mine in -peers mode (0 = one per distinct peer)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err

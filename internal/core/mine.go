@@ -82,10 +82,8 @@ func mine(ctx context.Context, db *tsdb.DB, o Options, spec ShardSpec, emit func
 	var tree *rpTree
 	runPhase(ctx, o.Trace, obs.PhaseTreeBuild, func() { tree = buildRPTree(db, list) })
 	if o.CollectStats {
-		// Every shard builds the full initial tree, so summing shard stats
-		// overcounts TreeNodes by (Count-1) tree sizes; the reducer
-		// documents this (conditional-tree nodes, the dominant term, are
-		// counted exactly once since each shard only grows its own).
+		// Every shard builds the full initial tree, so a scatter's summed
+		// TreeNodes counts one initial tree per task (MineStats.TreeNodes).
 		res.Stats.TreeNodes += tree.nodes
 	}
 	// The mine phase is timed per subtree task (mineWorker), not as one
@@ -268,14 +266,12 @@ func (m *miner) emit(beta []tsdb.ItemID, support int, ipi []Interval) {
 
 // mineRanks mines the given top-level ranks of t with a fixed pool of
 // Parallelism workers (minimum one) pulling rank indexes from a shared
-// atomic queue, highest rank first, so a heavy suffix item no longer
-// serializes the tail of the run the way the old goroutine-per-item
-// semaphore did. The shared initial tree is read-only: every worker reads
-// the same subtree ranges. Each rank's partial result has exactly one
-// writer, and partials are merged in deterministic rank order after the
-// pool drains — which is what makes a shard-restricted rank subset
-// (core.MineShardContext) produce exactly the patterns the full mine
-// attributes to those ranks.
+// atomic queue, highest rank first. The shared initial tree is read-only:
+// every worker reads the same subtree ranges. Each rank's partial result
+// has exactly one writer, and partials are merged (Result.Merge) in
+// deterministic rank order after the pool drains — which is what makes a
+// shard-restricted rank subset (core.MineShardContext) produce exactly the
+// patterns the full mine attributes to those ranks.
 //
 // emit, when non-nil, is the streaming sink of MineFunc, whose caller
 // forces a single worker: it then sees patterns in the sequential
@@ -311,13 +307,7 @@ func mineRanks(ctx context.Context, t *rpTree, o Options, res *Result, ranks []i
 	}
 	wg.Wait()
 	for i := range partial {
-		res.Patterns = append(res.Patterns, partial[i].Patterns...)
-		res.Stats.PatternsExamined += partial[i].Stats.PatternsExamined
-		res.Stats.PatternsPruned += partial[i].Stats.PatternsPruned
-		res.Stats.TreeNodes += partial[i].Stats.TreeNodes
-		if partial[i].Stats.MaxDepth > res.Stats.MaxDepth {
-			res.Stats.MaxDepth = partial[i].Stats.MaxDepth
-		}
+		res.Merge(&partial[i])
 	}
 	return stopped.Load()
 }

@@ -71,8 +71,26 @@ type MineStats struct {
 	// ts-list was gathered: the RP-list scan or a conditional Erec check.
 	PatternsExamined int
 	PatternsPruned   int // extensions cut by the Erec bound before evaluation
-	TreeNodes        int // prefix-tree nodes created across all conditional trees
-	MaxDepth         int // deepest recursion reached
+	// TreeNodes counts the prefix-tree nodes created: the initial tree
+	// plus every conditional tree. Each task of a scatter builds its own
+	// initial tree, so a scatter's sum counts one initial tree per task.
+	TreeNodes int
+	MaxDepth  int // deepest recursion reached
+}
+
+// Merge folds a partial result of the same mine into r: the shards of a
+// scatter, or the per-rank partials of the worker pool. Patterns append
+// (the caller canonicalizes once every partial is in); examined, pruned
+// and tree-node counts sum, since the partials split the search space;
+// CandidateItems and MaxDepth take the maximum, since every partial sees
+// the whole candidate list and reports only its own deepest recursion.
+func (r *Result) Merge(p *Result) {
+	r.Patterns = append(r.Patterns, p.Patterns...)
+	r.Stats.PatternsExamined += p.Stats.PatternsExamined
+	r.Stats.PatternsPruned += p.Stats.PatternsPruned
+	r.Stats.TreeNodes += p.Stats.TreeNodes
+	r.Stats.CandidateItems = max(r.Stats.CandidateItems, p.Stats.CandidateItems)
+	r.Stats.MaxDepth = max(r.Stats.MaxDepth, p.Stats.MaxDepth)
 }
 
 // MaxLen returns the length of the longest pattern in the result (column

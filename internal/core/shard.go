@@ -63,9 +63,9 @@ func (s ShardSpec) ranks(n int) []int {
 // subtrees, so shards share no state and may run in different processes.
 // The result is canonically ordered; concatenating the Patterns of all
 // Count shards (in any order) and canonicalizing again reproduces
-// MineContext's output byte for byte. Stats sum across the shards to the
-// single-box stats, except TreeNodes, which counts each shard's copy of the
-// initial tree.
+// MineContext's output byte for byte. The shards' stats, folded with
+// Result.Merge, equal the single-box stats, except TreeNodes, which counts
+// each shard's copy of the initial tree.
 //
 // Every spec runs the same worker-pool loop as MineContext, over only the
 // ranks it owns; a spec of {0, 1} owns every rank and is exactly

@@ -47,21 +47,11 @@ func TestShardSpecOwnsPartition(t *testing.T) {
 	}
 }
 
-// mergeShards reproduces the reducer: concatenate shard patterns and
-// canonicalize.
-func mergeShards(parts []*Result) *Result {
-	merged := &Result{}
-	for _, p := range parts {
-		merged.Patterns = append(merged.Patterns, p.Patterns...)
-	}
-	merged.Canonicalize()
-	return merged
-}
-
-// TestMineShardEquivalence is the core half of the reducer-determinism
+// TestMineShardEquivalence is the core half of the gather-determinism
 // property: for shard counts 1, 2, 3 and 7, mining every shard separately
-// and merging reproduces the single-box MineContext output exactly, across
-// item orders and the pruning ablation.
+// and merging with Result.Merge reproduces the single-box MineContext
+// output and stats exactly (TreeNodes aside), across item orders and the
+// pruning ablation.
 func TestMineShardEquivalence(t *testing.T) {
 	ctx := context.Background()
 	for seed := uint64(1); seed <= 5; seed++ {
@@ -87,7 +77,11 @@ func TestMineShardEquivalence(t *testing.T) {
 						t.Fatalf("seed %d count %d shard %d: %v", seed, count, idx, err)
 					}
 				}
-				got := mergeShards(parts)
+				got := &Result{}
+				for _, p := range parts {
+					got.Merge(p)
+				}
+				got.Canonicalize()
 				if !got.Equal(want) {
 					t.Fatalf("seed %d opts %+v: %d-shard merge diverges from single-box mine: %d vs %d patterns",
 						seed, o, count, len(got.Patterns), len(want.Patterns))
@@ -100,6 +94,13 @@ func TestMineShardEquivalence(t *testing.T) {
 				}
 				if sum != len(want.Patterns) {
 					t.Fatalf("seed %d count %d: shard patterns sum to %d, want %d", seed, count, sum, len(want.Patterns))
+				}
+				// The merged stats are the single-box stats, TreeNodes
+				// aside (one initial tree per shard).
+				gs, ws := got.Stats, want.Stats
+				gs.TreeNodes, ws.TreeNodes = 0, 0
+				if gs != ws {
+					t.Fatalf("seed %d count %d: merged stats %+v, want %+v", seed, count, got.Stats, want.Stats)
 				}
 			}
 		}

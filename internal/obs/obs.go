@@ -46,10 +46,9 @@ const (
 	PhaseFinalize
 	// PhaseShard is scatter-gather coordination: one count per shard task
 	// dispatched by a shard coordinator, timed from dispatch to that
-	// shard's result (or failure). Nested: with local executors the shard
-	// time contains the executor's own scan/tree-build/mine phases, and
-	// with remote executors it is network plus the peer's run, so it never
-	// adds to the coordinator's top-level coverage sum.
+	// shard's result (or failure). Nested: the shard time is network plus
+	// the peer's run, so it never adds to the coordinator's top-level
+	// coverage sum.
 	PhaseShard
 	// PhaseMerge counts and times the tid-list unions of the conditional
 	// Erec check (Section 4.2.3's temporary array), one observation per

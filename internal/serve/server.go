@@ -92,13 +92,15 @@ type Config struct {
 	// to the peers' /v1/shard/mine endpoints (placed in plan order, so
 	// each peer homes an even share of every mine's tasks) and the
 	// partials merge into a result byte-identical to a single-box mine.
-	// The shard client runs at shard.ClientConfig's defaults, and a shard
-	// task that still fails after its retries fails the whole mine.
+	// The shard client runs at shard.ClientConfig's default retries and
+	// backoff, and a shard task that still fails after its retries fails
+	// the whole mine.
 	// Peers must serve the same database bytes; tasks pin the content
 	// fingerprint.
 	Peers []string
 	// Shards is the number of shard tasks per mine in peers mode.
-	// 0 → len(Peers). NewServer rejects a non-zero value without Peers.
+	// 0 → one per distinct peer (duplicates and trailing slashes
+	// collapse). NewServer rejects a non-zero value without Peers.
 	Shards int
 }
 
@@ -175,9 +177,6 @@ func (c Config) withDefaults() Config {
 	if c.Logger == nil {
 		c.Logger = obs.NopLogger()
 	}
-	if c.Shards == 0 {
-		c.Shards = len(c.Peers)
-	}
 	return c
 }
 
@@ -215,10 +214,9 @@ type Server struct {
 	// failing miners without real databases.
 	mineFn func(ctx context.Context, db *tsdb.DB, o core.Options) (*core.Result, error)
 
-	// shardClient and coord are set in peers mode (Config.Peers): executed
-	// mines scatter over the peer set instead of running locally.
+	// shardClient is set in peers mode (Config.Peers): executed mines
+	// scatter over the peer set instead of running locally.
 	shardClient *shard.Client
-	coord       *shard.Coordinator
 
 	// Drain machinery: beginMine/endMine bracket every mining run (cache
 	// hits excluded — they borrow no resources worth waiting for).
@@ -247,12 +245,11 @@ func NewServer(cfg Config, dbs map[string]*tsdb.DB) (*Server, error) {
 		mineFn:   core.MineContext,
 	}
 	if len(cfg.Peers) > 0 {
-		client, err := shard.NewClient(shard.ClientConfig{Peers: cfg.Peers})
+		client, err := shard.NewClient(shard.ClientConfig{Peers: cfg.Peers, Shards: cfg.Shards})
 		if err != nil {
 			return nil, err
 		}
 		s.shardClient = client
-		s.coord = &shard.Coordinator{Count: cfg.Shards, Exec: client}
 	}
 	for name, db := range dbs {
 		if name == "" {
@@ -661,12 +658,12 @@ func (s *Server) serveMine(w http.ResponseWriter, r *http.Request, c *mineCall) 
 // the cache.
 func (s *Server) leadMine(ctx context.Context, c *mineCall, key cacheKey) (*cachedResult, error) {
 	res, err := s.runMine(ctx, c, func(ctx context.Context, o core.Options) (*core.Result, error) {
-		if s.coord == nil {
+		if s.shardClient == nil {
 			return s.mineFn(ctx, c.ent.db, o)
 		}
 		// Peers mode: the gathered result is byte-identical to the local
 		// mineFn path, or the mine fails.
-		return s.coord.Mine(ctx, c.ent.db, o)
+		return s.shardClient.Mine(ctx, c.ent.db, o)
 	})
 	if err != nil {
 		return nil, err
@@ -931,7 +928,7 @@ func (s *Server) statsPayload() statsResponse {
 	if s.shardClient != nil {
 		resp.ShardPeers = s.shardClient.Stats()
 		resp.Config.Peers = s.shardClient.Peers()
-		resp.Config.Shards = s.cfg.Shards
+		resp.Config.Shards = s.shardClient.Shards()
 	}
 	entries, bytes := s.registry.stats()
 	resp.Registry = registryStats{

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -19,13 +20,16 @@ import (
 	"github.com/recurpat/rp/internal/tsdb"
 )
 
-// ClientConfig tunes the remote executor. The zero value of each field
-// resolves to the documented default; NewClient rejects negative values.
+// ClientConfig tunes the scatter. The zero value of each field resolves
+// to the documented default; NewClient rejects negative values.
 type ClientConfig struct {
 	// Peers are the base URLs of the rpserved peers ("http://host:port").
 	// At least one is required; order, duplicates and trailing slashes do
 	// not matter.
 	Peers []string
+	// Shards is the number of shard tasks each Mine plans. 0 → one per
+	// distinct peer.
+	Shards int
 	// Retries is how many additional attempts a failed task gets, each on
 	// the next peer of its failover sequence with exponential backoff in
 	// between. 0 → 2.
@@ -81,10 +85,11 @@ type PeerStats struct {
 	PhaseSeconds map[string]float64 `json:"phaseSeconds,omitempty"`
 }
 
-// Client executes shard tasks on remote rpserved peers over HTTP: POST
-// /v1/shard/mine placed in plan order (peerFor), one request per attempt,
-// with bounded retries and exponential backoff. A Client is safe for
-// concurrent use; one serves every task of a coordinator's scatter.
+// Client scatters mines over remote rpserved peers and gathers them: each
+// task is a POST /v1/shard/mine placed in plan order (peerFor), one
+// request per attempt, with bounded retries and exponential backoff. A
+// Client is safe for concurrent use; one serves every scatter of a
+// coordinator.
 type Client struct {
 	cfg   ClientConfig
 	peers []*peerCounters // sorted by URL; peerFor indexes into this order
@@ -97,6 +102,9 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 	}
 	if cfg.Backoff < 0 {
 		return nil, fmt.Errorf("shard: ClientConfig.Backoff must not be negative, got %v", cfg.Backoff)
+	}
+	if cfg.Shards < 0 {
+		return nil, fmt.Errorf("shard: ClientConfig.Shards must not be negative, got %d", cfg.Shards)
 	}
 	urls := make([]string, 0, len(cfg.Peers))
 	for _, u := range cfg.Peers {
@@ -112,6 +120,9 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 		return nil, fmt.Errorf("shard: a client needs at least one peer")
 	}
 	c := &Client{cfg: cfg.withDefaults()}
+	if c.cfg.Shards == 0 {
+		c.cfg.Shards = len(urls)
+	}
 	for _, u := range urls {
 		c.peers = append(c.peers, &peerCounters{url: u})
 	}
@@ -126,6 +137,9 @@ func (c *Client) Peers() []string {
 	}
 	return urls
 }
+
+// Shards reports the number of shard tasks each Mine plans.
+func (c *Client) Shards() int { return c.cfg.Shards }
 
 // Stats snapshots the per-peer counters, sorted by URL for deterministic
 // exposition.
@@ -159,7 +173,74 @@ func (c *Client) peerFor(t Task, a int) int {
 	return int((t.FP%n + uint64(t.Index)%n + uint64(a)%n) % n)
 }
 
-// Execute runs one shard task remotely: the first attempt goes to the
+// Mine scatters one mine over the peers — ClientConfig.Shards tasks, one
+// goroutine each, each traced as an obs.PhaseShard span — and gathers: the
+// partials merge (core.Result.Merge) and canonicalize into a result
+// byte-identical to core.MineContext over the same database and options.
+// The first task that fails after its retries cancels the rest of the
+// scatter, and the mine returns that error; there is no partial result.
+func (c *Client) Mine(ctx context.Context, db *tsdb.DB, o core.Options) (*core.Result, error) {
+	tasks, err := Plan(db.Fingerprint(), c.cfg.Shards)
+	if err != nil {
+		return nil, err
+	}
+	sctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+
+	parts := make([]*core.Result, len(tasks))
+	errs := make([]error, len(tasks))
+	var wg sync.WaitGroup
+	for i, t := range tasks {
+		wg.Add(1)
+		go func(i int, t Task) {
+			defer wg.Done()
+			sp := o.Trace.Start(obs.PhaseShard)
+			parts[i], errs[i] = c.execute(sctx, db, o, t)
+			sp.End()
+			if errs[i] != nil {
+				cancel()
+			}
+		}(i, t)
+	}
+	wg.Wait()
+
+	failed := 0
+	var firstErr error
+	for _, err := range errs {
+		if err == nil {
+			continue
+		}
+		failed++
+		// Prefer the root-cause error over the cancellations it induced in
+		// sibling tasks.
+		if firstErr == nil || isCancellation(firstErr) && !isCancellation(err) {
+			firstErr = err
+		}
+	}
+	if failed > 0 {
+		if err := ctx.Err(); err != nil {
+			// The caller's own context fired; report that rather than a
+			// per-task symptom.
+			return nil, &core.CancelError{Err: err}
+		}
+		return nil, fmt.Errorf("shard: %d/%d shard tasks failed: %w", failed, len(tasks), firstErr)
+	}
+	res := &core.Result{}
+	for _, p := range parts {
+		res.Merge(p)
+	}
+	res.Canonicalize()
+	return res, nil
+}
+
+// isCancellation reports whether err is a context or miner cancellation —
+// the induced errors a failed scatter produces in the tasks it aborts.
+func isCancellation(err error) bool {
+	var cerr *core.CancelError
+	return errors.Is(err, context.Canceled) || errors.As(err, &cerr)
+}
+
+// execute runs one shard task remotely: the first attempt goes to the
 // task's home peer, and each failed attempt moves to the next peer after
 // a doubling backoff, up to Retries re-dispatches. A context error stops
 // retrying immediately — the caller cancelled or the scatter was failed
@@ -168,7 +249,10 @@ func (c *Client) peerFor(t Task, a int) int {
 // A request ID on ctx (obs.WithRequestID) rides in the body and the
 // X-Request-Id header, so the peer journals the task under the
 // coordinator's ID and /debug/requests joins across the fleet.
-func (c *Client) Execute(ctx context.Context, db *tsdb.DB, o core.Options, t Task) (*Partial, error) {
+//
+// db is the coordinator's copy of the database: it resolves the wire
+// patterns back to item IDs.
+func (c *Client) execute(ctx context.Context, db *tsdb.DB, o core.Options, t Task) (*core.Result, error) {
 	reqID := obs.RequestIDFrom(ctx)
 	body, err := json.Marshal(api.ShardMineRequest{
 		MineRequest: api.FromCoreOptions(o),
@@ -195,9 +279,9 @@ func (c *Client) Execute(ctx context.Context, db *tsdb.DB, o core.Options, t Tas
 				return nil, lastErr
 			}
 		}
-		p, err := c.post(ctx, db, body, t, peer, reqID)
+		res, err := c.post(ctx, db, body, t, peer, reqID)
 		if err == nil {
-			return p, nil
+			return res, nil
 		}
 		lastErr = err
 	}
@@ -221,7 +305,7 @@ func sleep(ctx context.Context, d time.Duration) bool {
 // response's version, fingerprint and task identity, and mapping the wire
 // patterns back to item IDs against the coordinator's copy of the
 // database.
-func (c *Client) post(ctx context.Context, db *tsdb.DB, body []byte, t Task, peer int, reqID string) (p *Partial, err error) {
+func (c *Client) post(ctx context.Context, db *tsdb.DB, body []byte, t Task, peer int, reqID string) (_ *core.Result, err error) {
 	pc := c.peers[peer]
 	defer func() {
 		if err != nil {
@@ -267,16 +351,11 @@ func (c *Client) post(ctx context.Context, db *tsdb.DB, body []byte, t Task, pee
 			pc.phaseNanos[ph].Add(st.Nanos)
 		}
 	}
-	p = &Partial{
-		Task:     t,
-		Patterns: patterns,
-		MineTime: time.Duration(sr.MiningMS * 1e6),
-		Phases:   sr.Phases,
-	}
+	res := &core.Result{Patterns: patterns}
 	if sr.Stats != nil {
-		p.Stats = *sr.Stats
+		res.Stats = *sr.Stats
 	}
-	return p, nil
+	return res, nil
 }
 
 // PeerStatsBody is one peer's raw GET /v1/stats response (or the error the

@@ -21,12 +21,14 @@ import (
 // stubPeer is an httptest peer speaking the /v1/shard/mine wire protocol
 // over api + core directly — the protocol contract the real rpserved
 // handler also implements. failFirst makes the first N requests 500 to
-// exercise retries. The propagated request ID is captured for assertions.
+// exercise retries, and failShards makes every request for the listed
+// shard indexes 500. The propagated request ID is captured for assertions.
 type stubPeer struct {
-	db        *tsdb.DB
-	requests  atomic.Int64
-	failFirst int64
-	srv       *httptest.Server
+	db         *tsdb.DB
+	requests   atomic.Int64
+	failFirst  int64
+	failShards map[int]bool
+	srv        *httptest.Server
 
 	mu         sync.Mutex
 	lastHeader string // X-Request-Id of the last shard request
@@ -56,6 +58,11 @@ func (p *stubPeer) handle(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		w.WriteHeader(http.StatusBadRequest)
 		_ = json.NewEncoder(w).Encode(api.ErrorResponse{Error: err.Error()})
+		return
+	}
+	if p.failShards[req.Shard] {
+		w.WriteHeader(http.StatusInternalServerError)
+		_ = json.NewEncoder(w).Encode(api.ErrorResponse{Error: fmt.Sprintf("injected failure on shard %d", req.Shard)})
 		return
 	}
 	if want := fmt.Sprintf("%016x", p.db.Fingerprint()); req.Fingerprint != want {
@@ -120,7 +127,7 @@ func TestNewClientValidation(t *testing.T) {
 func TestClientRemoteEquivalence(t *testing.T) {
 	db := testDB(11, 10, 50, 0.4)
 	p1, p2 := newStubPeer(t, db), newStubPeer(t, db)
-	client, err := NewClient(ClientConfig{Peers: []string{p1.srv.URL, p2.srv.URL}, Backoff: time.Millisecond})
+	client, err := NewClient(ClientConfig{Peers: []string{p1.srv.URL, p2.srv.URL}, Shards: 3, Backoff: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,8 +136,7 @@ func TestClientRemoteEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := &Coordinator{Count: 3, Exec: client}
-	got, err := c.Mine(context.Background(), db, o)
+	got, err := client.Mine(context.Background(), db, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,8 +192,7 @@ func TestClientRetriesFailover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := &Coordinator{Count: 2, Exec: client}
-	got, err := c.Mine(context.Background(), db, o)
+	got, err := client.Mine(context.Background(), db, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +227,7 @@ func TestClientExhaustedRetries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = client.Execute(context.Background(), db, core.Options{Per: 4, MinPS: 2, MinRec: 1},
+	_, err = client.execute(context.Background(), db, core.Options{Per: 4, MinPS: 2, MinRec: 1},
 		Task{Index: 0, Count: 1, FP: db.Fingerprint()})
 	if err == nil {
 		t.Fatal("want error after exhausting retries")
@@ -245,15 +250,14 @@ func TestClientExhaustedRetries(t *testing.T) {
 func TestClientPropagatesTraceContext(t *testing.T) {
 	db := testDB(29, 10, 50, 0.4)
 	peer := newStubPeer(t, db)
-	client, err := NewClient(ClientConfig{Peers: []string{peer.srv.URL}, Backoff: time.Millisecond})
+	client, err := NewClient(ClientConfig{Peers: []string{peer.srv.URL}, Shards: 2, Backoff: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
 	o := core.Options{Per: 4, MinPS: 2, MinRec: 1, Trace: obs.NewTrace()}
 	ctx := obs.WithRequestID(context.Background(), "req-42")
 
-	c := &Coordinator{Count: 2, Exec: client}
-	if _, err := c.Mine(ctx, db, o); err != nil {
+	if _, err := client.Mine(ctx, db, o); err != nil {
 		t.Fatal(err)
 	}
 	peer.mu.Lock()
@@ -273,7 +277,7 @@ func TestClientPropagatesTraceContext(t *testing.T) {
 	}
 
 	// A task without a request ID on its context sends none.
-	if _, err := client.Execute(context.Background(), db, core.Options{Per: 4, MinPS: 2, MinRec: 1},
+	if _, err := client.execute(context.Background(), db, core.Options{Per: 4, MinPS: 2, MinRec: 1},
 		Task{Index: 0, Count: 1, FP: db.Fingerprint()}); err != nil {
 		t.Fatal(err)
 	}
@@ -328,7 +332,7 @@ func TestClientRejectsWrongFingerprint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = client.Execute(context.Background(), db, core.Options{Per: 4, MinPS: 2, MinRec: 1},
+	_, err = client.execute(context.Background(), db, core.Options{Per: 4, MinPS: 2, MinRec: 1},
 		Task{Index: 0, Count: 1, FP: db.Fingerprint()})
 	if err == nil {
 		t.Fatal("want error when the peer does not hold the fingerprint")

@@ -108,6 +108,7 @@ func TestRingDeterministicSequences(t *testing.T) {
 		{},
 		{Peers: []string{"http://peer0:1"}, Retries: -1},
 		{Peers: []string{"http://peer0:1"}, Backoff: -time.Millisecond},
+		{Peers: []string{"http://peer0:1"}, Shards: -1},
 	} {
 		if _, err := NewClient(bad); err == nil {
 			t.Errorf("NewClient(%+v) succeeded, want error", bad)
@@ -148,26 +149,32 @@ func mustPlan(t *testing.T, fp uint64, count int) []Task {
 	return tasks
 }
 
-// TestCoordinatorEquivalence pins the reducer determinism property: the
-// gathered scatter is byte-identical to the single-box mine for every
-// shard count, option set, and database tried.
+// TestCoordinatorEquivalence pins the gather's determinism property: a
+// scatter over two stub HTTP peers is byte-identical to the single-box
+// mine for every shard count, option set and database tried, with equal
+// examined and pruned counts and the single-box candidates and depth.
 func TestCoordinatorEquivalence(t *testing.T) {
 	optSets := []core.Options{
 		{Per: 4, MinPS: 2, MinRec: 1},
-		{Per: 4, MinPS: 2, MinRec: 1, Parallelism: 3, CollectStats: true},
-		{Per: 6, MinPS: 3, MinRec: 2, ItemOrder: core.Lexicographic},
-		{Per: 4, MinPS: 2, MinRec: 1, MaxLen: 2, DisableErecPruning: true},
+		{Per: 4, MinPS: 2, MinRec: 1, Parallelism: 3},
+		{Per: 6, MinPS: 3, MinRec: 2},
+		{Per: 4, MinPS: 2, MinRec: 1, MaxLen: 2},
 	}
 	for seed := int64(1); seed <= 3; seed++ {
 		db := testDB(seed, 12, 60, 0.35)
+		peers := []string{newStubPeer(t, db).srv.URL, newStubPeer(t, db).srv.URL}
 		for oi, o := range optSets {
+			o.CollectStats = true
 			want, err := core.MineContext(context.Background(), db, o)
 			if err != nil {
 				t.Fatalf("seed %d opts %d: single-box: %v", seed, oi, err)
 			}
 			for _, count := range []int{1, 2, 3, 7} {
-				c := &Coordinator{Count: count, Exec: Local{}}
-				got, err := c.Mine(context.Background(), db, o)
+				client, err := NewClient(ClientConfig{Peers: peers, Shards: count})
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := client.Mine(context.Background(), db, o)
 				if err != nil {
 					t.Fatalf("seed %d opts %d shards %d: %v", seed, oi, count, err)
 				}
@@ -175,29 +182,32 @@ func TestCoordinatorEquivalence(t *testing.T) {
 					t.Errorf("seed %d opts %d shards %d: scatter diverged from single-box (%d vs %d patterns)",
 						seed, oi, count, len(got.Patterns), len(want.Patterns))
 				}
+				gs, ws := got.Stats, want.Stats
+				if gs.PatternsExamined != ws.PatternsExamined || gs.PatternsPruned != ws.PatternsPruned ||
+					gs.CandidateItems != ws.CandidateItems || gs.MaxDepth != ws.MaxDepth {
+					t.Errorf("seed %d opts %d shards %d: stats %+v, single-box %+v", seed, oi, count, gs, ws)
+				}
 			}
 		}
 	}
 }
 
-// failExec fails the tasks whose index is in fail, delegating the rest.
-type failExec struct {
-	inner Executor
-	fail  map[int]bool
-}
-
-func (f failExec) Execute(ctx context.Context, db *tsdb.DB, o core.Options, task Task) (*Partial, error) {
-	if f.fail[task.Index] {
-		return nil, fmt.Errorf("injected failure on shard %d", task.Index)
-	}
-	return f.inner.Execute(ctx, db, o, task)
-}
-
+// TestCoordinatorFailFast: a task that fails on every peer fails the
+// scatter, and the error names the root cause rather than the
+// cancellations it induced in the other tasks.
 func TestCoordinatorFailFast(t *testing.T) {
 	db := testDB(9, 8, 40, 0.4)
-	o := core.Options{Per: 4, MinPS: 2, MinRec: 1}
-	c := &Coordinator{Count: 4, Exec: failExec{inner: Local{}, fail: map[int]bool{2: true}}}
-	_, err := c.Mine(context.Background(), db, o)
+	var peers []string
+	for i := 0; i < 2; i++ {
+		p := newStubPeer(t, db)
+		p.failShards = map[int]bool{2: true}
+		peers = append(peers, p.srv.URL)
+	}
+	client, err := NewClient(ClientConfig{Peers: peers, Shards: 4, Backoff: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = client.Mine(context.Background(), db, core.Options{Per: 4, MinPS: 2, MinRec: 1})
 	if err == nil {
 		t.Fatal("want error under fail-fast")
 	}
@@ -208,10 +218,14 @@ func TestCoordinatorFailFast(t *testing.T) {
 
 func TestCoordinatorCancelled(t *testing.T) {
 	db := testDB(5, 10, 50, 0.4)
+	peer := newStubPeer(t, db)
+	client, err := NewClient(ClientConfig{Peers: []string{peer.srv.URL}, Shards: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	c := &Coordinator{Count: 3, Exec: Local{}}
-	_, err := c.Mine(ctx, db, core.Options{Per: 4, MinPS: 2, MinRec: 1})
+	_, err = client.Mine(ctx, db, core.Options{Per: 4, MinPS: 2, MinRec: 1})
 	if err == nil {
 		t.Fatal("want error for pre-cancelled context")
 	}
@@ -221,11 +235,23 @@ func TestCoordinatorCancelled(t *testing.T) {
 	}
 }
 
-func TestLocalRejectsWrongFingerprint(t *testing.T) {
-	db := testDB(2, 6, 30, 0.5)
-	_, err := Local{}.Execute(context.Background(), db, core.Options{Per: 4, MinPS: 2, MinRec: 1},
-		Task{Index: 0, Count: 1, FP: db.Fingerprint() + 1})
-	if err == nil {
-		t.Fatal("want fingerprint mismatch error")
+// TestDefaultShardsPerDistinctPeer: Shards 0 plans one task per distinct
+// peer, so one peer listed twice (once with a trailing slash) gets one
+// task, not two.
+func TestDefaultShardsPerDistinctPeer(t *testing.T) {
+	db := testDB(7, 8, 40, 0.4)
+	peer := newStubPeer(t, db)
+	client, err := NewClient(ClientConfig{Peers: []string{peer.srv.URL, peer.srv.URL + "/"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := client.Shards(); n != 1 {
+		t.Errorf("Shards() = %d, want 1", n)
+	}
+	if _, err := client.Mine(context.Background(), db, core.Options{Per: 4, MinPS: 2, MinRec: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if n := peer.requests.Load(); n != 1 {
+		t.Errorf("peer served %d shard requests, want 1", n)
 	}
 }

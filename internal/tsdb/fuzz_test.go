@@ -156,22 +156,3 @@ func FuzzMapped(f *testing.F) {
 		}
 	})
 }
-
-func FuzzReadEvents(f *testing.F) {
-	f.Add([]byte("1,a\n2,b\n"))
-	f.Add([]byte("x,y\n"))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		events, err := ReadEvents(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		for i := 1; i < len(events); i++ {
-			if events[i-1].TS > events[i].TS {
-				t.Fatal("ReadEvents returned unsorted events")
-			}
-		}
-		if db := FromEvents(events); db.Validate() != nil {
-			t.Fatal("events produced invalid DB")
-		}
-	})
-}

@@ -119,41 +119,3 @@ func readSequential(r io.Reader) (*DB, error) {
 	}
 	return b.Build(), nil
 }
-
-// ReadEvents parses an event sequence from lines of the form
-//
-//	<timestamp>,<item>
-//
-// one event per line, in any order. Lines starting with '#' and blank lines
-// are ignored.
-func ReadEvents(r io.Reader) (EventSequence, error) {
-	var events EventSequence
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		tsStr, item, ok := strings.Cut(line, ",")
-		if !ok {
-			return nil, fmt.Errorf("tsdb: line %d: want \"timestamp,item\"", lineNo)
-		}
-		ts, err := strconv.ParseInt(strings.TrimSpace(tsStr), 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("tsdb: line %d: bad timestamp %q: %v", lineNo, tsStr, err)
-		}
-		item = strings.TrimSpace(item)
-		if item == "" {
-			return nil, fmt.Errorf("tsdb: line %d: empty item", lineNo)
-		}
-		events = append(events, Event{Item: item, TS: ts})
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	events.Sort()
-	return events, nil
-}

@@ -245,25 +245,6 @@ func TestReadErrors(t *testing.T) {
 	}
 }
 
-func TestReadEvents(t *testing.T) {
-	in := "# events\n3,b\n1,a\n1,a\n2,c\n"
-	events, err := ReadEvents(strings.NewReader(in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(events) != 4 {
-		t.Fatalf("got %d events, want 4", len(events))
-	}
-	if events[0].TS != 1 || events[0].Item != "a" {
-		t.Errorf("events not sorted: %+v", events)
-	}
-	for _, in := range []string{"1 a\n", "x,a\n", "1,\n"} {
-		if _, err := ReadEvents(strings.NewReader(in)); err == nil {
-			t.Errorf("ReadEvents(%q) should fail", in)
-		}
-	}
-}
-
 func TestComputeStats(t *testing.T) {
 	db, err := Read(strings.NewReader("1\ta b\n5\ta\n9\ta b c\n"))
 	if err != nil {

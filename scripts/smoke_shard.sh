@@ -1,9 +1,8 @@
 #!/usr/bin/env bash
-# smoke_shard.sh — end-to-end test of sharded scatter-gather mining: a
-# local `rpmine -shards 3` run must print byte-identical patterns to the
-# direct mine, and an rpserved coordinator scattering over two real peer
-# servers must return the same /v1/mine response a single-box server does
-# (modulo timing fields), with the per-peer shard counters visible in
+# smoke_shard.sh — end-to-end test of sharded scatter-gather mining: an
+# rpserved coordinator scattering over two real peer servers must return
+# the same non-empty /v1/mine response a single-box server does (modulo
+# timing fields), with the per-peer shard counters visible in
 # /metrics, the peers' journals joined on the coordinator's request ID
 # holding each planned task exactly once with its own mine time, and
 # /v1/fleet/stats reaching every peer.
@@ -60,18 +59,10 @@ wait_log() {
 
 echo "== build"
 go build -o "$workdir/rpgen" ./cmd/rpgen
-go build -o "$workdir/rpmine" ./cmd/rpmine
 go build -o "$workdir/rpserved" ./cmd/rpserved
 
 echo "== generate a small dataset"
 "$workdir/rpgen" -dataset shop14 -scale 0.02 -out "$workdir/shop.tdb"
-
-echo "== rpmine -shards 3 is byte-identical to the direct mine"
-"$workdir/rpmine" -input "$workdir/shop.tdb" -per 60 -minps-pct 2 -minrec 1 >"$workdir/direct.txt"
-"$workdir/rpmine" -input "$workdir/shop.tdb" -per 60 -minps-pct 2 -minrec 1 -shards 3 >"$workdir/sharded.txt"
-diff "$workdir/direct.txt" "$workdir/sharded.txt" \
-    || { echo "sharded rpmine output diverges from the direct mine"; exit 1; }
-[ -s "$workdir/direct.txt" ] || { echo "direct mine found no patterns; smoke proves nothing"; exit 1; }
 
 echo "== start two peers and a coordinator"
 start_server "$workdir/peer1.log" -db shop="$workdir/shop.tdb"; p1=$addr
@@ -93,6 +84,8 @@ curl -sf "http://$p1/v1/mine" -d "$req" \
     | sed -E 's/"(elapsedMS|miningMS|cached)":[^,]*,//g' >"$workdir/singlebox.json"
 diff "$workdir/scattered.json" "$workdir/singlebox.json" \
     || { echo "scattered response diverges from single-box"; exit 1; }
+count=$(grep -o '"count":[0-9]*' "$workdir/singlebox.json" | head -1 | cut -d: -f2)
+[ "${count:-0}" -gt 0 ] || { echo "single-box mine found no patterns; smoke proves nothing"; exit 1; }
 grep -q '"partial"' "$workdir/scattered.json" \
     && { echo "healthy scatter marked partial"; exit 1; }
 
