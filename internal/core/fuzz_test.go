@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"encoding/binary"
 	"sort"
 	"testing"
@@ -68,10 +69,11 @@ func FuzzMeasures(f *testing.F) {
 }
 
 func FuzzMineAgainstVertical(f *testing.F) {
-	f.Add([]byte{1, 2, 3, 0, 1, 2, 3, 4}, int64(2), 2, 1, uint8(0), false, false, uint8(0))
-	f.Add([]byte{0, 1, 2, 3, 0, 1, 2, 3, 0, 1, 4, 5, 0, 1, 2, 6, 0, 1, 2, 3}, int64(3), 2, 1, uint8(3), true, false, uint8(0))
-	f.Add([]byte{0, 1, 0, 1, 2, 2, 0, 1, 2, 3, 3, 3, 0, 1, 2, 3}, int64(1), 1, 2, uint8(2), false, true, uint8(2))
-	f.Fuzz(func(t *testing.T, data []byte, per int64, minPS, minRec int, par uint8, lex, noPrune bool, maxLen uint8) {
+	f.Add([]byte{1, 2, 3, 0, 1, 2, 3, 4}, int64(2), 2, 1, uint8(0), false, false, uint8(0), uint8(0))
+	f.Add([]byte{0, 1, 2, 3, 0, 1, 2, 3, 0, 1, 4, 5, 0, 1, 2, 6, 0, 1, 2, 3}, int64(3), 2, 1, uint8(3), true, false, uint8(0), uint8(1))
+	f.Add([]byte{0, 1, 0, 1, 2, 2, 0, 1, 2, 3, 3, 3, 0, 1, 2, 3}, int64(1), 1, 2, uint8(2), false, true, uint8(2), uint8(2))
+	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 0, 1, 2, 3, 4, 5, 6, 7, 0, 2, 4, 6, 1, 3, 5, 7, 0, 1, 2, 3}, int64(2), 1, 1, uint8(1), false, false, uint8(0), uint8(6))
+	f.Fuzz(func(t *testing.T, data []byte, per int64, minPS, minRec int, par uint8, lex, noPrune bool, maxLen, shards uint8) {
 		if per <= 0 || per > 1000 {
 			per = 2
 		}
@@ -99,17 +101,25 @@ func FuzzMineAgainstVertical(f *testing.F) {
 		if lex {
 			o.ItemOrder = Lexicographic
 		}
-		a, err := Mine(db, o)
-		if err != nil {
-			t.Fatal(err)
+		// Mine every shard of a 1- to 7-way split, each from its own
+		// truncated initial tree, and merge them as a scatter does.
+		count := int(shards%7) + 1
+		a := &Result{}
+		for idx := 0; idx < count; idx++ {
+			p, err := MineShardContext(context.Background(), db, o, ShardSpec{Index: idx, Count: count})
+			if err != nil {
+				t.Fatal(err)
+			}
+			a.Merge(p)
 		}
+		a.Canonicalize()
 		v, err := MineVertical(db, o)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !a.Equal(v) {
-			t.Fatalf("%+v: RP-growth and vertical disagree: %d vs %d patterns",
-				o, len(a.Patterns), len(v.Patterns))
+			t.Fatalf("%+v, %d shards: RP-growth and vertical disagree: %d vs %d patterns",
+				o, count, len(a.Patterns), len(v.Patterns))
 		}
 	})
 }

@@ -36,7 +36,7 @@ type mergeScratch struct {
 	pathIdx []int32    // CSR payload: base-path indices per rank
 	keep    []condKeep // items surviving the Erec check
 	spans   []span     // the kept items' base-path lists, in conditional rank order
-	build   treeBuild  // the conditional tree's construction scratch
+	sweep   rankSweep  // the conditional tree's construction scratch
 
 	// pruned counts the prefix items conditionalTree dropped by the Erec
 	// check since the owning miner last collected them (miner.prune).

@@ -237,7 +237,7 @@ func TestMinerArenaReuse(t *testing.T) {
 		var results []*Result
 		var slabCap [6]int // nodes, tids, paths, trees, orders, ranks
 		for round := 0; round < 2; round++ {
-			tree := buildRPTree(db, list)
+			tree := buildRPTree(db, list, ShardSpec{Count: 1})
 			res := &Result{}
 			m.res = res
 			m.stack = make([]tsdb.ItemID, 0, len(tree.order))

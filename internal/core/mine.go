@@ -80,10 +80,11 @@ func mine(ctx context.Context, db *tsdb.DB, o Options, spec ShardSpec, emit func
 		return nil, err
 	}
 	var tree *rpTree
-	runPhase(ctx, o.Trace, obs.PhaseTreeBuild, func() { tree = buildRPTree(db, list) })
+	runPhase(ctx, o.Trace, obs.PhaseTreeBuild, func() { tree = buildRPTree(db, list, spec) })
 	if o.CollectStats {
-		// Every shard builds the full initial tree, so a scatter's summed
-		// TreeNodes counts one initial tree per task (MineStats.TreeNodes).
+		// A shard counts its own initial tree, cut after its last owned
+		// rank, so a scatter's summed TreeNodes counts one truncated
+		// initial tree per task (MineStats.TreeNodes).
 		res.Stats.TreeNodes += tree.nodes
 	}
 	// The mine phase is timed per subtree task (mineWorker), not as one

@@ -18,7 +18,7 @@ func benchWorkload() (Options, *rpTree) {
 	db := randomDB(rng, 14, 2000, 0.28)
 	o := Options{Per: 4, MinPS: 3, MinRec: 2}
 	list := BuildRPList(db, o)
-	return o, buildRPTree(db, list)
+	return o, buildRPTree(db, list, ShardSpec{Count: 1})
 }
 
 func BenchmarkBuildRPTree(b *testing.B) {
@@ -29,7 +29,7 @@ func BenchmarkBuildRPTree(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tree := buildRPTree(db, list)
+		tree := buildRPTree(db, list, ShardSpec{Count: 1})
 		if tree.nodes == 0 {
 			b.Fatal("empty tree")
 		}
@@ -51,7 +51,7 @@ func BenchmarkBuildRPTreeShop14(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, list := range lists {
-			if tree := buildRPTree(db, list); tree.nodes == 0 {
+			if tree := buildRPTree(db, list, ShardSpec{Count: 1}); tree.nodes == 0 {
 				b.Fatal("empty tree")
 			}
 		}

@@ -73,7 +73,9 @@ type MineStats struct {
 	PatternsPruned   int // extensions cut by the Erec bound before evaluation
 	// TreeNodes counts the prefix-tree nodes created: the initial tree
 	// plus every conditional tree. Each task of a scatter builds its own
-	// initial tree, so a scatter's sum counts one initial tree per task.
+	// initial tree, cut after the last rank it owns, so a scatter's sum
+	// counts one truncated initial tree per task: at least the full
+	// tree's nodes, since every node lies on some task's cut paths.
 	TreeNodes int
 	MaxDepth  int // deepest recursion reached
 }

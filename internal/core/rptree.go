@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"slices"
 
 	"github.com/recurpat/rp/internal/tsdb"
@@ -14,16 +13,17 @@ import (
 // whose candidate projection ends at a node (its tail tids) are recorded in
 // the tree's tid array.
 //
-// The tid array is filled in pre-order, so every node's subtree is one
+// The tid array is laid out depth first, so every node's subtree is one
 // contiguous range tids[lo:hi], the node's own tail tids first, then its
-// children's ranges. The range is exactly the ts-list that pushing every
-// deeper node's list up to its parent (Lemma 3) would accumulate at the
-// node, so mining reads TS^beta straight off the ranges and never mutates
-// the tree. The root holds no node: its range is the whole tid array.
+// children's ranges in rank order. The range is exactly the ts-list that
+// pushing every deeper node's list up to its parent (Lemma 3) would
+// accumulate at the node, so mining reads TS^beta straight off the ranges
+// and never mutates the tree. The root holds no node: its range is the
+// whole tid array.
 //
 // A node's root path, the ranks from the root down to the node, is
 // paths[pathLo:pathHi] of the tree's path slab: the leading ranks of the
-// first rank path that reached the node, which every path through the node
+// first base path that reached the node, which every path through the node
 // shares. Its last rank is the node's own, its item the tree's order[rank].
 //
 // A tid is a transaction index (a position in db.Trans); the tree's ts map
@@ -36,7 +36,9 @@ type rpNode struct {
 
 // nodeArena is a slab of RP-tree nodes plus slabs of their tids, rank
 // paths and the interesting intervals of their ranks, and of the trees
-// themselves: each tree's header, item order and per-rank table.
+// themselves: each tree's header, item order and per-rank table. A tree's
+// nodes are appended to the node slab as the rank sweep creates them, so
+// they end it; every other slab is carved at its exact size.
 // Conditional trees are carved from a per-miner arena stack-wise: mark()
 // before building a conditional tree, reset(mark) once its recursion
 // returns, so every slab's capacity is reused across the entire mining
@@ -81,11 +83,12 @@ func (a *nodeArena) reset(m arenaMark) {
 // support-descending within the tree's own database (the full TDB for the
 // initial tree, the conditional pattern base for conditional trees). The
 // nodes live in the referenced arena, grouped by rank: each rank's nodes
-// are one block of the node slab, in pre-order.
+// are one block of the node slab, in the order the rank sweep created
+// them.
 type rpTree struct {
 	arena *nodeArena
 	tids  []int32       // every node's subtree range, see rpNode
-	paths []int32       // the rank paths the tree was built from
+	paths []int32       // the ranks of the base paths the tree was built from
 	ts    []int64       // tid -> timestamp, shared by every tree of a mine
 	order []tsdb.ItemID // tree item order, most frequent first
 	ranks []treeRank    // per rank, in order's order
@@ -106,221 +109,48 @@ type treeRank struct {
 	ipi   []Interval
 }
 
-// rankNodes returns the nodes of rank r, in pre-order.
+// rankNodes returns the nodes of rank r, in creation order.
 func (t *rpTree) rankNodes(r int) []rpNode {
 	sp := t.ranks[r].nodes
 	return t.arena.nodes[sp.lo:sp.hi]
 }
 
-// rankPath is one rank path a tree is built from, with the tid bag of the
-// transactions it stands for: ranks paths[lo:hi], strictly ascending, and
-// tids src[tlo:thi] of the build's tid source.
+// rankPath is one base path a tree is built from, with the tid bag of the
+// transactions it stands for: tids src[tlo:thi] of the build's tid source.
+// While the tree is built, paths[lo:hi] of its path slab receives the
+// path's ranks.
 type rankPath struct {
 	lo, hi, tlo, thi int32
-}
-
-// treeBuild is the scratch of top-down tree construction. A zero value is
-// ready to use; conditional trees reuse one per miner.
-type treeBuild struct {
-	tmp   []rankPath // bucketing scatter target
-	keys  []uint64   // per grouped path: bucket key << 32 | position
-	cnt   []int32    // counting-sort buckets, then build's per-rank node cursors
-	ends  []int32    // stack of the bucket ends of the groups being sorted
-	lcp   []int32    // per sorted path: leading ranks shared with the previous
-	stack []int32    // the open nodes of the emit pass, root-most first
-}
-
-// build makes the tree of order's items from its rank paths ps, whose ranks
-// lie in paths and whose bags index src, carving nodes and tids from a.
-// ranks carries each rank's fold; build lays out its node block. ps is
-// reordered.
-//
-// The paths are bucketed top-down (sort), which puts them in pre-order and
-// tells how many leading ranks each shares with the one before it. Those
-// counts size every rank's block of the node slab exactly before any node
-// exists. One pass over the paths then emits the nodes: a path closes the
-// open nodes below the ranks it shares, opens one node per further rank at
-// the next slot of that rank's block, and appends its tids at the cursor.
-// Tids, and each rank's nodes, thus come out in pre-order, and a node's
-// range runs from the tid cursor at its opening to the cursor at its close.
-func (b *treeBuild) build(a *nodeArena, order []tsdb.ItemID, ranks []treeRank, ts []int64, paths []int32, ps []rankPath, src []int32) *rpTree {
-	t := &carve(&a.trees, 1)[0]
-	*t = rpTree{arena: a, paths: paths, ts: ts, order: order, ranks: ranks}
-	lcp := growN(&b.lcp, len(ps))
-	if len(ps) > 0 {
-		lcp[0] = 0
-		b.sort(paths, ps, lcp, 0)
-	}
-	next := growN(&b.cnt, len(ranks)) // per rank: its node count, then its next free slot
-	clear(next)
-	ntids := 0
-	for i, p := range ps {
-		for _, rank := range paths[p.lo+lcp[i] : p.hi] {
-			next[rank]++
-		}
-		ntids += int(p.thi - p.tlo)
-	}
-	at := int32(len(a.nodes))
-	for r, n := range next {
-		ranks[r].nodes = span{at, at + n}
-		next[r] = at
-		at += n
-	}
-	t.nodes = int(at) - len(a.nodes)
-	t.tids = carve(&a.tids, ntids)
-	nodes := slices.Grow(a.nodes, t.nodes)[:at]
-	stack, cur := b.stack[:0], int32(0)
-	for i, p := range ps {
-		shared := lcp[i]
-		for _, n := range stack[shared:] {
-			nodes[n].hi = cur
-		}
-		stack = stack[:shared]
-		for k := p.lo + shared; k < p.hi; k++ {
-			n := next[paths[k]]
-			next[paths[k]]++
-			nodes[n] = rpNode{lo: cur, pathLo: p.lo, pathHi: k + 1}
-			stack = append(stack, n)
-		}
-		cur += int32(copy(t.tids[cur:], src[p.tlo:p.thi]))
-	}
-	for _, n := range stack {
-		nodes[n].hi = cur
-	}
-	a.nodes, b.stack = nodes, stack
-	return t
-}
-
-// sort orders ps, rank paths sharing their first d ranks, so that a path
-// comes before its extensions and paths sharing a longer prefix are
-// adjacent: it buckets them by their rank at depth d, the paths ending
-// there first, then sorts each bucket one rank deeper. It records in lcp,
-// for every position but the first, how many leading ranks the path there
-// shares with the one before.
-func (b *treeBuild) sort(paths []int32, ps []rankPath, lcp []int32, d int32) {
-	if len(ps) < 2 {
-		return
-	}
-	mark := len(b.ends)
-	b.bucket(paths, ps, d)
-	start, end := int32(0), len(b.ends)
-	for i := mark; i < end; i++ {
-		stop := b.ends[i]
-		if start > 0 {
-			lcp[start] = d
-		}
-		if ps[start].lo+d < ps[start].hi {
-			b.sort(paths, ps[start:stop], lcp[start:stop], d+1)
-		} else {
-			for j := start + 1; j < stop; j++ {
-				lcp[j] = d // identical paths, ending at depth d
-			}
-		}
-		start = stop
-	}
-	b.ends = b.ends[:mark]
-}
-
-// bucket sorts ps, rank paths sharing their first d ranks, by their rank at
-// depth d, the paths ending there first, and pushes each non-empty bucket's
-// end onto b.ends. A counting sort serves groups whose key span is small
-// next to their size; a sort of packed keys serves the rest, which lie deep
-// in the tree and are small. Both are stable, so every tree is built alike.
-func (b *treeBuild) bucket(paths []int32, ps []rankPath, d int32) {
-	keys := growN(&b.keys, len(ps))
-	kmin, kmax := uint64(math.MaxUint32), uint64(0)
-	for j, p := range ps {
-		k := uint64(0) // ends at depth d
-		if p.lo+d < p.hi {
-			k = uint64(paths[p.lo+d]) + 1
-		}
-		keys[j] = k<<32 | uint64(j)
-		kmin, kmax = min(kmin, k), max(kmax, k)
-	}
-	tmp := growN(&b.tmp, len(ps))
-	if span := int(kmax - kmin + 1); span <= 2*len(ps) {
-		cnt := growN(&b.cnt, span+1)
-		clear(cnt)
-		for _, k := range keys {
-			cnt[k>>32-kmin+1]++
-		}
-		for i := 1; i <= span; i++ {
-			cnt[i] += cnt[i-1]
-		}
-		for j, k := range keys {
-			c := &cnt[k>>32-kmin]
-			tmp[*c] = ps[j]
-			*c++
-		}
-		prev := int32(0)
-		for _, e := range cnt[:span] {
-			if e != prev {
-				b.ends = append(b.ends, e)
-				prev = e
-			}
-		}
-	} else {
-		slices.Sort(keys)
-		for j, k := range keys {
-			tmp[j] = ps[uint32(k)]
-			if j+1 == len(keys) || keys[j+1]>>32 != k>>32 {
-				b.ends = append(b.ends, int32(j+1))
-			}
-		}
-	}
-	copy(ps, tmp)
-}
-
-// buildRPTree performs the second database scan of RP-growth (Algorithm 2):
-// every transaction's candidate item projection becomes one rank path, and
-// the prefix tree of those paths is built top-down, each transaction's
-// index landing at its projection's tail node. The tree owns a fresh arena
-// and the tid map every tree of the mine shares; its ranks take their folds
-// from the RP-list.
-//
-// The scan files each transaction under the ranks it holds, one list per
-// rank sized by the item's support; dealing the lists out makes the
-// projections, rank-sorted with no sort per transaction.
-func buildRPTree(db *tsdb.DB, list *RPList) *rpTree {
-	order := make([]tsdb.ItemID, len(list.Candidates))
-	ranks := make([]treeRank, len(list.Candidates))
-	spans := make([]span, len(list.Candidates)) // rank r's list: cols[lo:hi]
-	total := int32(0)
-	for r, e := range list.Candidates {
-		order[r] = e.Item
-		ranks[r] = treeRank{sup: e.Support, ipi: list.ipi[r]}
-		spans[r] = span{total, total}
-		total += int32(e.Support)
-	}
-	ts := make([]int64, len(db.Trans))
-	tids := make([]int32, len(db.Trans)) // the bags: tid i is tids[i:i+1]
-	base := make([]rankPath, len(db.Trans))
-	cols := make([]int32, total)
-	for i, tr := range db.Trans {
-		ts[i], tids[i] = tr.TS, int32(i)
-		base[i] = rankPath{tlo: int32(i), thi: int32(i) + 1}
-		for _, it := range tr.Items {
-			if r := list.Rank[it]; r >= 0 {
-				cols[spans[r].hi] = int32(i)
-				spans[r].hi++
-			}
-		}
-	}
-	a := &nodeArena{}
-	paths, ps := dealPaths(&a.paths, base, cols, spans)
-	var b treeBuild
-	return b.build(a, order, ranks, ts, paths, ps, tids)
 }
 
 // span is a range lo:hi of an index list.
 type span struct{ lo, hi int32 }
 
-// dealPaths makes a tree's rank paths from base paths: rank i of the new
-// tree goes to the base paths idx[spans[i].lo:spans[i].hi]. Dealing the
-// ranks in ascending order lays every path out sorted. The ranks are
-// carved from slab and returned with the non-empty paths, compacted in
-// base, whose own rank ranges are overwritten; the paths' bags stay.
-func dealPaths(slab *[]int32, base []rankPath, idx []int32, spans []span) ([]int32, []rankPath) {
+// rankSweep is the scratch of tree construction. A zero value is ready to
+// use; conditional trees reuse one per miner.
+type rankSweep struct {
+	at  []int32 // per base path: the node it has reached + 1, 0 at the root
+	cnt []int32 // per node: its tail tid count, then its fill cursor
+}
+
+// build makes the tree of order's items from base paths: rank r of the tree
+// goes to the base paths idx[spans[r].lo:spans[r].hi], and a base path's bag
+// is src[tlo:thi]. Nodes, tids and the paths' ranks are carved from a; ranks
+// carries each rank's fold, and build sets its node block. A base path
+// holding no rank is left out of the tree, and every base path's lo and hi
+// are overwritten.
+//
+// The sweep walks the ranks in ascending order and moves each base path
+// holding rank r from its node to that node's rank-r child, creating the
+// child on first use and writing r into the path's ranks. Nodes are created
+// rank by rank, so each rank's nodes are one block of the slab, and a node
+// has a rank-r child exactly when its newest child lies in rank r's block.
+// During the sweep a node's lo and hi hold its parent+1 and its newest
+// child+1. A backward pass then sums subtree tid counts into hi, children
+// before parents; a forward pass gives each node its range, after its
+// parent's own tails and its elder siblings, which come in rank order; and
+// a last pass copies each path's bag into its tail node's own slots.
+func (b *rankSweep) build(a *nodeArena, order []tsdb.ItemID, ranks []treeRank, ts []int64, base []rankPath, idx []int32, spans []span, src []int32) *rpTree {
 	for bi := range base {
 		base[bi].hi = 0
 	}
@@ -334,21 +164,145 @@ func dealPaths(slab *[]int32, base []rankPath, idx []int32, spans []span) ([]int
 		bp := &base[bi]
 		bp.lo, bp.hi, w = w, w, w+bp.hi
 	}
-	paths := carve(slab, int(w))
-	for i, sp := range spans {
+	t := &carve(&a.trees, 1)[0]
+	*t = rpTree{arena: a, paths: carve(&a.paths, int(w)), ts: ts, order: order, ranks: ranks}
+
+	first := int32(len(a.nodes))
+	nodes := slices.Grow(a.nodes, int(w/2))
+	at := growN(&b.at, len(base))
+	clear(at)
+	root := int32(0) // the root's newest child + 1
+	for r, sp := range spans {
+		block := int32(len(nodes))
 		for _, bi := range idx[sp.lo:sp.hi] {
-			bp := &base[bi]
-			paths[bp.hi] = int32(i)
+			bp, p := &base[bi], at[bi]
+			c := root
+			if p > 0 {
+				c = nodes[p-1].hi
+			}
+			if c <= block {
+				nodes = append(nodes, rpNode{lo: p, pathLo: bp.lo, pathHi: bp.hi + 1})
+				c = int32(len(nodes))
+				if p > 0 {
+					nodes[p-1].hi = c
+				} else {
+					root = c
+				}
+			}
+			t.paths[bp.hi] = int32(r)
 			bp.hi++
+			at[bi] = c
+		}
+		ranks[r].nodes = span{block, int32(len(nodes))}
+	}
+	a.nodes = nodes
+	tree := nodes[first:]
+	t.nodes = len(tree)
+
+	cnt := growN(&b.cnt, len(tree))
+	for i := range tree {
+		tree[i].hi, cnt[i] = 0, 0
+	}
+	ntids := int32(0)
+	for bi, c := range at {
+		if c > 0 {
+			k := base[bi].thi - base[bi].tlo
+			cnt[c-1-first] += k
+			ntids += k
 		}
 	}
-	ps := base[:0]
-	for _, bp := range base {
-		if bp.hi > bp.lo {
-			ps = append(ps, bp)
+	for i := len(tree) - 1; i >= 0; i-- {
+		nd := &tree[i]
+		nd.hi += cnt[i]
+		if nd.lo > 0 {
+			nodes[nd.lo-1].hi += nd.hi
 		}
 	}
-	return paths, ps
+	root = 0 // now the root's fill cursor
+	for i := range tree {
+		nd := &tree[i]
+		cur := &root
+		if nd.lo > 0 {
+			cur = &cnt[nd.lo-1-first]
+		}
+		nd.lo, nd.hi = *cur, *cur+nd.hi
+		*cur = nd.hi
+		cnt[i] += nd.lo
+	}
+	for i := range tree {
+		cnt[i] = tree[i].lo
+	}
+	t.tids = carve(&a.tids, int(ntids))
+	for bi, c := range at {
+		if c > 0 {
+			bp, cur := base[bi], &cnt[c-1-first]
+			*cur += int32(copy(t.tids[*cur:], src[bp.tlo:bp.thi]))
+		}
+	}
+	return t
+}
+
+// buildRPTree performs the second database scan of RP-growth (Algorithm 2):
+// every transaction's candidate item projection becomes one base path, and
+// the rank sweep builds the prefix tree of those paths, each transaction's
+// index landing at its projection's tail node. The tree owns a fresh arena
+// and the tid map every tree of the mine shares; its ranks take their folds
+// from the RP-list.
+//
+// The scan files each transaction under the ranks it holds, one list per
+// rank sized by the item's support; those lists are the sweep's per-rank
+// paths, so no projection is ever sorted.
+//
+// For a shard, each projection is cut after the highest rank spec owns, and
+// a transaction holding no owned rank is left out. That is exact for every
+// owned rank: each transaction through a node of owned rank r keeps its
+// path at least down to r, so the node keeps its root path and its range's
+// tid set, which is all that mining the rank reads. A rank the shard does
+// not own may lose nodes and tids, so its fold no longer describes them;
+// nothing reads it, since the shard mines only its owned ranks.
+func buildRPTree(db *tsdb.DB, list *RPList, spec ShardSpec) *rpTree {
+	order := make([]tsdb.ItemID, len(list.Candidates))
+	ranks := make([]treeRank, len(list.Candidates))
+	spans := make([]span, len(list.Candidates)) // rank r's list: cols[lo:hi]
+	total := int32(0)
+	for r, e := range list.Candidates {
+		order[r] = e.Item
+		ranks[r] = treeRank{sup: e.Support, ipi: list.ipi[r]}
+		spans[r] = span{total, total}
+		total += int32(e.Support)
+	}
+	owned := make([]int, len(list.Rank)) // per item: its rank if spec owns it, else -1
+	for it, r := range list.Rank {
+		owned[it] = -1
+		if r >= 0 && spec.Owns(r) {
+			owned[it] = r
+		}
+	}
+	ts := make([]int64, len(db.Trans))
+	tids := make([]int32, len(db.Trans)) // the bags: tid i is tids[i:i+1]
+	base := make([]rankPath, len(db.Trans))
+	cols := make([]int32, total)
+	for i, tr := range db.Trans {
+		ts[i], tids[i] = tr.TS, int32(i)
+		base[i] = rankPath{tlo: int32(i), thi: int32(i) + 1}
+		// The projection keeps the ranks up to last, the transaction's
+		// highest owned rank; a single shard owns every rank.
+		last := len(list.Candidates)
+		if spec.Count > 1 {
+			last = -1
+			for _, it := range tr.Items {
+				last = max(last, owned[it])
+			}
+		}
+		for _, it := range tr.Items {
+			if r := list.Rank[it]; r >= 0 && r <= last {
+				cols[spans[r].hi] = int32(i)
+				spans[r].hi++
+			}
+		}
+	}
+	var b rankSweep
+	return b.build(&nodeArena{}, order, ranks, ts, base, cols, spans, tids)
 }
 
 // condKeep is one prefix item surviving the conditional Erec check, with its
@@ -476,9 +430,8 @@ func (t *rpTree) conditionalTree(dst *nodeArena, ms *mergeScratch, o Options, r 
 		ranks[i] = treeRank{sup: k.sup, ipi: dst.ivals[k.ipi.lo:k.ipi.hi:k.ipi.hi]}
 	}
 
-	// Second pass: the base paths' kept ancestors, re-ranked, are the new
-	// tree's rank paths, dealt out through the CSR index; their bags stay
-	// ranges of t's tids.
-	paths, ps := dealPaths(&dst.paths, base, pathIdx, spans)
-	return ms.build.build(dst, order, ranks, t.ts, paths, ps, t.tids)
+	// Second pass: the rank sweep over the CSR index re-ranks the base
+	// paths' kept ancestors into the new tree; their bags stay ranges of
+	// t's tids.
+	return ms.sweep.build(dst, order, ranks, t.ts, base, pathIdx, spans, t.tids)
 }

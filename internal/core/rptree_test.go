@@ -81,7 +81,7 @@ func buildPaperTree(t *testing.T) (*tsdb.DB, *RPList, *rpTree) {
 	t.Helper()
 	db := paperDB(t)
 	list := BuildRPList(db, paperOptions())
-	tree := buildRPTree(db, list)
+	tree := buildRPTree(db, list, ShardSpec{Count: 1})
 	return db, list, tree
 }
 
@@ -349,7 +349,7 @@ func TestLemma2TreeSizeBound(t *testing.T) {
 	// by the total size of the candidate item projections.
 	db := paperDB(t)
 	list := BuildRPList(db, paperOptions())
-	tree := buildRPTree(db, list)
+	tree := buildRPTree(db, list, ShardSpec{Count: 1})
 	bound := 0
 	var proj []tsdb.ItemID
 	for _, tr := range db.Trans {
@@ -377,9 +377,9 @@ func TestLemma2TreeSizeBound(t *testing.T) {
 // range, after the node's own tail tids; every node's root path, read from
 // the path slab, is distinct and is the projection prefix of each member in
 // its range; and the nodes are laid out by rank: each rank's nodes are one
-// block of the slab, the blocks in rank order, and within a block the nodes
-// are in pre-order and their ranges together hold exactly the members
-// carrying the rank's item.
+// block of the slab, the blocks in rank order, a block holds only nodes of
+// its rank, each root path once, and their ranges together hold exactly
+// the members carrying the rank's item.
 func checkRanges(t *testing.T, db *tsdb.DB, tree *rpTree, members []int32) {
 	t.Helper()
 	inTree := map[tsdb.ItemID]bool{}
@@ -437,10 +437,6 @@ func checkRanges(t *testing.T, db *tsdb.DB, tree *rpTree, members []int32) {
 			n := rk.nodes.lo + int32(i)
 			if int(tree.rank(n)) != r {
 				t.Fatalf("node %d in rank %d's block has rank %d", n, r, tree.rank(n))
-			}
-			if i > 0 && slices.Compare(tree.rootPath(n-1), tree.rootPath(n)) >= 0 {
-				t.Fatalf("rank %d: node %d (path %v) after node %d (path %v) is out of pre-order",
-					r, n, tree.rootPath(n), n-1, tree.rootPath(n-1))
 			}
 			got = append(got, tree.tids[nd.lo:nd.hi]...)
 		}
@@ -562,7 +558,7 @@ func checkTreeRanges(t *testing.T, db *tsdb.DB, o Options) int {
 		if len(list.Candidates) == 0 {
 			continue
 		}
-		tree := buildRPTree(db, list)
+		tree := buildRPTree(db, list, ShardSpec{Count: 1})
 		all := make([]int32, db.Len())
 		for i := range all {
 			all[i] = int32(i)
@@ -637,7 +633,7 @@ func TestRankStatsMatchTSList(t *testing.T) {
 				}
 				var a nodeArena
 				var ms mergeScratch
-				checked += checkRankStats(t, db, o, buildRPTree(db, list), nil, &a, &ms)
+				checked += checkRankStats(t, db, o, buildRPTree(db, list, ShardSpec{Count: 1}), nil, &a, &ms)
 				if len(a.ivals) != 0 {
 					t.Fatalf("%+v: %d intervals left in the arena after the walk", o, len(a.ivals))
 				}

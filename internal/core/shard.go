@@ -61,11 +61,14 @@ func (s ShardSpec) ranks(n int) []int {
 // residue class of the RP-list rank order. Every shard runs the same two
 // database scans (RP-list, initial RP-tree) and then mines only its owned
 // subtrees, so shards share no state and may run in different processes.
+// A shard's initial tree stops at its last owned rank: each transaction's
+// projection is cut after its highest owned rank, which keeps every owned
+// rank's nodes and tid sets exactly as in the full tree.
 // The result is canonically ordered; concatenating the Patterns of all
 // Count shards (in any order) and canonicalizing again reproduces
 // MineContext's output byte for byte. The shards' stats, folded with
 // Result.Merge, equal the single-box stats, except TreeNodes, which counts
-// each shard's copy of the initial tree.
+// each shard's truncated initial tree.
 //
 // Every spec runs the same worker-pool loop as MineContext, over only the
 // ranks it owns; a spec of {0, 1} owns every rank and is exactly

@@ -3,7 +3,10 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
+	"maps"
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"github.com/recurpat/rp/internal/tsdb"
@@ -105,6 +108,56 @@ func TestMineShardEquivalence(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestShardTreeKeepsOwnedRanks checks a shard's truncated initial tree
+// against the full one: for shard counts 1..7 on generated DBs, every owned
+// rank's nodes have the same root paths and tid sets in both trees, which
+// is all that mining the rank reads. The shard trees of a count together
+// hold every node of the full tree, and some hold fewer nodes than it.
+func TestShardTreeKeepsOwnedRanks(t *testing.T) {
+	rng := rand.New(rand.NewPCG(29, 4))
+	smaller := 0
+	for trial := 0; trial < 20; trial++ {
+		db := randomDB(rng, 3+rng.IntN(8), 20+rng.IntN(80), 0.2+0.4*rng.Float64())
+		o := Options{Per: 1 + rng.Int64N(4), MinPS: 1 + rng.IntN(3), MinRec: 1 + rng.IntN(3)}
+		list := BuildRPList(db, o)
+		full := buildRPTree(db, list, ShardSpec{Count: 1})
+		for count := 1; count <= 7; count++ {
+			nodes := 0
+			for idx := 0; idx < count; idx++ {
+				spec := ShardSpec{Index: idx, Count: count}
+				cut := buildRPTree(db, list, spec)
+				nodes += cut.nodes
+				if cut.nodes < full.nodes {
+					smaller++
+				}
+				for r := range cut.order {
+					if got, want := rankSets(cut, r), rankSets(full, r); spec.Owns(r) && !maps.EqualFunc(got, want, slices.Equal[[]int32]) {
+						t.Fatalf("trial %d %+v: owned rank %d's nodes hold %v, the full tree's %v", trial, spec, r, got, want)
+					}
+				}
+			}
+			if nodes < full.nodes || count == 1 && nodes != full.nodes {
+				t.Fatalf("trial %d: %d shard trees hold %d nodes, the full tree %d", trial, count, nodes, full.nodes)
+			}
+		}
+	}
+	if smaller == 0 {
+		t.Fatal("no shard tree is smaller than the full tree; nothing was truncated")
+	}
+}
+
+// rankSets maps the root path of each of rank r's nodes to the tids of its
+// range, sorted.
+func rankSets(t *rpTree, r int) map[string][]int32 {
+	m := map[string][]int32{}
+	for _, nd := range t.rankNodes(r) {
+		tids := slices.Clone(t.tids[nd.lo:nd.hi])
+		slices.Sort(tids)
+		m[fmt.Sprint(t.paths[nd.pathLo:nd.pathHi])] = tids
+	}
+	return m
 }
 
 // TestMineShardSingleIsFull pins that the {0,1} spec is exactly MineContext.

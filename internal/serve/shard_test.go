@@ -311,8 +311,8 @@ func TestPeersModeCoordinator(t *testing.T) {
 		t.Errorf("scattered patterns diverge from single-box:\n%s\nvs\n%s", gp, wp)
 	}
 	// Stats merge semantics: examined/pruned/candidates/depth match the
-	// single-box run exactly; TreeNodes overcounts by design (each shard
-	// builds its own copy of the initial tree).
+	// single-box run exactly; TreeNodes counts each shard's own truncated
+	// initial tree, which together hold at least the full tree's nodes.
 	gs := got["stats"].(map[string]any)
 	ws := want["stats"].(map[string]any)
 	for _, f := range []string{"PatternsExamined", "PatternsPruned", "CandidateItems", "MaxDepth"} {

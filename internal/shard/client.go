@@ -168,7 +168,7 @@ func (c *Client) Stats() []PeerStats {
 // sorted peer (FP + i) mod n, so no peer homes more than ⌈Count/n⌉ of a
 // plan's tasks, and retry a moves a peers on, so the first n attempts
 // visit every peer once.
-func (c *Client) peerFor(t Task, a int) int {
+func (c *Client) peerFor(t task, a int) int {
 	n := uint64(len(c.peers))
 	return int((t.FP%n + uint64(t.Index)%n + uint64(a)%n) % n)
 }
@@ -180,10 +180,7 @@ func (c *Client) peerFor(t Task, a int) int {
 // The first task that fails after its retries cancels the rest of the
 // scatter, and the mine returns that error; there is no partial result.
 func (c *Client) Mine(ctx context.Context, db *tsdb.DB, o core.Options) (*core.Result, error) {
-	tasks, err := Plan(db.Fingerprint(), c.cfg.Shards)
-	if err != nil {
-		return nil, err
-	}
+	tasks := plan(db.Fingerprint(), c.cfg.Shards)
 	sctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
@@ -192,7 +189,7 @@ func (c *Client) Mine(ctx context.Context, db *tsdb.DB, o core.Options) (*core.R
 	var wg sync.WaitGroup
 	for i, t := range tasks {
 		wg.Add(1)
-		go func(i int, t Task) {
+		go func(i int, t task) {
 			defer wg.Done()
 			sp := o.Trace.Start(obs.PhaseShard)
 			parts[i], errs[i] = c.execute(sctx, db, o, t)
@@ -252,7 +249,7 @@ func isCancellation(err error) bool {
 //
 // db is the coordinator's copy of the database: it resolves the wire
 // patterns back to item IDs.
-func (c *Client) execute(ctx context.Context, db *tsdb.DB, o core.Options, t Task) (*core.Result, error) {
+func (c *Client) execute(ctx context.Context, db *tsdb.DB, o core.Options, t task) (*core.Result, error) {
 	reqID := obs.RequestIDFrom(ctx)
 	body, err := json.Marshal(api.ShardMineRequest{
 		MineRequest: api.FromCoreOptions(o),
@@ -305,7 +302,7 @@ func sleep(ctx context.Context, d time.Duration) bool {
 // response's version, fingerprint and task identity, and mapping the wire
 // patterns back to item IDs against the coordinator's copy of the
 // database.
-func (c *Client) post(ctx context.Context, db *tsdb.DB, body []byte, t Task, peer int, reqID string) (_ *core.Result, err error) {
+func (c *Client) post(ctx context.Context, db *tsdb.DB, body []byte, t task, peer int, reqID string) (_ *core.Result, err error) {
 	pc := c.peers[peer]
 	defer func() {
 		if err != nil {

@@ -228,7 +228,7 @@ func TestClientExhaustedRetries(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, err = client.execute(context.Background(), db, core.Options{Per: 4, MinPS: 2, MinRec: 1},
-		Task{Index: 0, Count: 1, FP: db.Fingerprint()})
+		task{Index: 0, Count: 1, FP: db.Fingerprint()})
 	if err == nil {
 		t.Fatal("want error after exhausting retries")
 	}
@@ -278,7 +278,7 @@ func TestClientPropagatesTraceContext(t *testing.T) {
 
 	// A task without a request ID on its context sends none.
 	if _, err := client.execute(context.Background(), db, core.Options{Per: 4, MinPS: 2, MinRec: 1},
-		Task{Index: 0, Count: 1, FP: db.Fingerprint()}); err != nil {
+		task{Index: 0, Count: 1, FP: db.Fingerprint()}); err != nil {
 		t.Fatal(err)
 	}
 	peer.mu.Lock()
@@ -333,7 +333,7 @@ func TestClientRejectsWrongFingerprint(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, err = client.execute(context.Background(), db, core.Options{Per: 4, MinPS: 2, MinRec: 1},
-		Task{Index: 0, Count: 1, FP: db.Fingerprint()})
+		task{Index: 0, Count: 1, FP: db.Fingerprint()})
 	if err == nil {
 		t.Fatal("want error when the peer does not hold the fingerprint")
 	}

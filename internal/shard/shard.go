@@ -10,9 +10,9 @@
 // in-process worker pool (core.mineRanks) uses the same seam within one
 // process; this package is only the cross-process half.
 //
-//   - Plan: one mine → Count tasks, a pure function of the database
-//     fingerprint and the shard count, so every participant derives the
-//     same plan independently.
+//   - plan: one mine → ClientConfig.Shards tasks, a pure function of the
+//     database fingerprint and the shard count, so every participant
+//     derives the same plan independently.
 //   - Client.Mine: POSTs each task to a peer's /v1/shard/mine, placing a
 //     plan's tasks on consecutive peers, with per-attempt timeouts and
 //     bounded retries with backoff, one request per attempt; then merges
@@ -26,12 +26,10 @@
 // result missing some suffix items.
 package shard
 
-import "fmt"
-
-// Task is one shard of a planned mine: mine the suffix items whose RP-list
+// task is one shard of a planned mine: mine the suffix items whose RP-list
 // rank r has r mod Count == Index, over the database whose content
 // fingerprint is FP.
-type Task struct {
+type task struct {
 	Index int
 	Count int
 	// FP pins the database content: a peer must refuse to mine a
@@ -40,15 +38,12 @@ type Task struct {
 	FP uint64
 }
 
-// Plan splits one mine over the fingerprinted database into count tasks.
-// count must be positive.
-func Plan(fp uint64, count int) ([]Task, error) {
-	if count <= 0 {
-		return nil, fmt.Errorf("shard: shard count must be positive, got %d", count)
-	}
-	tasks := make([]Task, count)
+// plan splits one mine over the fingerprinted database into count tasks;
+// count is positive (NewClient resolves ClientConfig.Shards to at least 1).
+func plan(fp uint64, count int) []task {
+	tasks := make([]task, count)
 	for i := range tasks {
-		tasks[i] = Task{Index: i, Count: count, FP: fp}
+		tasks[i] = task{Index: i, Count: count, FP: fp}
 	}
-	return tasks, nil
+	return tasks
 }

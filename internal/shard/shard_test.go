@@ -30,10 +30,7 @@ func testDB(seed int64, nItems, nTS int, density float64) *tsdb.DB {
 }
 
 func TestPlan(t *testing.T) {
-	tasks, err := Plan(0xdeadbeef, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tasks := plan(0xdeadbeef, 3)
 	if len(tasks) != 3 {
 		t.Fatalf("planned %d tasks, want 3", len(tasks))
 	}
@@ -41,12 +38,6 @@ func TestPlan(t *testing.T) {
 		if task.Index != i || task.Count != 3 || task.FP != 0xdeadbeef {
 			t.Errorf("task %d = %+v", i, task)
 		}
-	}
-	if _, err := Plan(1, 0); err == nil {
-		t.Error("want error for zero shard count")
-	}
-	if _, err := Plan(1, -2); err == nil {
-		t.Error("want error for negative shard count")
 	}
 }
 
@@ -86,7 +77,7 @@ func TestRingDeterministicSequences(t *testing.T) {
 		sorted, sortedV := c.Peers(), cv.Peers()
 		for count := 1; count <= 3*peers; count++ {
 			for _, fp := range placementFPs {
-				for _, task := range mustPlan(t, fp, count) {
+				for _, task := range plan(fp, count) {
 					seen := make(map[int]bool)
 					for a := 0; a < peers; a++ {
 						p := c.peerFor(task, a)
@@ -125,7 +116,7 @@ func TestRingSpreadsTasks(t *testing.T) {
 		for count := 1; count <= 3*peers; count++ {
 			for _, fp := range placementFPs {
 				homes := make(map[string]int)
-				for _, task := range mustPlan(t, fp, count) {
+				for _, task := range plan(fp, count) {
 					homes[sorted[c.peerFor(task, 0)]]++
 				}
 				lo, hi := count/peers, (count+peers-1)/peers
@@ -138,15 +129,6 @@ func TestRingSpreadsTasks(t *testing.T) {
 			}
 		}
 	}
-}
-
-func mustPlan(t *testing.T, fp uint64, count int) []Task {
-	t.Helper()
-	tasks, err := Plan(fp, count)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return tasks
 }
 
 // TestCoordinatorEquivalence pins the gather's determinism property: a
